@@ -2,10 +2,13 @@
 
 Reports are schema-stable rows
     check,param1,param2,lhs,rhs,margin,holds,paper_ref
-with one file per subcommand.  Exit codes: 0 all asserted checks hold,
-1 at least one asserted check fails, 2 configuration error.  Reported-only
-rows never affect the exit code.  Two runs with the same configuration
-produce byte-identical output apart from the timestamp header line.
+with one file per subcommand.  ``bilap all`` runs the criteria registry of
+``bilap.checks``, the same definitions the acceptance suite asserts; the
+other subcommands expose single layers with their own grids.  Exit codes:
+0 all asserted checks hold, 1 at least one asserted check fails,
+2 configuration error.  Reported-only rows never affect the exit code.  Two
+runs with the same configuration produce byte-identical output apart from
+the timestamp header line.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import avp, eig2d, riesz, semiclassical, spectra1d
+from . import avp, checks, eig2d, riesz, semiclassical, spectra1d
 from .core import (
     BCKind,
     BoundaryCondition,
@@ -165,10 +168,13 @@ def exit_code(reports: Sequence[BoundReport]) -> int:
 # Spectrum cache
 # ----------------------------------------------------------------------------
 
-def spectrum_cache_key(spec: Spectrum) -> str:
-    source = "-".join(str(p) for p in (spec.source.kind,) + spec.source.detail)
-    return f"{spec.domain.label()}_{spec.bc.label()}_{source}".replace(":", "_") \
-        .replace("(", "").replace(")", "").replace(",", "_").replace(" ", "")
+def spectrum_cache_key(domain: DomainSpec, bc: BoundaryCondition,
+                       source: SpectrumSource) -> str:
+    """File stem of a cached spectrum.  Every defining float enters by its
+    exact repr, so problems that differ in any bit get different keys."""
+    parts = (domain.shape, *map(repr, domain.lengths), bc.kind.value,
+             repr(bc.poisson_ratio), *(bc.pair or ()), source.kind, *source.detail)
+    return ",".join(str(p) for p in parts)
 
 
 def cache_spectrum(spec: Spectrum, directory: Path) -> Path:
@@ -182,13 +188,14 @@ def cache_spectrum(spec: Spectrum, directory: Path) -> Path:
         "source": {"kind": spec.source.kind, "detail": list(spec.source.detail)},
         "kernel_dim": spec.kernel_dim,
     }
-    path = directory / (spectrum_cache_key(spec) + ".json")
+    path = directory / (spectrum_cache_key(spec.domain, spec.bc, spec.source) + ".json")
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
 
 
 def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
-    """Round-trip-exact reload; corrupt entries log a warning and return None."""
+    """Round-trip-exact reload.  Corrupt entries, and entries whose payload
+    does not reproduce ``key``, log a warning and return None."""
     path = Path(directory) / (key + ".json")
     if not path.exists():
         return None
@@ -199,6 +206,10 @@ def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
         bc = BoundaryCondition(BCKind(bc_raw["kind"]), bc_raw["poisson_ratio"],
                                tuple(bc_raw["pair"]) if bc_raw["pair"] else None)
         source = SpectrumSource(payload["source"]["kind"], tuple(payload["source"]["detail"]))
+        stored = spectrum_cache_key(dom, bc, source)
+        if stored != key:
+            log.warning("spectrum cache %s holds %s; recomputing", path, stored)
+            return None
         extend = None
         if source.kind == "exact" and source.detail and source.detail[0] == "spectrum1d":
             _, i, j, length = source.detail
@@ -239,28 +250,11 @@ def cmd_spectrum1d(args) -> list[BoundReport]:
 def cmd_riesz1d(args) -> list[BoundReport]:
     pair = tuple(int(v) for v in args.pair.split(","))
     zs = parse_range(args.z)
-    spec = spectra1d.spectrum_1d(pair, 16)
-    reports = []
-    for z in zs:
-        r1 = riesz.riesz_mean(spec, z, 1.0).value
-        lower, upper = riesz.theorem_bounds_1d(pair, z)
-        reports.append(BoundReport.less_equal(
-            "riesz-lower", lower, r1, "riesz-1-d", params={"pair": pair, "z": z}))
-        reports.append(BoundReport.less_equal(
-            "riesz-upper", r1, upper, "riesz-1-d", params={"pair": pair, "z": z}))
-    return reports
+    return checks.riesz_rows(pair, zs)
 
 
 def cmd_lemma_onedim(args) -> list[BoundReport]:
-    reports = []
-    for R in parse_range(args.r_grid):
-        for variant, ref in (("integers", "onedim1"), ("half_integers", "onedim2")):
-            lhs, mid, rhs = riesz.lemma_onedim_bounds(R, variant)
-            reports.append(BoundReport.less_equal(
-                "lattice-sum-lower", lhs, mid, ref, params={"R": R, "variant": variant}))
-            reports.append(BoundReport.less_equal(
-                "lattice-sum-upper", mid, rhs, ref, params={"R": R, "variant": variant}))
-    return reports
+    return checks.lattice_rows(parse_range(args.r_grid))
 
 
 def cmd_constants(args) -> list[BoundReport]:
@@ -357,7 +351,8 @@ def cmd_kroeger_laptev(args) -> list[BoundReport]:
 def cmd_eig2d(args) -> list[BoundReport]:
     dom = parse_domain(args.domain)
     n = parse_int_range(args.grids)[-1]
-    key = f"{dom.label()}_dirichlet_finite_difference-clamped-{n}-{n}".replace(":", "_")
+    key = spectrum_cache_key(dom, BoundaryCondition.dirichlet(),
+                             SpectrumSource("finite_difference", ("clamped", n, n)))
     spec = None
     t0 = time.perf_counter()
     cache_hit = False
@@ -385,132 +380,10 @@ def cmd_compare(args) -> list[BoundReport]:
 
 
 def cmd_all(args) -> list[BoundReport]:
-    """Full verification sweep: the CLI face of the acceptance suite.
-
-    Finite-difference spectra (grids 32/64/128, 50 modes each plus 200 on
-    the 64 grid) are solved once and shared across the comparison chain,
-    the average sandwich, the heat-trace check and the individual bounds.
-    Deterministic throughout: the sharpened-Young sweep uses a lattice, not
-    random draws.
-    """
-    reports: list[BoundReport] = []
-
-    # 1-2: roots, residuals, defect brackets; shared-root identities
-    reports.extend(proposition_bound_report(50))
-    for n in range(1, 51):
-        reports.append(BoundReport.less_equal(
-            "gamma-residual", gamma_root(n).residual, 1e-9, "1-d-ev-equation",
-            params={"n": n}))
-    reports.extend(spectra1d.identity_check(50))
-
-    # 3, 5: Riesz envelopes on 200 thresholds per pair; second-term fits
-    for pair in spectra1d.KERNEL_DIMS:
-        spec = spectra1d.spectrum_1d(pair, 16)
-        for z in np.logspace(0.0, 8.0, 200):
-            r1 = riesz.riesz_mean(spec, float(z), 1.0).value
-            lower, upper = riesz.theorem_bounds_1d(pair, float(z))
-            reports.append(BoundReport.less_equal(
-                "riesz-lower", lower, r1, "riesz-1-d", params={"pair": pair, "z": z}))
-            reports.append(BoundReport.less_equal(
-                "riesz-upper", r1, upper, "riesz-1-d", params={"pair": pair, "z": z}))
-        slope = riesz.second_term_fit(pair)
-        target = (pair[0] + pair[1] - 3) / 2.0
-        reports.append(BoundReport.less_equal(
-            "second-term-slope", abs(slope - target), 0.05, "riesz-1-d",
-            params={"pair": pair, "slope": slope}))
-
-    # 4: lattice-sum chains on 500 values
-    for R in np.linspace(0.0, 200.0, 500):
-        for variant, ref in (("integers", "onedim1"), ("half_integers", "onedim2")):
-            lhs, mid, rhs = riesz.lemma_onedim_bounds(float(R), variant)
-            reports.append(BoundReport.less_equal(
-                "lattice-sum-lower", lhs, mid, ref, params={"R": R, "variant": variant}))
-            reports.append(BoundReport.less_equal(
-                "lattice-sum-upper", mid, rhs, ref, params={"R": R, "variant": variant}))
-
-    c = riesz.constant_c()
-    reports.append(BoundReport.less_equal(
-        "series-constant-window", abs(c - 2.51272), 1e-4, "c", params={"c": c}))
-
-    # 6: boundary-coefficient agreement
-    for d in (2, 3, 4):
-        for a in (-0.3, 0.0, 0.5, 0.9):
-            ca = semiclassical.expansion_coefficients(
-                BoundaryCondition.neumann(a), d, "arctan_g")
-            cb = semiclassical.expansion_coefficients(
-                BoundaryCondition.neumann(a), d, "arctan_inv_g")
-            reports.append(BoundReport.less_equal(
-                "neumann-c1-forms-agree", abs(ca.c1 - cb.c1), 1e-9, "c1neu",
-                params={"d": d, "a": a}))
-        quad, _, closed = semiclassical.dirichlet_arcsin_integral(d)
-        reports.append(BoundReport.less_equal(
-            "dirichlet-c1-quadrature", abs(quad - closed), 1e-9, "c1dir",
-            params={"d": d}))
-
-    # 10: refined interval bounds on the exact spectrum; sharpened Young
-    spec23 = spectra1d.spectrum_1d((2, 3), 502)
-    reports.extend(avp.kroeger_laptev_report(
-        spec23, DomainSpec.interval(1.0), 1, 500, extrapolated=True))
-    worst_young = -math.inf
-    for p in np.linspace(0.0, 10.0, 101):
-        for x in np.linspace(0.0, 10.0, 101):
-            y, bound = avp.young_refined(float(p), float(x))
-            worst_young = max(worst_young, y - bound)
-    reports.append(BoundReport.less_equal(
-        "young-refined-lattice", worst_young, 1e-12, "technical_lemma",
-        params={"grid": "101x101"}))
-
-    # 7-9, 11: finite-difference spectra, solved once
-    dom = DomainSpec.square(1.0)
-    grids = (32, 64, 128)
-    fd = {n: eig2d.clamped_spectrum_fd(dom, n, 50) for n in grids}
-    reports.extend(eig2d.comparison_report(dom, 10, grids, fd_spectra=fd))
-
-    limits, bands = [], []
-    for j in range(1, 51):
-        limit, band = eig2d.richardson_extrapolate(*(fd[n].value(j) for n in grids))
-        limits.append(limit)
-        bands.append(band)
-
-    ball = avp.inscribed_ball_profile(dom)
-    moll = avp.mollified_indicator_profile(dom, 0.1, 96)
-    for k in range(1, 31):
-        fd_avg = sum(limits[:k]) / k
-        band = sum(bands[:k]) / k
-        reports.append(BoundReport.less_equal(
-            "average-lower-weyl", semiclassical.predict_average_leading(2, dom, k),
-            fd_avg + band, "weyl_dirichlet_biharmonic", params={"k": k}))
-        for prof in (ball, moll):
-            reports.append(BoundReport.less_equal(
-                "average-upper-avp", fd_avg - band,
-                avp.avg_upper_bound(prof, dom, 2, k),
-                "evsums-DirichletbiLaplacian1", params={"k": k, "profile": prof.kind}))
-
-    heat = eig2d.clamped_spectrum_fd(dom, 64, 200)
-    for t in (1e-3, 1e-4):
-        trace = sum(math.exp(-v * t) for v in heat.values)
-        _, unweighted = avp.partition_lower_bound(moll, t)
-        reports.append(BoundReport.less_equal(
-            "heat-trace-lower", unweighted, trace,
-            "part-fct-estimate-small-times_bi", params={"t": t}))
-
-    A = avp.second_term_coefficient(dom, 2)
-    for k in range(20, 51):
-        lower, upper = avp.individual_bounds(dom, 2, A, k)
-        reports.append(BoundReport.less_equal(
-            "individual-lower", lower, limits[k - 1] + bands[k - 1],
-            "dirichlet_ineq_1_2", params={"k": k}))
-        reports.append(BoundReport.less_equal(
-            "individual-upper", limits[k - 1] - bands[k - 1], upper,
-            "dirichlet_ineq_2_2", params={"k": k}))
-
-    # 12: two-term sharpness of the clamped interval spectrum
-    for k in range(1, 51):
-        reports.append(BoundReport.less_equal(
-            "two-term-sharpness", gamma_root(k).r,
-            math.pi * math.exp(-math.pi * k), "1st-1d-ev-expansion",
-            params={"k": k}))
-    return reports
+    """Full verification sweep: every check of ``checks.REGISTRY`` in order,
+    on one ``checks.Context`` that builds each shared FD spectrum and trial
+    profile once."""
+    return checks.run_all(checks.Context())
 
 
 # ----------------------------------------------------------------------------
@@ -529,8 +402,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         p.add_argument("--out", type=Path, default=None, help="report path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--cache", type=Path, default=None, help="spectrum cache directory")
-        p.add_argument("--seedless", action="store_true",
-                       help="reserved; the artifact never draws random numbers")
         if config_defaults:
             p.set_defaults(**config_defaults)
 
@@ -622,10 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         reports = _COMMANDS[args.command](args)
         write_report(reports, args.out, args.format, meta={"command": args.command})
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"bilap: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError included
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2
     failed = sum(1 for r in reports if r.asserted and not r.holds)

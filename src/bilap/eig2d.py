@@ -20,6 +20,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .avp import _trapz2
 from .core import (
     BoundaryCondition,
     BoundReport,
@@ -266,12 +267,9 @@ def form_energies(vector: np.ndarray, grid: Grid2D,
     uxx, uxy = np.gradient(ux, hx, hy, edge_order=2)
     _, uyy = np.gradient(uy, hx, hy, edge_order=2)
 
-    def integrate(arr: np.ndarray) -> float:
-        return float(np.trapezoid(np.trapezoid(arr, dx=hy, axis=1), dx=hx))
-
-    grad = integrate(ux ** 2 + uy ** 2)
-    lap = integrate((uxx + uyy) ** 2)
-    hess = integrate(uxx ** 2 + 2.0 * uxy ** 2 + uyy ** 2)
+    grad = _trapz2(ux ** 2 + uy ** 2, hx, hy)
+    lap = _trapz2((uxx + uyy) ** 2, hx, hy)
+    hess = _trapz2(uxx ** 2 + 2.0 * uxy ** 2 + uyy ** 2, hx, hy)
     return grad, lap, hess
 
 

@@ -1,17 +1,14 @@
-"""Shared fixtures: the finite-difference clamped spectra are expensive, so
-they are solved once per session and reused by the eig2d, avp and acceptance
-tests."""
+"""Shared fixtures: one session ``checks.Context`` builds the expensive
+finite-difference spectra and trial profiles once; the eig2d, avp, CLI and
+acceptance tests read them through the views below."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from bilap import checks
 from bilap.core import DomainSpec
-from bilap.eig2d import Grid2D, assemble_clamped_bilaplacian, richardson_extrapolate, smallest_eigs
-
-FD_GRIDS = (32, 64, 128)
-FD_MODES = 50
 
 
 @pytest.fixture(scope="session")
@@ -20,40 +17,30 @@ def unit_square() -> DomainSpec:
 
 
 @pytest.fixture(scope="session")
-def clamped_fd(unit_square) -> dict[int, np.ndarray]:
-    """First FD_MODES clamped eigenvalues on each refinement grid."""
-    out = {}
-    for n in FD_GRIDS:
-        op = assemble_clamped_bilaplacian(Grid2D(n, n, unit_square))
-        values, _ = smallest_eigs(op, FD_MODES)
-        out[n] = values
-    return out
+def check_context() -> checks.Context:
+    return checks.Context()
 
 
 @pytest.fixture(scope="session")
-def clamped_richardson(clamped_fd) -> tuple[np.ndarray, np.ndarray]:
+def clamped_fd(check_context) -> dict[int, np.ndarray]:
+    """First FD_MODES clamped eigenvalues on each refinement grid."""
+    return {n: np.array(check_context.fd(n, checks.FD_MODES).values) for n in checks.FD_GRIDS}
+
+
+@pytest.fixture(scope="session")
+def clamped_richardson(check_context) -> tuple[np.ndarray, np.ndarray]:
     """(limits, bands): Richardson-extrapolated clamped eigenvalues with the
     adversarial tolerance band 3|fine - mid| per mode."""
-    limits = np.empty(FD_MODES)
-    bands = np.empty(FD_MODES)
-    for j in range(FD_MODES):
-        limits[j], bands[j] = richardson_extrapolate(
-            *(clamped_fd[n][j] for n in FD_GRIDS))
-    return limits, bands
+    limits, bands = check_context.richardson
+    return np.array(limits), np.array(bands)
 
 
 @pytest.fixture(scope="session")
-def clamped_64_200(unit_square) -> np.ndarray:
+def clamped_64_200(check_context) -> np.ndarray:
     """200 clamped modes on the 64x64 grid (heat-trace truncation)."""
-    op = assemble_clamped_bilaplacian(Grid2D(64, 64, unit_square))
-    values, _ = smallest_eigs(op, 200)
-    return values
+    return np.array(check_context.fd(checks.HEAT_GRID, checks.HEAT_MODES).values)
 
 
 @pytest.fixture(scope="session")
-def mollified_profiles(unit_square):
-    from bilap.avp import mollified_indicator_profile
-    return {
-        0.1: mollified_indicator_profile(unit_square, 0.1, 96),
-        0.05: mollified_indicator_profile(unit_square, 0.05, 96),
-    }
+def mollified_profiles(check_context):
+    return {h: check_context.mollified(h) for h in (0.1, 0.05)}

@@ -1,246 +1,99 @@
-"""Acceptance suite: every criterion at its stated tolerance.
+"""Acceptance suite: every criterion of the check registry at its tolerance.
 
-Each test prints one PASS line (visible under ``pytest -s``); a failure
-prints FAIL before the assertion fires.  The finite-difference spectra come
-from the session fixtures (grids 32^2/64^2/128^2, Richardson-extrapolated
-with adversarial bands).
+Each criterion test runs the registry checks that carry its id (each check
+once per session) and asserts that the criterion has asserted rows, that all
+of them hold, and that each check stays within its time budget.  It prints
+one PASS/FAIL line per check (visible under ``pytest -s``) before its
+assertions fire.  The registry is the one ``bilap all`` runs, and the shared
+inputs come from the session ``Context`` (see conftest.py).
 """
 
-import math
 import time
 
-import numpy as np
 import pytest
 
-from bilap.avp import (
-    avg_upper_bound,
-    explicit_sum_bound,
-    explicit_sum_threshold,
-    individual_bounds,
-    inscribed_ball_profile,
-    kroeger_laptev_refined,
-    partition_lower_bound,
-    second_term_coefficient,
-    young_refined,
-)
-from bilap.core import BoundaryCondition, DomainSpec, ONE_D_PAIRS
-from bilap.riesz import constant_c, lemma_onedim_bounds, riesz_mean, second_term_fit, theorem_bounds_1d
-from bilap.roots1d import defect, gamma_root, proposition_bound_report
-from bilap.semiclassical import dirichlet_arcsin_integral, expansion_coefficients, f_neumann
-from bilap.spectra1d import spectrum_1d
-from bilap.eig2d import laplacian_spectrum_exact
-from bilap.semiclassical import predict_average_leading
+from bilap import checks
 
 
-def _report(number: int, ok: bool, detail: str, elapsed: float) -> None:
-    status = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {number:2d} {status}: {detail} [{elapsed:.2f}s]")
+@pytest.fixture(scope="session")
+def check_runs(check_context):
+    """(rows, elapsed seconds) of a registry check, run once per session."""
+    runs: dict[checks.Check, tuple[list, float]] = {}
+
+    def run(check: checks.Check):
+        if check not in runs:
+            t0 = time.perf_counter()
+            rows = check.run(check_context)
+            runs[check] = rows, time.perf_counter() - t0
+        return runs[check]
+
+    return run
 
 
-def test_criterion_01_roots():
-    t0 = time.perf_counter()
-    root1 = gamma_root(1)
-    ok = abs(root1.gamma - 4.7300407449) <= 1e-9
-    residuals = []
-    for n in range(1, 51):
-        g = gamma_root(n).gamma
-        residuals.append(abs(math.cos(g) * math.cosh(g) - 1.0) / math.cosh(g))
-    ok &= max(residuals) <= 1e-9
-    rs = [defect(n) for n in range(1, 51)]
-    ok &= all(rs[i + 1] < rs[i] for i in range(49))
-    ok &= all(rs[n - 1] <= math.pi * math.exp(-math.pi * n) for n in range(1, 51))
-    elapsed = time.perf_counter() - t0
-    _report(1, ok and elapsed < 1.0, "gamma_1 to 1e-9, residuals <= 1e-9, "
-            "defects decreasing and under pi e^(-pi n), n <= 50", elapsed)
-    assert ok and elapsed < 1.0
+def _assert_criterion(number: int, check_runs) -> None:
+    carriers = [c for c in checks.REGISTRY if number in c.ids]
+    assert carriers, f"no registry check carries criterion {number}"
+    for check in carriers:
+        rows, elapsed = check_runs(check)
+        asserted = [r for r in rows if r.asserted and check.criterion(r) == number]
+        failed = [r for r in asserted if not r.holds]
+        ok = bool(asserted) and not failed and elapsed < check.budget_s
+        print(f"ACCEPTANCE {number:2d} {'PASS' if ok else 'FAIL'}: "
+              f"{check.title} [{elapsed:.2f}s]")
+        assert asserted, "no asserted rows"
+        assert not failed, failed[:5]
+        assert elapsed < check.budget_s
 
 
-def test_criterion_02_proposition_brackets():
-    t0 = time.perf_counter()
-    rows = proposition_bound_report(50)
-    upper = [r for r in rows if r.check == "defect-upper-bracket"]
-    ok = len(upper) == 50 and all(r.holds for r in upper)
-    odd_lower = [r for r in rows if r.check == "defect-lower-bracket" and not r.asserted]
-    ok &= len(odd_lower) == 25  # evaluated and recorded, never asserted
-    n1 = next(r for r in odd_lower if dict(r.params)["n"] == "1")
-    ok &= not n1.holds  # the documented discrepancy at n = 1
-    elapsed = time.perf_counter() - t0
-    _report(2, ok and elapsed < 1.0, "upper brackets hold for n <= 50; odd-n "
-            "lower bracket recorded (fails at n=1) without assertion", elapsed)
-    assert ok and elapsed < 1.0
+def test_registry_carries_criteria_1_to_12():
+    assert sorted({i for c in checks.REGISTRY for i in c.ids}) == list(range(1, 13))
+    for check in checks.REGISTRY:
+        assert {i for _, i in check.row_criteria} <= set(check.ids)
 
 
-def test_criterion_03_riesz_envelopes():
-    t0 = time.perf_counter()
-    c = constant_c(term_tol=1e-12)
-    ok = abs(c - 2.51272) <= 1e-4 and 2.0 < c < 3.0
-    for pair in ONE_D_PAIRS:
-        spec = spectrum_1d(pair, 8)
-        for z in np.logspace(0.0, 8.0, 200):
-            r1 = riesz_mean(spec, float(z), 1.0).value
-            lower, upper = theorem_bounds_1d(pair, float(z))
-            ok &= lower <= r1 <= upper
-    elapsed = time.perf_counter() - t0
-    _report(3, ok and elapsed < 10.0, "six pairs x 200 z in [1,1e8]: "
-            f"lower <= R_1 <= upper; c = {c:.6f}", elapsed)
-    assert ok and elapsed < 10.0
+def test_criterion_01_roots(check_runs):
+    _assert_criterion(1, check_runs)
 
 
-def test_criterion_04_lattice_sums():
-    t0 = time.perf_counter()
-    ok = True
-    for R in np.linspace(0.0, 200.0, 500):
-        for variant in ("integers", "half_integers"):
-            lhs, mid, rhs = lemma_onedim_bounds(float(R), variant)
-            ok &= lhs <= mid <= rhs
-    elapsed = time.perf_counter() - t0
-    _report(4, ok and elapsed < 5.0, "both lattice-sum chains hold on 500 "
-            "values R in [0, 200] by brute force", elapsed)
-    assert ok and elapsed < 5.0
+def test_criterion_02_proposition_brackets(check_runs):
+    _assert_criterion(2, check_runs)
 
 
-def test_criterion_05_second_term_fit():
-    t0 = time.perf_counter()
-    ok = True
-    worst = 0.0
-    for pair in ONE_D_PAIRS:
-        slope = second_term_fit(pair)
-        err = abs(slope - (pair[0] + pair[1] - 3) / 2.0)
-        worst = max(worst, err)
-        ok &= err <= 0.05
-    elapsed = time.perf_counter() - t0
-    _report(5, ok and elapsed < 30.0, "linear coefficient recovered to "
-            f"(i+j-3)/2 +- 0.05 (worst {worst:.4f}), z up to 1e9", elapsed)
-    assert ok and elapsed < 30.0
+def test_criterion_03_riesz_envelopes(check_runs):
+    _assert_criterion(3, check_runs)
 
 
-def test_criterion_06_semiclassical_constants():
-    t0 = time.perf_counter()
-    ok = f_neumann(0.0) == 1.0
-    for d in (2, 3, 4):
-        for a in (-0.3, 0.0, 0.5, 0.9):
-            ca = expansion_coefficients(BoundaryCondition.neumann(a), d, "arctan_g")
-            cb = expansion_coefficients(BoundaryCondition.neumann(a), d, "arctan_inv_g")
-            ok &= abs(ca.c1 - cb.c1) <= 1e-9
-        quad, _, closed = dirichlet_arcsin_integral(d)
-        ok &= abs(quad - closed) <= 1e-9
-    elapsed = time.perf_counter() - t0
-    _report(6, ok and elapsed < 5.0, "f(0)=1 exactly; Neumann c1 forms agree "
-            "to 1e-9 (d=2..4, a=-0.3..0.9); Dirichlet c1 matches quadrature", elapsed)
-    assert ok and elapsed < 5.0
+def test_criterion_04_lattice_sums(check_runs):
+    _assert_criterion(4, check_runs)
 
 
-def test_criterion_07_comparison_chain(unit_square, clamped_richardson):
-    t0 = time.perf_counter()
-    ok = True
-    # 1D exact chain, zero tolerance
-    s01 = spectrum_1d((0, 1), 50)
-    s02 = spectrum_1d((0, 2), 50)
-    s13 = spectrum_1d((1, 3), 50)
-    s23 = spectrum_1d((2, 3), 50)
-    for j in range(1, 51):
-        mu_sq = (math.pi * (j - 1)) ** 4
-        ok &= s23.value(j) <= s13.value(j) == mu_sq
-        ok &= s02.value(j) <= s01.value(j)
-    # 2D: lambda_j^2 <= Lambda_j with Richardson bands, adversarially
-    limits, bands = clamped_richardson
-    lam = laplacian_spectrum_exact(unit_square, 10)
-    for j in range(1, 11):
-        ok &= lam.value(j) ** 2 <= limits[j - 1] - bands[j - 1]
-    elapsed = time.perf_counter() - t0
-    _report(7, ok and elapsed < 180.0, "1D chain exact for j <= 50; 2D "
-            "lambda_j^2 <= Lambda_j for j <= 10 under Richardson bands", elapsed)
-    assert ok and elapsed < 180.0
+def test_criterion_05_second_term_fit(check_runs):
+    _assert_criterion(5, check_runs)
 
 
-def test_criterion_08_average_sandwich(unit_square, clamped_richardson, mollified_profiles):
-    t0 = time.perf_counter()
-    limits, bands = clamped_richardson
-    profiles = (inscribed_ball_profile(unit_square), mollified_profiles[0.1])
-    ok = True
-    for k in range(1, 31):
-        fd_avg = limits[:k].mean()
-        band = bands[:k].mean()
-        lp = predict_average_leading(2, unit_square, k)
-        ok &= lp <= fd_avg + band                      # Levine-Protter side
-        for profile in profiles:
-            ok &= fd_avg - band <= avg_upper_bound(profile, unit_square, 2, k)
-    elapsed = time.perf_counter() - t0
-    _report(8, ok and elapsed < 180.0, "leading term <= FD average <= AVP "
-            "upper bound (both profiles) for k <= 30, bands applied", elapsed)
-    assert ok and elapsed < 180.0
+def test_criterion_06_semiclassical_constants(check_runs):
+    _assert_criterion(6, check_runs)
 
 
-def test_criterion_09_heat_trace(clamped_64_200, mollified_profiles):
-    t0 = time.perf_counter()
-    ok = True
-    for t in (1e-3, 1e-4):
-        trace = float(np.exp(-clamped_64_200 * t).sum())
-        for profile in mollified_profiles.values():
-            _, unweighted = partition_lower_bound(profile, t)
-            ok &= unweighted <= trace
-    elapsed = time.perf_counter() - t0
-    _report(9, ok and elapsed < 30.0, "unweighted heat-trace bound below the "
-            "truncated FD trace at t = 1e-3, 1e-4 (truncation conservative)", elapsed)
-    assert ok and elapsed < 30.0
+def test_criterion_07_comparison_chain(check_runs):
+    _assert_criterion(7, check_runs)
 
 
-def test_criterion_10_kroeger_laptev():
-    t0 = time.perf_counter()
-    dom = DomainSpec.interval(1.0)
-    spec = spectrum_1d((2, 3), 502)
-    ok = True
-    for k in range(1, 501):
-        pt = kroeger_laptev_refined(spec, dom, 1, k)
-        ok &= pt.s_k <= 1.0 and pt.interval is not None
-        lo, hi = pt.interval
-        nxt = spec.value(k + 1)
-        ok &= lo <= nxt <= hi
-    rng = np.random.default_rng(20260810)
-    for p, x in rng.uniform(0.0, 10.0, size=(10_000, 2)):
-        y, bound = young_refined(p, x)
-        ok &= y <= bound + 1e-12
-    elapsed = time.perf_counter() - t0
-    _report(10, ok and elapsed < 5.0, "S_k <= 1 and interval containment for "
-            "k <= 500 (exact 1D spectrum); sharpened Young on 1e4 points", elapsed)
-    assert ok and elapsed < 5.0
+def test_criterion_08_average_sandwich(check_runs):
+    _assert_criterion(8, check_runs)
 
 
-def test_criterion_11_individual_sandwich(unit_square, clamped_richardson):
-    t0 = time.perf_counter()
-    A = second_term_coefficient(unit_square, 2)
-    # consistency: A matches the explicit bound's second coefficient
-    k0 = math.ceil(explicit_sum_threshold(unit_square, 2))
-    _, second, _ = explicit_sum_bound(unit_square, 2, k0)
-    ok = abs(A - second / k0 ** 1.5) <= 1e-10 * A
-    limits, bands = clamped_richardson
-    for k in range(20, 51):
-        lower, upper = individual_bounds(unit_square, 2, A, k)
-        ok &= lower <= limits[k - 1] + bands[k - 1]
-        ok &= limits[k - 1] - bands[k - 1] <= upper
-    elapsed = time.perf_counter() - t0
-    _report(11, ok and elapsed < 120.0, "FD Lambda_k inside the individual "
-            "sandwich for k = 20..50 under Richardson bands", elapsed)
-    assert ok and elapsed < 120.0
+def test_criterion_09_heat_trace(check_runs):
+    _assert_criterion(9, check_runs)
 
 
-def test_criterion_12_two_term_sharpness():
-    t0 = time.perf_counter()
-    spec = spectrum_1d((0, 1), 50)
-    ok = True
-    for k in range(1, 51):
-        tail = math.pi * math.exp(-math.pi * k)
-        target = math.pi * (k + 0.5)
-        fourth_root = math.sqrt(math.sqrt(spec.value(k)))
-        # the certified defect carries the full-precision statement
-        ok &= defect(k) <= tail
-        ok &= abs(fourth_root - gamma_root(k).gamma) <= 4 * np.spacing(target)
-        # literal float check where double precision can still resolve it
-        if k <= 8:
-            ok &= abs(fourth_root - target) <= tail
-        else:
-            ok &= abs(fourth_root - target) <= tail + 4 * np.spacing(target)
-    elapsed = time.perf_counter() - t0
-    _report(12, ok and elapsed < 1.0, "|Lambda_k^(1/4) - pi(k+1/2)| <= "
-            "pi e^(-pi k) for k <= 50 (ulp allowance past the double floor)", elapsed)
-    assert ok and elapsed < 1.0
+def test_criterion_10_kroeger_laptev(check_runs):
+    _assert_criterion(10, check_runs)
+
+
+def test_criterion_11_individual_sandwich(check_runs):
+    _assert_criterion(11, check_runs)
+
+
+def test_criterion_12_two_term_sharpness(check_runs):
+    _assert_criterion(12, check_runs)

@@ -28,6 +28,7 @@ from bilap.avp import (
     step_average_bound,
     young_refined,
 )
+from bilap.checks import AVERAGE_K, INDIVIDUAL_K
 from bilap.core import BoundaryCondition, DomainSpec, Spectrum, SpectrumSource, dimensional_constants
 from bilap.eig2d import (
     Grid2D,
@@ -127,7 +128,7 @@ class TestAverageUpperBound:
     def test_dominates_fd_average(self, unit_square, clamped_richardson, mollified_profiles):
         limits, bands = clamped_richardson
         profiles = [inscribed_ball_profile(unit_square), mollified_profiles[0.1]]
-        for k in range(1, 31):
+        for k in AVERAGE_K:
             fd_avg = limits[:k].mean()
             band = bands[:k].mean()
             for p in profiles:
@@ -327,7 +328,7 @@ class TestIndividualBounds:
     def test_fd_sandwich_20_to_50(self, unit_square, clamped_richardson):
         A = second_term_coefficient(unit_square, 2)
         limits, bands = clamped_richardson
-        for k in range(20, 51):
+        for k in INDIVIDUAL_K:
             lower, upper = individual_bounds(unit_square, 2, A, k)
             assert lower <= limits[k - 1] + bands[k - 1]
             assert limits[k - 1] - bands[k - 1] <= upper
@@ -336,7 +337,7 @@ class TestIndividualBounds:
         A = second_term_coefficient(unit_square, 2)
         limits, bands = clamped_richardson
         lead = dimensional_constants(2).classical ** 2
-        for k in range(20, 51):
+        for k in INDIVIDUAL_K:
             dev = abs(limits[k - 1] - lead * k ** 2)
             assert dev <= modulus_bound(unit_square, 2, A, k) + bands[k - 1]
 

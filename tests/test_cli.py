@@ -1,9 +1,12 @@
 """CLI: parsing, report schema, reproducibility, caching, exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from bilap import checks
 from bilap.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -18,6 +21,12 @@ from bilap.cli import (
 )
 from bilap.core import BoundReport
 from bilap.spectra1d import spectrum_1d
+
+# The benchmark's reference reports and row comparison, read-only.
+_spec = importlib.util.spec_from_file_location(
+    "bench_check", Path(__file__).resolve().parents[1] / "bench" / "check.py")
+bench_check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_check)
 
 
 class TestParsing:
@@ -73,11 +82,15 @@ class TestReports:
         assert exit_code([ok, hard_fail]) == 1
 
 
+def _key(spec):
+    return spectrum_cache_key(spec.domain, spec.bc, spec.source)
+
+
 class TestSpectrumCache:
     def test_round_trip_value_exact(self, tmp_path):
         spec = spectrum_1d((0, 1), 12)
         cache_spectrum(spec, tmp_path)
-        loaded = load_spectrum(spectrum_cache_key(spec), tmp_path)
+        loaded = load_spectrum(_key(spec), tmp_path)
         assert loaded is not None
         assert loaded.values == spec.values
         assert loaded.bc == spec.bc and loaded.domain == spec.domain
@@ -85,7 +98,7 @@ class TestSpectrumCache:
     def test_loaded_exact_spectrum_can_extend(self, tmp_path):
         spec = spectrum_1d((2, 3), 6)
         cache_spectrum(spec, tmp_path)
-        loaded = load_spectrum(spectrum_cache_key(spec), tmp_path)
+        loaded = load_spectrum(_key(spec), tmp_path)
         grown = loaded.extend(12)
         assert grown.values[:6] == spec.values
 
@@ -93,17 +106,23 @@ class TestSpectrumCache:
         a = spectrum_1d((0, 1), 4)
         b = spectrum_1d((0, 2), 4)
         c = spectrum_1d((0, 1), 4, length=2.0)
-        keys = {spectrum_cache_key(s) for s in (a, b, c)}
+        keys = {_key(s) for s in (a, b, c)}
         assert len(keys) == 3
 
     def test_corrupt_cache_returns_none(self, tmp_path, caplog):
         spec = spectrum_1d((0, 1), 4)
         path = cache_spectrum(spec, tmp_path)
         path.write_text("{not json")
-        assert load_spectrum(spectrum_cache_key(spec), tmp_path) is None
+        assert load_spectrum(_key(spec), tmp_path) is None
 
     def test_missing_key_returns_none(self, tmp_path):
         assert load_spectrum("nope", tmp_path) is None
+
+    def test_entry_under_another_key_is_a_miss(self, tmp_path, caplog):
+        path = cache_spectrum(spectrum_1d((0, 1), 4), tmp_path)
+        path.rename(tmp_path / "other.json")
+        assert load_spectrum("other", tmp_path) is None
+        assert "recomputing" in caplog.text
 
 
 class TestMain:
@@ -133,12 +152,6 @@ class TestMain:
         names = {r["check"] for r in payload["reports"]}
         assert {"ball-volume", "classical-constant", "c1-per-boundary"} <= names
 
-    def test_seedless_flag_accepted_bare_only(self, tmp_path):
-        out = tmp_path / "x.csv"
-        assert main(["roots", "--n", "1", "--seedless", "--out", str(out)]) == 0
-        with pytest.raises(SystemExit):
-            main(["roots", "--n", "1", "--seedless=yes", "--out", str(out)])
-
     def test_spectrum1d_and_lemma(self, tmp_path):
         assert main(["spectrum1d", "--pair", "2,3", "--count", "6",
                      "--out", str(tmp_path / "s.csv")]) == 0
@@ -159,6 +172,15 @@ class TestMain:
         text = out.read_text()
         assert "cache_hit=True" in text
 
+    def test_eig2d_cache_tells_nearby_lengths_apart(self, tmp_path):
+        cache = tmp_path / "cache"
+        out = tmp_path / "e.csv"
+        for side in ("1", "1.0000004"):
+            assert main(["eig2d", "--domain", f"square:{side}", "--grids", "8", "--k", "3",
+                         "--cache", str(cache), "--out", str(out)]) == 0
+        assert "cache_hit=False" in out.read_text()
+        assert "cache_hit=True" not in out.read_text()
+
     def test_compare_small_grids(self, tmp_path):
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--domain", "square:1", "--grids", "12,16,24",
@@ -172,10 +194,16 @@ class TestMain:
         rows = [l for l in out.read_text().splitlines() if l.startswith("gamma,")]
         assert len(rows) == 3
 
-    def test_full_sweep_subcommand(self, tmp_path):
-        out = tmp_path / "all.json"
-        assert main(["all", "--format", "json", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+    def test_full_sweep_subcommand(self, tmp_path, monkeypatch, check_context):
+        # the session context already holds every FD spectrum and profile
+        monkeypatch.setattr(checks, "Context", lambda: check_context)
+        expected = bench_check.load_refs("full_sweep")["all"]
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"all.{fmt}"
+            assert main(["all", "--format", fmt, "--out", str(out)]) == 0
+            diff = bench_check.compare(bench_check.read_rows(out, fmt), expected)
+            assert diff is None, diff
+        payload = json.loads((tmp_path / "all.json").read_text())
         asserted = [r for r in payload["reports"] if r["asserted"]]
         assert len(asserted) > 2000
         assert all(r["holds"] for r in asserted)

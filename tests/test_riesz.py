@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bilap.checks import LATTICE_R, RIESZ_Z
 from bilap.core import BoundaryCondition, DomainSpec, ONE_D_PAIRS, Spectrum, SpectrumSource
 from bilap.riesz import (
     InsufficientSpectrumError,
@@ -137,7 +138,7 @@ class TestTheoremBounds:
         """lower <= R_1(z) <= upper on 200 log-spaced z in [1, 1e8]."""
         for pair in ONE_D_PAIRS:
             spec = spectrum_1d(pair, 8)
-            for z in np.logspace(0.0, 8.0, 200):
+            for z in RIESZ_Z:
                 r1 = riesz_mean(spec, float(z)).value
                 lower, upper = theorem_bounds_1d(pair, float(z))
                 assert lower <= r1 <= upper, (pair, z)
@@ -161,7 +162,7 @@ class TestLatticeSumLemma:
         assert lhs <= mid <= rhs
 
     def test_sweep_500_values(self):
-        for R in np.linspace(0.0, 200.0, 500):
+        for R in LATTICE_R:
             for variant in ("integers", "half_integers"):
                 lhs, mid, rhs = lemma_onedim_bounds(float(R), variant)
                 assert lhs <= mid <= rhs, (R, variant)

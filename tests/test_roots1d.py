@@ -132,6 +132,7 @@ class TestPropositionReport:
 
     def test_odd_lower_bracket_reported_not_asserted(self, report):
         rows = [r for r in report if r.check == "defect-lower-bracket" and not r.asserted]
+        assert len(rows) == 25
         assert all(int(dict(r.params)["n"]) % 2 == 1 for r in rows)
         n1 = next(r for r in rows if dict(r.params)["n"] == "1")
         # documented discrepancy: the stated odd-n lower bound exceeds r_1

@@ -57,6 +57,18 @@ class TestSpectrum1D:
         with pytest.raises(ValueError):
             spectrum_1d((0, 1), 5, length=0.0)
 
+    def test_clamped_fourth_roots_two_term_sharp(self):
+        # |Lambda_k^(1/4) - pi(k+1/2)| <= pi e^(-pi k), with a 4-ulp allowance
+        # once the tail falls below double resolution (k > 8)
+        spec = spectrum_1d((0, 1), 50)
+        for k in range(1, 51):
+            tail = math.pi * math.exp(-math.pi * k)
+            target = math.pi * (k + 0.5)
+            fourth_root = math.sqrt(math.sqrt(spec.value(k)))
+            assert abs(fourth_root - gamma_value(k)) <= 4 * math.ulp(target)
+            allowance = 0.0 if k <= 8 else 4 * math.ulp(target)
+            assert abs(fourth_root - target) <= tail + allowance, k
+
     def test_extension_callback(self):
         spec = spectrum_1d((0, 2), 3)
         grown = spec.extend(10)
