@@ -494,10 +494,10 @@ def kroeger_laptev_refined(spec: Spectrum, dom: DomainSpec, d: int, k: int) -> K
 
 
 def kroeger_laptev_report(spec: Spectrum, dom: DomainSpec, d: int,
-                          k_max: int, extrapolated: bool = False) -> list[BoundReport]:
+                          k_max: int) -> list[BoundReport]:
     """Reports: S_k <= 1, interval containment of omega_{k+1}, and the
     quadratic form m_k (1 - S_k) >= (sqrt(omega_{k+1}) - sqrt(m_k))^2."""
-    label = "kroeger-laptev" + ("-extrapolated-d1" if extrapolated else "")
+    label = "kroeger-laptev-extrapolated-d1"
     out: list[BoundReport] = []
     for k in range(1, k_max + 1):
         pt = kroeger_laptev_refined(spec, dom, d, k)

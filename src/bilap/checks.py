@@ -65,13 +65,7 @@ class Context:
     @cached_property
     def richardson(self) -> tuple[list[float], list[float]]:
         """(limits, bands) of the first FD_MODES clamped eigenvalues over FD_GRIDS."""
-        limits, bands = [], []
-        for j in range(1, FD_MODES + 1):
-            limit, band = eig2d.richardson_extrapolate(
-                *(self.fd(n, FD_MODES).value(j) for n in FD_GRIDS))
-            limits.append(limit)
-            bands.append(band)
-        return limits, bands
+        return eig2d.richardson_ladder([self.fd(n, FD_MODES) for n in FD_GRIDS], FD_MODES)
 
     @cached_property
     def ball(self) -> avp.TestFunctionProfile:
@@ -185,8 +179,7 @@ def _coefficients(ctx: Context) -> list[BoundReport]:
 
 def _kroeger_laptev(ctx: Context) -> list[BoundReport]:
     spec23 = spectra1d.spectrum_1d((2, 3), KL_K + 2)
-    rows = avp.kroeger_laptev_report(
-        spec23, DomainSpec.interval(1.0), 1, KL_K, extrapolated=True)
+    rows = avp.kroeger_laptev_report(spec23, DomainSpec.interval(1.0), 1, KL_K)
     worst_young = -math.inf
     for p in YOUNG_LATTICE:
         for x in YOUNG_LATTICE:
@@ -199,9 +192,8 @@ def _kroeger_laptev(ctx: Context) -> list[BoundReport]:
 
 
 def _comparison(ctx: Context) -> list[BoundReport]:
-    return eig2d.comparison_report(
-        ctx.dom, COMPARE_MODES, FD_GRIDS,
-        fd_spectra={n: ctx.fd(n, FD_MODES) for n in FD_GRIDS})
+    limits, bands = ctx.richardson
+    return eig2d.comparison_report(ctx.dom, limits[:COMPARE_MODES], bands[:COMPARE_MODES])
 
 
 def _averages(ctx: Context) -> list[BoundReport]:

@@ -4,7 +4,9 @@ Reports are schema-stable rows
     check,param1,param2,lhs,rhs,margin,holds,paper_ref
 with one file per subcommand.  ``bilap all`` runs the criteria registry of
 ``bilap.checks``, the same definitions the acceptance suite asserts; the
-other subcommands expose single layers with their own grids.  Exit codes:
+other subcommands expose single layers with their own grids.  ``compare``
+and ``all`` share ``eig2d.richardson_ladder``; only ``eig2d`` has ``--cache``,
+keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
 2 configuration error.  Reported-only rows never affect the exit code.  Two
 runs with the same configuration produce byte-identical output apart from
@@ -344,39 +346,41 @@ def cmd_avp(args) -> list[BoundReport]:
 
 def cmd_kroeger_laptev(args) -> list[BoundReport]:
     spec = spectra1d.spectrum_1d((2, 3), args.k + 1)
-    dom = DomainSpec.interval(1.0)
-    return avp.kroeger_laptev_report(spec, dom, 1, args.k, extrapolated=True)
+    return avp.kroeger_laptev_report(spec, DomainSpec.interval(1.0), 1, args.k)
 
 
 def cmd_eig2d(args) -> list[BoundReport]:
+    """``--k`` clamped eigenvalues on each grid of ``--grids`` in the order
+    given; the cache serves only a spectrum of the same grid and k."""
     dom = parse_domain(args.domain)
-    n = parse_int_range(args.grids)[-1]
-    key = spectrum_cache_key(dom, BoundaryCondition.dirichlet(),
-                             SpectrumSource("finite_difference", ("clamped", n, n)))
-    spec = None
-    t0 = time.perf_counter()
-    cache_hit = False
-    if args.cache:
-        spec = load_spectrum(key, Path(args.cache))
-        cache_hit = spec is not None and len(spec.values) >= args.k
+    reports = []
+    for n in parse_int_range(args.grids):
+        key = spectrum_cache_key(dom, BoundaryCondition.dirichlet(),
+                                 SpectrumSource("finite_difference", ("clamped", n, n, args.k)))
+        t0 = time.perf_counter()
+        spec = load_spectrum(key, args.cache) if args.cache else None
+        cache_hit = spec is not None
         if not cache_hit:
-            spec = None
-    if spec is None:
-        spec = eig2d.clamped_spectrum_fd(dom, n, args.k)
-        if args.cache:
-            cache_spectrum(spec, Path(args.cache))
-    elapsed = time.perf_counter() - t0
-    log.info("eig2d solve: %.3fs (cache_hit=%s)", elapsed, cache_hit)
-    return [BoundReport.value_row(
-        "fd-eigenvalue", v, "DBC",
-        params={"j": j, "grid": n, "cache_hit": cache_hit})
-        for j, v in enumerate(spec.values[:args.k], start=1)]
+            spec = eig2d.clamped_spectrum_fd(dom, n, args.k)
+            if args.cache:
+                cache_spectrum(spec, args.cache)
+        log.info("eig2d solve %dx%d: %.3fs (cache_hit=%s)",
+                 n, n, time.perf_counter() - t0, cache_hit)
+        reports.extend(BoundReport.value_row(
+            "fd-eigenvalue", v, "DBC", params={"j": j, "grid": n, "cache_hit": cache_hit})
+            for j, v in enumerate(spec.values, start=1))
+    return reports
 
 
 def cmd_compare(args) -> list[BoundReport]:
+    """Comparison chain with Richardson bands from the three finest grids."""
     dom = parse_domain(args.domain)
-    grids = tuple(parse_int_range(args.grids))
-    return eig2d.comparison_report(dom, args.k, grids)
+    grids = sorted(parse_int_range(args.grids))[-3:]
+    limits, bands = [], []
+    if len(grids) == 3:
+        limits, bands = eig2d.richardson_ladder(
+            [eig2d.clamped_spectrum_fd(dom, n, args.k) for n in grids], args.k)
+    return eig2d.comparison_report(dom, limits, bands)
 
 
 def cmd_all(args) -> list[BoundReport]:
@@ -401,7 +405,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     def common(p):
         p.add_argument("--out", type=Path, default=None, help="report path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--cache", type=Path, default=None, help="spectrum cache directory")
         if config_defaults:
             p.set_defaults(**config_defaults)
 
@@ -453,6 +456,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--domain", default="square:1")
     p.add_argument("--grids", default="32")
     p.add_argument("--k", type=int, default=10)
+    p.add_argument("--cache", type=Path, help="spectrum cache directory (same grid and k)")
     common(p)
 
     p = sub.add_parser("compare", help="eigenvalue comparison chain")

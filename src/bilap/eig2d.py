@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -42,6 +43,7 @@ __all__ = [
     "form_energies",
     "discrete_laplacian_eigenvalues",
     "richardson_extrapolate",
+    "richardson_ladder",
     "comparison_report",
 ]
 
@@ -285,40 +287,45 @@ def richardson_extrapolate(coarse: float, mid: float, fine: float,
     return limit, 3.0 * abs(fine - mid)
 
 
-def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int,
-                        dense_limit: int = DENSE_LIMIT) -> Spectrum:
-    """First k clamped eigenvalues on an n x n interior grid."""
+def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
+    """First k clamped eigenvalues on an n x n interior grid, with source
+    detail ("clamped", n, n, k): a larger solve differs in the last digits."""
     grid = Grid2D(n, n, dom)
     op = assemble_clamped_bilaplacian(grid)
-    values, _ = smallest_eigs(op, k, dense_limit)
+    values, _ = smallest_eigs(op, k)
     return Spectrum(tuple(float(v) for v in values), dom,
                     BoundaryCondition.dirichlet(),
-                    SpectrumSource("finite_difference", ("clamped", n, n)), 0)
+                    SpectrumSource("finite_difference", ("clamped", n, n, k)), 0)
 
 
-def comparison_report(dom: DomainSpec, k_max: int,
-                      grids: tuple[int, ...] = (32, 64, 128),
-                      n_max_1d: int = 50,
-                      fd_spectra: dict[int, Spectrum] | None = None) -> list[BoundReport]:
-    """Eigenvalue comparison chain: 2D with Richardson bands, 1D exactly.
+def richardson_ladder(spectra: Sequence[Spectrum],
+                      count: int) -> tuple[list[float], list[float]]:
+    """(limits, bands) of the first ``count`` modes of three refinements,
+    given coarse to fine: the error budget of every FD-derived row."""
+    limits, bands = [], []
+    for j in range(1, count + 1):
+        limit, band = richardson_extrapolate(*(spec.value(j) for spec in spectra))
+        limits.append(limit)
+        bands.append(band)
+    return limits, bands
 
-    2D rows check lambda_j^2 <= Lambda_j (and its a = 1 restatement) against
-    the Richardson-extrapolated clamped values with the band applied
-    adversarially.  1D rows run the exact chain
+
+def comparison_report(dom: DomainSpec, limits: Sequence[float], bands: Sequence[float],
+                      n_max_1d: int = 50) -> list[BoundReport]:
+    """Eigenvalue comparison chain: 2D against Richardson bands, 1D exactly.
+
+    2D rows check lambda_j^2 <= Lambda_j (and its a = 1 restatement) for
+    j = 1..len(limits) against the clamped ``limits`` lowered by their
+    ``bands``, as ``richardson_ladder`` gives them.  1D rows run the exact chain
     Lambda^(2,3) <= Lambda^(1,3) = mu^2 and lambda^2 = Lambda^(0,2) <=
     Lambda^(0,1) with zero tolerance.
     """
     from .spectra1d import spectrum_1d
 
     out: list[BoundReport] = []
-    if len(grids) >= 3:
-        if fd_spectra is None:
-            fd_spectra = {n: clamped_spectrum_fd(dom, n, k_max) for n in grids}
-        lam = laplacian_spectrum_exact(dom, k_max)
-        gs = sorted(grids)[-3:]
-        for j in range(1, k_max + 1):
-            triple = [fd_spectra[n].value(j) for n in gs]
-            limit, band = richardson_extrapolate(*triple)
+    if len(limits):
+        lam = laplacian_spectrum_exact(dom, len(limits))
+        for j, (limit, band) in enumerate(zip(limits, bands), start=1):
             lam_sq = lam.value(j) ** 2
             out.append(BoundReport.less_equal(
                 "laplacian-sq-below-clamped", lam_sq, limit - band, "fullchain",

@@ -23,7 +23,6 @@ __all__ = [
     "InsufficientSpectrumError",
     "riesz_mean",
     "counting",
-    "integrated_counting",
     "theorem_bounds_1d",
     "lemma_onedim_bounds",
     "constant_c",
@@ -79,9 +78,10 @@ def _positive_part_sum(values: Sequence[float], z: float, sigma: float) -> tuple
 def riesz_mean(spec: Spectrum, z: float, sigma: float = 1.0) -> RieszMeanPoint:
     """Exact finite Riesz mean R_sigma(z) over the spectrum.
 
-    The positive parts are summed in ascending eigenvalue order, so for
-    sigma = 1 the value is bitwise the counting-function integral
-    ``integrated_counting(spec, z)``.
+    The positive parts are summed in ascending eigenvalue order, so results
+    are bitwise reproducible; for sigma = 1 the sum is the integral of the
+    counting function N(t) over [0, z], which telescopes to
+    sum_j (z - omega_j)_+.
     """
     if z < 0.0:
         raise ValueError("z must be >= 0")
@@ -103,18 +103,6 @@ def counting(spec: Spectrum, z: float) -> int:
             break
         n += 1
     return n
-
-
-def integrated_counting(spec: Spectrum, z: float) -> float:
-    """Integral of N(t) over [0, z], in its closed step-function form.
-
-    The integral telescopes to sum_j (z - omega_j)_+, evaluated here in the
-    specified ascending eigenvalue order so that R_1 comparisons are
-    bitwise reproducible.
-    """
-    spec = _ensure_cover(spec, z)
-    value, _ = _positive_part_sum(spec.values, z, 1.0)
-    return value
 
 
 # ----------------------------------------------------------------------------

@@ -360,7 +360,7 @@ class TestKroegerLaptev:
     def test_1d_neumann_full_range(self):
         spec = spectrum_1d((2, 3), 501)
         dom = DomainSpec.interval(1.0)
-        reports = kroeger_laptev_report(spec, dom, 1, 500, extrapolated=True)
+        reports = kroeger_laptev_report(spec, dom, 1, 500)
         assert all(r.holds for r in reports if r.asserted)
 
     def test_interval_collapses_when_s_equals_one(self):

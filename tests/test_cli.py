@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bilap import checks
+from bilap import checks, eig2d
 from bilap.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -27,6 +27,11 @@ _spec = importlib.util.spec_from_file_location(
     "bench_check", Path(__file__).resolve().parents[1] / "bench" / "check.py")
 bench_check = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_check)
+
+
+def _rows(path: Path) -> list[str]:
+    """A CSV report without its timestamp line."""
+    return path.read_text().splitlines()[1:]
 
 
 class TestParsing:
@@ -181,10 +186,55 @@ class TestMain:
         assert "cache_hit=False" in out.read_text()
         assert "cache_hit=True" not in out.read_text()
 
+    def test_eig2d_cache_serves_only_the_same_k(self, tmp_path):
+        # the first 6 values of a 40-mode solve differ from a 6-mode solve
+        cache = tmp_path / "cache"
+        reports = {}
+        for name, argv in (("fresh", ["--k", "6"]),
+                           ("k40", ["--k", "40", "--cache", str(cache)]),
+                           ("after_k40", ["--k", "6", "--cache", str(cache)]),
+                           ("hit", ["--k", "6", "--cache", str(cache)])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["eig2d", "--grids", "12", *argv, "--out", str(out)]) == 0
+            reports[name] = _rows(out)
+        assert reports["after_k40"] == reports["fresh"]
+        assert "cache_hit=True" in reports["hit"][1]
+        assert [r.replace("cache_hit=True", "cache_hit=False")
+                for r in reports["hit"]] == reports["fresh"]
+
+    def test_eig2d_solves_every_listed_grid(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["eig2d", "--grids", "8,12", "--k", "2", "--out", str(out)]) == 0
+        params = [r.split(",")[1:3] for r in _rows(out)[1:]]
+        assert params == [["j=1", "grid=8;cache_hit=False"], ["j=2", "grid=8;cache_hit=False"],
+                          ["j=1", "grid=12;cache_hit=False"], ["j=2", "grid=12;cache_hit=False"]]
+
+    def test_cache_is_an_eig2d_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["all", "--cache", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_compare_small_grids(self, tmp_path):
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--domain", "square:1", "--grids", "12,16,24",
                      "--k", "4", "--out", str(out)]) == 0
+
+    def test_compare_solves_the_three_finest_grids(self, tmp_path, monkeypatch):
+        solved = []
+        solve = eig2d.clamped_spectrum_fd
+
+        def counted(dom, n, k):
+            solved.append(n)
+            return solve(dom, n, k)
+
+        monkeypatch.setattr(eig2d, "clamped_spectrum_fd", counted)
+        reports = []
+        for grids in ("12,16,24,32", "16,24,32"):
+            out = tmp_path / f"{grids}.csv"
+            assert main(["compare", "--grids", grids, "--k", "4", "--out", str(out)]) == 0
+            reports.append(_rows(out))
+        assert solved == [16, 24, 32, 16, 24, 32]
+        assert reports[0] == reports[1]
 
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

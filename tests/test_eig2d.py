@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bilap.core import BoundaryCondition, DomainSpec, Spectrum, SpectrumSource
+from bilap.core import DomainSpec
 from bilap.eig2d import (
     DiscreteOperator,
     Grid2D,
@@ -238,18 +238,12 @@ class TestFormEnergies:
 
 class TestComparisonReport:
     def test_1d_chain_zero_tolerance(self):
-        reports = comparison_report(DomainSpec.square(1.0), 0, grids=(), n_max_1d=50)
+        reports = comparison_report(DomainSpec.square(1.0), [], [], n_max_1d=50)
         assert reports and all(r.holds for r in reports)
 
-    def test_2d_chain_with_fixtures(self, unit_square, clamped_fd):
-        spectra = {
-            n: Spectrum(tuple(float(v) for v in clamped_fd[n]), unit_square,
-                        BoundaryCondition.dirichlet(),
-                        SpectrumSource("finite_difference", ("clamped", n, n)))
-            for n in clamped_fd
-        }
-        reports = comparison_report(unit_square, 10, grids=(32, 64, 128),
-                                    fd_spectra=spectra)
+    def test_2d_chain_with_fixtures(self, unit_square, clamped_richardson):
+        limits, bands = clamped_richardson
+        reports = comparison_report(unit_square, limits[:10], bands[:10])
         two_d = [r for r in reports if r.check in
                  ("laplacian-sq-below-clamped", "navier-a1-below-clamped")]
         assert len(two_d) == 20
