@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .core import (
     BoundReport,
@@ -160,6 +160,15 @@ def _kernel_samples(h2: float, dx: float, dy: float) -> tuple[np.ndarray, np.nda
     return eta, gx, gy, lap
 
 
+def _fftconvolve_same(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``scipy.signal.fftconvolve(a, kernel, mode="same")`` for real arrays,
+    without importing ``scipy.signal`` (which pulls in ``scipy.stats``)."""
+    full = [m + n - 1 for m, n in zip(a.shape, kernel.shape)]
+    fshape = [next_fast_len(d, True) for d in full]
+    out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
+    return out[tuple(slice((f - m) // 2, (f - m) // 2 + m) for f, m in zip(full, a.shape))]
+
+
 def _trapz2(arr: np.ndarray, dx: float, dy: float) -> float:
     return float(np.trapezoid(np.trapezoid(arr, dx=dy, axis=1), dx=dx))
 
@@ -196,10 +205,10 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
     mass = eta.sum() * cell
     scale = cell / mass  # renormalise the sampled kernel to unit mass
 
-    phi = fftconvolve(indicator, eta * scale, mode="same")
-    gx = fftconvolve(indicator, gx_k * scale, mode="same")
-    gy = fftconvolve(indicator, gy_k * scale, mode="same")
-    lap = fftconvolve(indicator, lap_k * scale, mode="same")
+    phi = _fftconvolve_same(indicator, eta * scale)
+    gx = _fftconvolve_same(indicator, gx_k * scale)
+    gy = _fftconvolve_same(indicator, gy_k * scale)
+    lap = _fftconvolve_same(indicator, lap_k * scale)
 
     if phi.min() < -1e-10 or phi.max() > 1.0 + 1e-10:
         raise AssertionError(f"phi range [{phi.min()}, {phi.max()}] outside [0, 1]")

@@ -16,7 +16,7 @@ wrapper does, reaches every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -42,25 +42,29 @@ HEAT_GRID, HEAT_MODES = 64, 200           # criterion 9: truncated heat trace
 HEAT_T = (1e-3, 1e-4)
 MOLLIFIER_H, MOLLIFIER_RES = 0.1, 96      # criteria 8, 9
 INDIVIDUAL_K = range(20, 51)              # criterion 11
+# the mode count each FD grid is solved at: the most any check reads from it
+FD_SOLVE_MODES = {n: FD_MODES for n in FD_GRIDS} | {HEAT_GRID: max(FD_MODES, HEAT_MODES)}
 
 
 class Context:
     """Shared inputs of the checks on the unit square, each built once.
 
-    FD spectra are memoised on the exact (grid, mode count): the first k
-    values of a larger solve differ from a k-mode solve in the last digits.
+    Each FD grid is solved once, at the largest mode count any check needs
+    on it (FD_SOLVE_MODES), and smaller requests are slices of that solve.
     """
 
     def __init__(self) -> None:
         self.dom = DomainSpec.square(1.0)
-        self._fd: dict[tuple[int, int], Spectrum] = {}
+        self._fd: dict[int, Spectrum] = {}
         self._mollified: dict[float, avp.TestFunctionProfile] = {}
 
     def fd(self, n: int, k: int) -> Spectrum:
         """First k clamped eigenvalues on the n x n interior grid."""
-        if (n, k) not in self._fd:
-            self._fd[n, k] = eig2d.clamped_spectrum_fd(self.dom, n, k)
-        return self._fd[n, k]
+        if n not in self._fd or len(self._fd[n]) < k:
+            self._fd[n] = eig2d.clamped_spectrum_fd(
+                self.dom, n, max(k, FD_SOLVE_MODES.get(n, 0)))
+        spec = self._fd[n]
+        return spec if len(spec) == k else replace(spec, values=spec.values[:k])
 
     @cached_property
     def richardson(self) -> tuple[list[float], list[float]]:

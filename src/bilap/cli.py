@@ -375,11 +375,11 @@ def cmd_eig2d(args) -> list[BoundReport]:
 def cmd_compare(args) -> list[BoundReport]:
     """Comparison chain with Richardson bands from the three finest grids."""
     dom = parse_domain(args.domain)
-    grids = sorted(parse_int_range(args.grids))[-3:]
-    limits, bands = [], []
-    if len(grids) == 3:
-        limits, bands = eig2d.richardson_ladder(
-            [eig2d.clamped_spectrum_fd(dom, n, args.k) for n in grids], args.k)
+    grids = sorted(set(parse_int_range(args.grids)))
+    if len(grids) < 3:
+        raise ValueError(f"compare needs at least three distinct grids, got {args.grids!r}")
+    limits, bands = eig2d.richardson_ladder(
+        [eig2d.clamped_spectrum_fd(dom, n, args.k) for n in grids[-3:]], args.k)
     return eig2d.comparison_report(dom, limits, bands)
 
 
@@ -461,7 +461,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p = sub.add_parser("compare", help="eigenvalue comparison chain")
     p.add_argument("--domain", default="square:1")
-    p.add_argument("--grids", default="32,64,128")
+    p.add_argument("--grids", default="32,64,128",
+                   help="at least three distinct grids; the finest three are solved")
     p.add_argument("--k", type=int, default=10)
     common(p)
 

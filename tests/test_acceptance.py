@@ -13,6 +13,7 @@ import time
 import pytest
 
 from bilap import checks
+from bilap.core import BoundaryCondition, Spectrum, SpectrumSource
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +50,24 @@ def test_registry_carries_criteria_1_to_12():
     assert sorted({i for c in checks.REGISTRY for i in c.ids}) == list(range(1, 13))
     for check in checks.REGISTRY:
         assert {i for _, i in check.row_criteria} <= set(check.ids)
+
+
+def test_context_solves_each_grid_once(monkeypatch):
+    solved = []
+
+    def solve(dom, n, k):
+        solved.append((n, k))
+        return Spectrum(tuple(float(n + j) for j in range(k)), dom, BoundaryCondition.dirichlet(),
+                        SpectrumSource("finite_difference", ("clamped", n, n, k)))
+
+    monkeypatch.setattr(checks.eig2d, "clamped_spectrum_fd", solve)
+    ctx = checks.Context()
+    fd = {n: ctx.fd(n, checks.FD_MODES) for n in checks.FD_GRIDS}
+    heat = ctx.fd(checks.HEAT_GRID, checks.HEAT_MODES)
+    assert ctx.fd(checks.HEAT_GRID, checks.FD_MODES) == fd[checks.HEAT_GRID]
+    assert solved == [(n, checks.FD_SOLVE_MODES[n]) for n in checks.FD_GRIDS]
+    assert fd[checks.HEAT_GRID].values == heat.values[:checks.FD_MODES]
+    assert len(heat) == checks.HEAT_MODES
 
 
 def test_criterion_01_roots(check_runs):

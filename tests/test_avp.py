@@ -1,15 +1,22 @@
 """Trial-function profiles and every averaged-variational bound."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
+import bilap
 from bilap.avp import (
     EPSILON_DEFAULT,
     TestFunctionProfile,
     ThresholdError,
+    _fftconvolve_same,
     avg_upper_bound,
     collar_width_for_k,
     explicit_sum_bound,
@@ -97,6 +104,18 @@ class TestMollifiedProfile:
             mollified_indicator_profile(unit_square, 0.1, 32)  # under-resolved
         with pytest.raises(ValueError):
             mollified_indicator_profile(DomainSpec.interval(1.0), 0.1, 96)
+
+    @pytest.mark.parametrize("shape, kernel", [((97, 131), (13, 13)), ((100, 64), (12, 15)),
+                                               ((8, 9), (10, 3))])
+    def test_convolution_matches_scipy_signal(self, shape, kernel):
+        rng = np.random.default_rng(0)
+        a, k = rng.random(shape), rng.random(kernel)
+        assert np.array_equal(_fftconvolve_same(a, k), fftconvolve(a, k, mode="same"))
+
+    def test_cli_import_leaves_scipy_signal_out(self):
+        code = "import sys, bilap.cli; sys.exit('scipy.signal' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(bilap.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_pessimistic_adjustment_directions(self, mollified_profiles):
         p = mollified_profiles[0.1]

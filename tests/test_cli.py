@@ -219,6 +219,11 @@ class TestMain:
         assert main(["compare", "--domain", "square:1", "--grids", "12,16,24",
                      "--k", "4", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("grids", ["32,64", "12,12,16"])
+    def test_compare_needs_three_distinct_grids(self, grids, capsys):
+        assert main(["compare", "--grids", grids, "--k", "3"]) == 2
+        assert "three distinct grids" in capsys.readouterr().err
+
     def test_compare_solves_the_three_finest_grids(self, tmp_path, monkeypatch):
         solved = []
         solve = eig2d.clamped_spectrum_fd

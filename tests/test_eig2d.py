@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bilap import eig2d
 from bilap.core import DomainSpec
 from bilap.eig2d import (
     DiscreteOperator,
     Grid2D,
     assemble_clamped_bilaplacian,
     assemble_dirichlet_laplacian,
+    clamped_spectrum_fd,
     comparison_report,
     discrete_laplacian_eigenvalues,
     form_energies,
@@ -159,7 +161,53 @@ class TestSolver:
         op = assemble_clamped_bilaplacian(grid)
         dense_vals, _ = smallest_eigs(op, 6)
         sparse_vals, _ = smallest_eigs(op, 6, dense_limit=10)
-        assert np.abs(dense_vals - sparse_vals).max() <= 1e-8 * dense_vals[-1]
+        assert (np.abs(dense_vals - sparse_vals) / dense_vals).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, k", [(32, 50), (48, 100)])
+    def test_shift_invert_matches_dense_on_double_eigenvalues(self, unit_square, n, k):
+        op = assemble_clamped_bilaplacian(Grid2D(n, n, unit_square))
+        sparse_vals, _ = smallest_eigs(op, k, dense_limit=0)
+        dense_vals, _ = smallest_eigs(op, k, dense_limit=op.dim)
+        assert (np.diff(dense_vals) <= 1e-10 * dense_vals[1:]).any()
+        assert (np.abs(sparse_vals - dense_vals) / dense_vals).max() <= 1e-10
+
+    def test_larger_solve_slices_to_a_smaller_one(self, unit_square, clamped_64_200):
+        assert len(clamped_64_200) == 200
+        small = np.array(clamped_spectrum_fd(unit_square, 64, 50).values)
+        assert (np.abs(clamped_64_200[:50] - small) / small).max() <= 1e-10
+
+    @staticmethod
+    def _patched_eigsh(monkeypatch, alter):
+        eigsh = eig2d.spla.eigsh
+
+        def patched(matrix, k, **kwargs):
+            values, vectors = eigsh(matrix, k=k + 1, **kwargs)
+            return alter(values, vectors, k)
+
+        monkeypatch.setattr(eig2d.spla, "eigsh", patched)
+
+    def test_dropped_copy_of_a_double_eigenvalue_raises(self, unit_square, monkeypatch):
+        # lambda_2 = lambda_3 on the square: return one copy and lambda_7 instead
+        def drop_second(values, vectors, k):
+            order = np.argsort(values)
+            keep = np.delete(order, 1)
+            return values[keep], vectors[:, keep]
+
+        self._patched_eigsh(monkeypatch, drop_second)
+        op = assemble_clamped_bilaplacian(Grid2D(32, 32, unit_square))
+        with pytest.raises(RuntimeError, match="eigenvalues lie below"):
+            smallest_eigs(op, 6)
+
+    def test_inaccurate_eigenvalue_raises(self, unit_square, monkeypatch):
+        def perturb(values, vectors, k):
+            values = values[:k].copy()
+            values[0] *= 1.0 + 1e-6
+            return values, vectors[:, :k]
+
+        self._patched_eigsh(monkeypatch, perturb)
+        op = assemble_clamped_bilaplacian(Grid2D(32, 32, unit_square))
+        with pytest.raises(RuntimeError, match="residual"):
+            smallest_eigs(op, 6)
 
     def test_sign_convention(self, unit_square):
         grid = Grid2D(16, 16, unit_square)
