@@ -5,8 +5,10 @@ Young-inequality route to two-sided Neumann bounds.
 Two trial families are built: the quartic bump supported in the inscribed
 ball (closed-form norms) and the mollified inner-collar indicator
 phi_h = 1_{h/2} * eta_{h/2} (grid convolution norms with a recorded
-Richardson error estimate).  Every bound below is an assertable inequality
-against an exact 1D or finite-difference 2D spectrum.
+Richardson error estimate).  On a rectangle the collar indicator is the
+tensor product of two interval indicators, so each sampled convolution is
+two small matrix products rather than a 2D FFT.  Every bound below is an
+assertable inequality against an exact 1D or finite-difference 2D spectrum.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     BoundReport,
@@ -160,13 +162,12 @@ def _kernel_samples(h2: float, dx: float, dy: float) -> tuple[np.ndarray, np.nda
     return eta, gx, gy, lap
 
 
-def _fftconvolve_same(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``scipy.signal.fftconvolve(a, kernel, mode="same")`` for real arrays,
-    without importing ``scipy.signal`` (which pulls in ``scipy.stats``)."""
-    full = [m + n - 1 for m, n in zip(a.shape, kernel.shape)]
-    fshape = [next_fast_len(d, True) for d in full]
-    out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
-    return out[tuple(slice((f - m) // 2, (f - m) // 2 + m) for f, m in zip(full, a.shape))]
+def _shift_matrix(a: np.ndarray, half: int) -> np.ndarray:
+    """Banded T with T[x, i] = a[x - i + half] (zero out of range), so that
+    the centred "same" convolution of outer(a, b) with a (2 half_x + 1) x
+    (2 half_y + 1) kernel K is T_a @ K @ T_b.T."""
+    padded = np.pad(a, half)
+    return np.ascontiguousarray(sliding_window_view(padded, 2 * half + 1)[:, ::-1])
 
 
 def _trapz2(arr: np.ndarray, dx: float, dy: float) -> float:
@@ -177,6 +178,9 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
                                 grid_res: int = 96) -> TestFunctionProfile:
     """Discrete convolution profile phi_h = 1_{h/2} * eta_{h/2} on a rectangle.
 
+    The collar indicator {dist > h/2} is outer(a, b) with a, b the indicators
+    of min(x, lx - x) > h/2 and min(y, ly - y) > h/2, so phi and its sampled
+    derivatives are Tx @ K @ Ty.T for each kernel K (``_shift_matrix``).
     The grid resolves h with ``grid_res`` points; norms are composite
     trapezoid sums with a Richardson error estimate from the half-resolution
     subgrid.  Construction verifies 0 <= phi <= 1 and phi = 1 away from the
@@ -196,23 +200,22 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
     dx, dy = lx / mx, ly / my
     x = np.linspace(0.0, lx, mx + 1)
     y = np.linspace(0.0, ly, my + 1)
-    dist = np.minimum(np.minimum(x, lx - x)[:, None], np.minimum(y, ly - y)[None, :])
+    distx = np.minimum(x, lx - x)
+    disty = np.minimum(y, ly - y)
 
     h2 = h / 2.0
-    indicator = (dist > h2).astype(float)
     eta, gx_k, gy_k, lap_k = _kernel_samples(h2, dx, dy)
     cell = dx * dy
     mass = eta.sum() * cell
     scale = cell / mass  # renormalise the sampled kernel to unit mass
 
-    phi = _fftconvolve_same(indicator, eta * scale)
-    gx = _fftconvolve_same(indicator, gx_k * scale)
-    gy = _fftconvolve_same(indicator, gy_k * scale)
-    lap = _fftconvolve_same(indicator, lap_k * scale)
+    tx = _shift_matrix((distx > h2).astype(float), eta.shape[0] // 2)
+    ty = _shift_matrix((disty > h2).astype(float), eta.shape[1] // 2)
+    phi, gx, gy, lap = ((tx @ (k * scale)) @ ty.T for k in (eta, gx_k, gy_k, lap_k))
 
     if phi.min() < -1e-10 or phi.max() > 1.0 + 1e-10:
         raise AssertionError(f"phi range [{phi.min()}, {phi.max()}] outside [0, 1]")
-    interior = dist > h
+    interior = (distx > h)[:, None] & (disty > h)[None, :]
     if interior.any() and abs(phi[interior] - 1.0).max() > 1e-10:
         raise AssertionError("phi != 1 on the inner region away from the collar")
 

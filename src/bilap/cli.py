@@ -8,7 +8,9 @@ other subcommands expose single layers with their own grids.  ``compare``
 and ``all`` share ``eig2d.richardson_ladder``; only ``eig2d`` has ``--cache``,
 keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
-2 configuration error.  Reported-only rows never affect the exit code.  Two
+2 configuration error, 3 internal error (a failed self-check of the
+computation, such as the profile range check or the eigensolve
+certificate).  Reported-only rows never affect the exit code.  Two
 runs with the same configuration produce byte-identical output apart from
 the timestamp header line.
 """
@@ -501,6 +503,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError included
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:  # ResolutionError, _certify failures
+        print(f"bilap: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     failed = sum(1 for r in reports if r.asserted and not r.holds)
     if failed:
         print(f"bilap: {failed} asserted check(s) failed", file=sys.stderr)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 import bilap
@@ -16,7 +18,9 @@ from bilap.avp import (
     EPSILON_DEFAULT,
     TestFunctionProfile,
     ThresholdError,
-    _fftconvolve_same,
+    _kernel_samples,
+    _shift_matrix,
+    _trapz2,
     avg_upper_bound,
     collar_width_for_k,
     explicit_sum_bound,
@@ -35,7 +39,7 @@ from bilap.avp import (
     step_average_bound,
     young_refined,
 )
-from bilap.checks import AVERAGE_K, INDIVIDUAL_K
+from bilap.checks import AVERAGE_K, INDIVIDUAL_K, MOLLIFIER_RES
 from bilap.core import BoundaryCondition, DomainSpec, Spectrum, SpectrumSource, dimensional_constants
 from bilap.eig2d import (
     Grid2D,
@@ -105,15 +109,63 @@ class TestMollifiedProfile:
         with pytest.raises(ValueError):
             mollified_indicator_profile(DomainSpec.interval(1.0), 0.1, 96)
 
-    @pytest.mark.parametrize("shape, kernel", [((97, 131), (13, 13)), ((100, 64), (12, 15)),
-                                               ((8, 9), (10, 3))])
-    def test_convolution_matches_scipy_signal(self, shape, kernel):
-        rng = np.random.default_rng(0)
-        a, k = rng.random(shape), rng.random(kernel)
-        assert np.array_equal(_fftconvolve_same(a, k), fftconvolve(a, k, mode="same"))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_separable_convolution_matches_scipy_signal(self, data):
+        """T_a @ K @ T_b.T is the centred "same" convolution of outer(a, b)."""
+        def interval_indicator(n):
+            # [lo, hi) may touch either end of the array or miss both
+            lo = data.draw(st.integers(0, n))
+            hi = data.draw(st.integers(lo, n))
+            a = np.zeros(n)
+            a[lo:hi] = 1.0
+            return a
+
+        a = interval_indicator(data.draw(st.integers(1, 40), label="nx"))
+        b = interval_indicator(data.draw(st.integers(1, 40), label="ny"))
+        # a sampled mollifier of 1..8 cells per half-width; gx_k and gy_k are
+        # antisymmetric, so a transposed or flipped route fails on them
+        h2 = data.draw(st.floats(0.05, 1.0), label="h2")
+        dx = h2 / data.draw(st.floats(0.6, 8.0), label="cells_x")
+        dy = h2 / data.draw(st.floats(0.6, 8.0), label="cells_y")
+        kernel = _kernel_samples(h2, dx, dy)[data.draw(st.integers(0, 3), label="which")]
+        kx, ky = kernel.shape[0] // 2, kernel.shape[1] // 2
+        ref = fftconvolve(np.outer(a, b), kernel, mode="same")
+        got = _shift_matrix(a, kx) @ kernel @ _shift_matrix(b, ky).T
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_norms_match_a_2d_fft_convolution(self, unit_square, mollified_profiles):
+        """The profile against the same sampled kernels convolved with the
+        full 2D collar indicator by ``scipy.signal.fftconvolve``."""
+        h = 0.1
+        (lx, ly), target = unit_square.lengths, h / MOLLIFIER_RES
+        m = 2 * math.ceil(lx / (2.0 * target))
+        x, y = np.linspace(0.0, lx, m + 1), np.linspace(0.0, ly, m + 1)
+        dx, dy = lx / m, ly / m
+        dist = np.minimum.outer(np.minimum(x, lx - x), np.minimum(y, ly - y))
+        indicator = (dist > h / 2.0).astype(float)
+        eta, gx_k, gy_k, lap_k = _kernel_samples(h / 2.0, dx, dy)
+        scale = 1.0 / eta.sum()
+        phi, gx, gy, lap = (fftconvolve(indicator, k * scale, mode="same")
+                            for k in (eta, gx_k, gy_k, lap_k))
+        grad_sq = gx * gx + gy * gy
+        expected = {
+            "l2_sq": _trapz2(phi * phi, dx, dy),
+            "grad_l2_sq": _trapz2(grad_sq, dx, dy),
+            "lap_l2_sq": _trapz2(lap * lap, dx, dy),
+            "sup_sq": phi.max() ** 2,
+            "grad_sup": np.sqrt(grad_sq.max()),
+            "lap_sup": np.abs(lap).max(),
+        }
+        # est_rel_err is left out: it is round-off (about 1e-16) on either route
+        p = mollified_profiles[h]
+        for name, value in expected.items():
+            assert getattr(p, name) == pytest.approx(value, rel=1e-12), name
 
     def test_cli_import_leaves_scipy_signal_out(self):
-        code = "import sys, bilap.cli; sys.exit('scipy.signal' in sys.modules)"
+        code = ("import sys, bilap.cli; "
+                "sys.exit(any(m in sys.modules for m in ('scipy.signal', 'scipy.fft')))")
         env = {**os.environ, "PYTHONPATH": str(Path(bilap.__file__).parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

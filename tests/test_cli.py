@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bilap import checks, eig2d
+from bilap import avp, checks, eig2d
 from bilap.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -150,6 +150,29 @@ class TestMain:
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         assert main(["compare", "--domain", "triangle:1"]) == 2
+
+    def test_profile_range_fault_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a mollifier with a negative lobe drives phi outside [0, 1]
+        samples = avp._kernel_samples
+
+        def lobed(h2, dx, dy):
+            eta, gx, gy, lap = samples(h2, dx, dy)
+            eta = eta.copy()
+            eta[: eta.shape[0] // 2] *= -1.0
+            return eta, gx, gy, lap
+
+        monkeypatch.setattr(avp, "_kernel_samples", lobed)
+        assert main(["avp", "--domain", "square:1", "--k", "1..2",
+                     "--out", str(tmp_path / "a.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("bilap: internal error: AssertionError: phi range")
+
+    def test_eigensolve_certificate_fault_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(eig2d, "RESIDUAL_TOL", 0.0)  # no residual can pass
+        assert main(["eig2d", "--domain", "square:1", "--grids", "8", "--k", "3",
+                     "--out", str(tmp_path / "e.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("bilap: internal error: RuntimeError: eigenpair")
 
     def test_constants_json_stdout(self, capsys):
         assert main(["constants", "--dims", "2..3", "--format", "json"]) == 0
