@@ -109,6 +109,18 @@ class TestMollifiedProfile:
         with pytest.raises(ValueError):
             mollified_indicator_profile(DomainSpec.interval(1.0), 0.1, 96)
 
+    @pytest.mark.parametrize("shape, kernel", [((97, 131), (13, 13)), ((100, 64), (13, 15)),
+                                               ((8, 9), (11, 3))])
+    def test_convolution_matches_scipy_signal(self, shape, kernel):
+        """The separable route on random outer(a, b) and a random odd kernel,
+        including one wider than the array, against scipy.signal."""
+        rng = np.random.default_rng(0)
+        a, b, k = rng.random(shape[0]), rng.random(shape[1]), rng.random(kernel)
+        ref = fftconvolve(np.outer(a, b), k, mode="same")
+        got = _shift_matrix(a, kernel[0] // 2) @ k @ _shift_matrix(b, kernel[1] // 2).T
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_separable_convolution_matches_scipy_signal(self, data):
