@@ -10,9 +10,10 @@ keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
 2 configuration error, 3 internal error (a failed self-check of the
 computation, such as the profile range check or the eigensolve
-certificate).  Reported-only rows never affect the exit code.  Two
-runs with the same configuration produce byte-identical output apart from
-the timestamp header line.
+certificate, or a failed factorisation, ``numpy.linalg.LinAlgError``).
+Reported-only rows never affect the exit code.  Two runs with the same
+configuration produce byte-identical output apart from the timestamp
+header line.
 """
 
 from __future__ import annotations
@@ -500,12 +501,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         reports = _COMMANDS[args.command](args)
         write_report(reports, args.out, args.format, meta={"command": args.command})
+    # LinAlgError is a ValueError raised by a computation, so this clause
+    # comes first; ResolutionError and _certify failures are RuntimeErrors
+    except (AssertionError, RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"bilap: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError included
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:  # ResolutionError, _certify failures
-        print(f"bilap: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     failed = sum(1 for r in reports if r.asserted and not r.holds)
     if failed:
         print(f"bilap: {failed} asserted check(s) failed", file=sys.stderr)

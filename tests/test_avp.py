@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,8 +15,11 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 import bilap
+from bilap import avp
 from bilap.avp import (
     EPSILON_DEFAULT,
+    MAX_QUADRATURE_REL_ERR,
+    ResolutionError,
     TestFunctionProfile,
     ThresholdError,
     _kernel_samples,
@@ -108,6 +112,22 @@ class TestMollifiedProfile:
             mollified_indicator_profile(unit_square, 0.1, 32)  # under-resolved
         with pytest.raises(ValueError):
             mollified_indicator_profile(DomainSpec.interval(1.0), 0.1, 96)
+        with pytest.raises(ResolutionError):  # estimate 1.5e-4 at h = inradius
+            mollified_indicator_profile(unit_square, 0.5, 64)
+
+    def test_interior_check_sees_every_row_class(self, unit_square, monkeypatch):
+        # one grid line away from the collar misses its own cell of the
+        # indicator, so phi < 1 there while staying inside [0, 1]
+        shift = avp._shift_matrix
+
+        def holed(a, half):
+            t = shift(a, half)
+            t[len(t) // 3, half] = 0.0
+            return t
+
+        monkeypatch.setattr(avp, "_shift_matrix", holed)
+        with pytest.raises(AssertionError, match="phi != 1"):
+            mollified_indicator_profile(unit_square, 0.1, MOLLIFIER_RES)
 
     @pytest.mark.parametrize("shape, kernel", [((97, 131), (13, 13)), ((100, 64), (13, 15)),
                                                ((8, 9), (11, 3))])
@@ -174,6 +194,52 @@ class TestMollifiedProfile:
         p = mollified_profiles[h]
         for name, value in expected.items():
             assert getattr(p, name) == pytest.approx(value, rel=1e-12), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(lx=st.floats(0.5, 1.0), ly=st.floats(0.5, 1.0),
+           frac=st.floats(0.3, 1.0, exclude_min=True), grid_res=st.integers(64, 80))
+    def test_row_classes_match_the_full_grid(self, lx, ly, frac, grid_res):
+        """The class-pair profile against the fields formed at every grid
+        point, Tx @ K @ Ty.T, and summed by ``_trapz2``."""
+        dom = DomainSpec.rectangle(lx, ly)
+        h = frac * dom.inradius
+        target, h2 = h / grid_res, h / 2.0
+        mx, my = (2 * max(2, math.ceil(length / (2.0 * target))) for length in (lx, ly))
+        x, y = np.linspace(0.0, lx, mx + 1), np.linspace(0.0, ly, my + 1)
+        dx, dy = lx / mx, ly / my
+        eta, gx_k, gy_k, lap_k = _kernel_samples(h2, dx, dy)
+        tx = _shift_matrix((np.minimum(x, lx - x) > h2).astype(float), eta.shape[0] // 2)
+        ty = _shift_matrix((np.minimum(y, ly - y) > h2).astype(float), eta.shape[1] // 2)
+        scale = 1.0 / eta.sum()
+        phi, gx, gy, lap = (tx @ (k * scale) @ ty.T for k in (eta, gx_k, gy_k, lap_k))
+        grad_sq = gx * gx + gy * gy
+        expected = {"sup_sq": phi.max() ** 2, "grad_sup": np.sqrt(grad_sq.max()),
+                    "lap_sup": np.abs(lap).max()}
+        errs = []
+        for name, arr in (("l2_sq", phi * phi), ("grad_l2_sq", grad_sq),
+                          ("lap_l2_sq", lap * lap)):
+            expected[name] = fine = _trapz2(arr, dx, dy)
+            coarse = _trapz2(arr[::2, ::2], 2.0 * dx, 2.0 * dy)
+            errs.append(abs(fine - coarse) / (3.0 * abs(fine)))
+        if max(errs) > MAX_QUADRATURE_REL_ERR:  # near h = inradius at low grid_res
+            with pytest.raises(ResolutionError):
+                mollified_indicator_profile(dom, h, grid_res)
+            return
+        p = mollified_indicator_profile(dom, h, grid_res)
+        for name, value in expected.items():
+            assert getattr(p, name) == pytest.approx(value, rel=1e-12), name
+        assert abs(p.est_rel_err - max(errs)) <= 1e-14
+
+    def test_peak_memory_below_one_full_grid_array(self):
+        # rect:1x2 at h = 0.05 samples 1921 x 3841 points; one double array
+        # over that grid is 59 MB
+        tracemalloc.start()
+        try:
+            mollified_indicator_profile(DomainSpec.rectangle(1.0, 2.0), 0.05, MOLLIFIER_RES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1921 * 3841 * 8
 
     def test_cli_import_leaves_scipy_signal_out(self):
         code = ("import sys, bilap.cli; "

@@ -2,9 +2,14 @@
 
 import importlib.util
 import json
+import math
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bilap import avp, checks, eig2d
 from bilap.cli import (
@@ -15,11 +20,12 @@ from bilap.cli import (
     load_spectrum,
     main,
     parse_domain,
+    parse_int_range,
     parse_range,
     spectrum_cache_key,
     write_report,
 )
-from bilap.core import BoundReport
+from bilap.core import BoundaryCondition, BoundReport, DomainSpec, Spectrum, SpectrumSource
 from bilap.spectra1d import spectrum_1d
 
 # The benchmark's reference reports and row comparison, read-only.
@@ -52,6 +58,59 @@ class TestParsing:
         assert parse_range("1.5,2.5") == [1.5, 2.5]
         with pytest.raises(ConfigError):
             parse_range("1:10:zlog")
+
+
+# positive finite lengths, written by their exact repr
+lengths = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+float_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1).map(
+    lambda v: (v, ",".join(map(repr, v))))
+grid_specs = st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.integers(2, 50),
+                       st.sampled_from(["log", "lin"]))
+int_lists = st.lists(st.integers(), min_size=1).map(lambda v: (v, ",".join(map(str, v))))
+int_spans = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000))
+# appended to a valid spec, junk without digits or "," ":" "." makes it invalid
+junk = st.text(alphabet="xyz#@!?;/", min_size=1, max_size=4)
+
+
+class TestParserProperties:
+    @given(a=lengths, b=lengths)
+    def test_domain_round_trip(self, a, b):
+        assert parse_domain(f"interval:{a!r}").lengths == (a,)
+        assert parse_domain(f"square:{a!r}").lengths == (a, a)
+        assert parse_domain(f"rect:{a!r}x{b!r}").lengths == (a, b)
+
+    @given(side=lengths, shape=st.sampled_from(["interval:", "square:", "rect:1.0x"]),
+           tail=junk)
+    def test_domain_with_junk_is_a_config_error(self, side, shape, tail):
+        with pytest.raises(ConfigError):
+            parse_domain(f"{shape}{side!r}{tail}")
+
+    @given(shape=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=10), side=lengths)
+    def test_unknown_shape_is_a_config_error(self, shape, side):
+        if shape not in ("interval", "square", "rect"):
+            with pytest.raises(ConfigError):
+                parse_domain(f"{shape}:{side!r}")
+
+    @given(floats=float_lists, grid=grid_specs, ints=int_lists, span=int_spans)
+    def test_range_round_trip(self, floats, grid, ints, span):
+        assert parse_range(floats[1]) == floats[0]
+        a, b, n, kind = grid
+        values = parse_range(f"{a!r}:{b!r}:{n}{kind}")
+        assert len(values) == n
+        assert values[0] == pytest.approx(a, rel=1e-12)
+        assert values[-1] == pytest.approx(b, rel=1e-12)
+        assert parse_int_range(ints[1]) == ints[0]
+        assert parse_int_range(f"{span[0]}..{span[1]}") == list(range(span[0], span[1] + 1))
+
+    @given(floats=float_lists, grid=grid_specs, ints=int_lists, span=int_spans, tail=junk)
+    def test_range_with_junk_is_a_config_error(self, floats, grid, ints, span, tail):
+        a, b, n, kind = grid
+        for spec in (floats[1], f"{a!r}:{b!r}:{n}{kind}"):
+            with pytest.raises(ConfigError):
+                parse_range(spec + tail)
+        for spec in (ints[1], f"{span[0]}..{span[1]}"):
+            with pytest.raises(ConfigError):
+                parse_int_range(spec + tail)
 
 
 class TestReports:
@@ -129,6 +188,25 @@ class TestSpectrumCache:
         assert load_spectrum("other", tmp_path) is None
         assert "recomputing" in caplog.text
 
+    @given(data=st.data(), lx=lengths, ly=lengths,
+           values=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                           min_size=1, max_size=8).map(sorted))
+    def test_round_trip_under_arbitrary_lengths(self, data, lx, ly, values):
+        def nearby(s):  # s itself, the next float up, or any length
+            return data.draw(st.sampled_from([s, math.nextafter(s, math.inf)]) | lengths)
+
+        source = SpectrumSource("finite_difference", ("clamped", 8, 8, len(values)))
+        spec = Spectrum(tuple(values), DomainSpec.rectangle(lx, ly),
+                        BoundaryCondition.dirichlet(), source)
+        other = DomainSpec.rectangle(nearby(lx), nearby(ly))
+        with tempfile.TemporaryDirectory() as tmp:
+            cache_spectrum(spec, Path(tmp))
+            loaded = load_spectrum(_key(spec), Path(tmp))
+        assert loaded == spec
+        same_reprs = tuple(map(repr, other.lengths)) == (repr(lx), repr(ly))
+        other_key = spectrum_cache_key(other, spec.bc, source)
+        assert (other_key == _key(spec)) == same_reprs
+
 
 class TestMain:
     def test_roots_subcommand(self, tmp_path):
@@ -173,6 +251,17 @@ class TestMain:
                      "--out", str(tmp_path / "e.csv")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("bilap: internal error: RuntimeError: eigenpair")
+
+    def test_factorisation_fault_exits_3(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError, yet no configuration error
+        def singular(op, k):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(eig2d, "smallest_eigs", singular)
+        assert main(["eig2d", "--domain", "square:1", "--grids", "8", "--k", "3",
+                     "--out", str(tmp_path / "e.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "bilap: internal error: LinAlgError: Singular matrix"
 
     def test_constants_json_stdout(self, capsys):
         assert main(["constants", "--dims", "2..3", "--format", "json"]) == 0
