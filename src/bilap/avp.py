@@ -73,9 +73,11 @@ class ThresholdError(ValueError):
 class TestFunctionProfile:
     """Concrete trial function with certified squared norms.
 
-    ``rho`` is ||phi||_2^2 / (|Omega| ||phi||_inf^2) and must stay below 1
-    for the average bound.  Quadrature-backed profiles carry the Richardson
-    relative error estimate; ``pessimistic()`` shrinks the L2 mass and
+    The fields are the measured norms and sups only; the dimension ``d`` and
+    the density ``rho`` = ||phi||_2^2 / (|Omega| ||phi||_inf^2), which must
+    stay below 1 for the average bound, are derived from them.
+    Quadrature-backed profiles carry the Richardson relative error estimate
+    (closed forms carry 0); ``pessimistic()`` shrinks the L2 mass and
     inflates the gradient/Laplacian masses by that estimate so that any
     bound evaluated from the adjusted profile errs on the conservative side.
     """
@@ -84,19 +86,23 @@ class TestFunctionProfile:
 
     kind: str                     # "inscribed_ball" | "mollified_indicator"
     dom: DomainSpec
-    d: int
     l2_sq: float
     grad_l2_sq: float
     lap_l2_sq: float
     sup_sq: float
-    rho: float
-    provenance: str               # "closed_form" | "quadrature"
     est_rel_err: float = 0.0
-    radius: Optional[float] = None
     h: Optional[float] = None
     grid_res: Optional[int] = None
     grad_sup: float = math.nan
     lap_sup: float = math.nan
+
+    @property
+    def d(self) -> int:
+        return self.dom.dimension
+
+    @property
+    def rho(self) -> float:
+        return self.l2_sq / (self.dom.volume * self.sup_sq)
 
     @property
     def grad_ratio(self) -> float:
@@ -107,16 +113,14 @@ class TestFunctionProfile:
         return self.lap_l2_sq / self.l2_sq
 
     def pessimistic(self) -> "TestFunctionProfile":
-        if self.provenance == "closed_form" or self.est_rel_err == 0.0:
+        if self.est_rel_err == 0.0:
             return self
         e = self.est_rel_err
-        l2 = self.l2_sq * (1.0 - e)
         return replace(
             self,
-            l2_sq=l2,
+            l2_sq=self.l2_sq * (1.0 - e),
             grad_l2_sq=self.grad_l2_sq * (1.0 + e),
             lap_l2_sq=self.lap_l2_sq * (1.0 + e),
-            rho=l2 / (self.dom.volume * self.sup_sq),
         )
 
 
@@ -129,9 +133,8 @@ def inscribed_ball_profile(dom: DomainSpec) -> TestFunctionProfile:
     grad_ratio = d * (d + 8) / (3.0 * r * r)
     lap_ratio = (8.0 + d * (d - 2)) * (d + 6) * (d + 8) / (6.0 * r ** 4)
     return TestFunctionProfile(
-        kind="inscribed_ball", dom=dom, d=d,
-        l2_sq=l2, grad_l2_sq=grad_ratio * l2, lap_l2_sq=lap_ratio * l2,
-        sup_sq=1.0, rho=l2 / dom.volume, provenance="closed_form", radius=r,
+        kind="inscribed_ball", dom=dom,
+        l2_sq=l2, grad_l2_sq=grad_ratio * l2, lap_l2_sq=lap_ratio * l2, sup_sq=1.0,
     )
 
 
@@ -172,10 +175,6 @@ def _shift_matrix(a: np.ndarray, half: int) -> np.ndarray:
     (2 half_y + 1) kernel K is T_a @ K @ T_b.T."""
     padded = np.pad(a, half)
     return np.ascontiguousarray(sliding_window_view(padded, 2 * half + 1)[:, ::-1])
-
-
-def _trapz2(arr: np.ndarray, dx: float, dy: float) -> float:
-    return float(np.trapezoid(np.trapezoid(arr, dx=dy, axis=1), dx=dx))
 
 
 def _row_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,12 +266,10 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
             f"quadrature error estimate {est:.2e} exceeds {MAX_QUADRATURE_REL_ERR}; "
             f"raise grid_res (currently {grid_res})")
 
-    sup_sq = float(phi.max()) ** 2
     return TestFunctionProfile(
-        kind="mollified_indicator", dom=dom, d=2,
+        kind="mollified_indicator", dom=dom,
         l2_sq=norms["l2"], grad_l2_sq=norms["grad"], lap_l2_sq=norms["lap"],
-        sup_sq=sup_sq, rho=norms["l2"] / (dom.volume * sup_sq),
-        provenance="quadrature", est_rel_err=est, h=h, grid_res=grid_res,
+        sup_sq=float(phi.max()) ** 2, est_rel_err=est, h=h, grid_res=grid_res,
         grad_sup=float(np.sqrt(grad_sq.max())), lap_sup=float(np.abs(lap).max()),
     )
 
@@ -281,8 +278,9 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
 # Bounds from a profile
 # ----------------------------------------------------------------------------
 
-def avg_upper_bound(profile: TestFunctionProfile, dom: DomainSpec, d: int, k: int) -> float:
-    """Certified upper bound for the first-k eigenvalue average.
+def avg_upper_bound(profile: TestFunctionProfile, k: int) -> float:
+    """Certified upper bound for the first-k eigenvalue average on the
+    profile's domain, in its dimension d.
 
     (d/(d+4)) C_d^2 (k/|O|)^(4/d) rho^(-4/d)
       + 2 (grad ratio) C_d (k/|O|)^(2/d) rho^(-2/d) + (lap ratio).
@@ -292,12 +290,14 @@ def avg_upper_bound(profile: TestFunctionProfile, dom: DomainSpec, d: int, k: in
     if k < 1:
         raise ValueError("k must be >= 1")
     p = profile.pessimistic()
-    if not (p.rho < 1.0):
-        raise ValueError(f"profile density rho={p.rho} must be < 1")
+    rho = p.rho
+    if not (rho < 1.0):
+        raise ValueError(f"profile density rho={rho} must be < 1")
+    d = p.d
     dc = dimensional_constants(d)
-    kv = k / dom.volume
-    return (d / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d) * p.rho ** (-4.0 / d)
-            + 2.0 * p.grad_ratio * dc.classical * kv ** (2.0 / d) * p.rho ** (-2.0 / d)
+    kv = k / p.dom.volume
+    return (d / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d) * rho ** (-4.0 / d)
+            + 2.0 * p.grad_ratio * dc.classical * kv ** (2.0 / d) * rho ** (-2.0 / d)
             + p.lap_ratio)
 
 

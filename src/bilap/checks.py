@@ -28,7 +28,6 @@ from .core import BoundaryCondition, BoundReport, DomainSpec, Spectrum
 __all__ = ["Check", "Context", "REGISTRY", "run_all", "riesz_rows", "lattice_rows"]
 
 ROOT_COUNT = 50                           # criteria 1, 2, 12: n = 1..50
-RIESZ_COUNT = 16                          # criterion 3: initial length of each 1D spectrum
 RIESZ_Z = np.logspace(0.0, 8.0, 200)      # criterion 3 thresholds
 LATTICE_R = np.linspace(0.0, 200.0, 500)  # criterion 4 radii
 NEUMANN_A = (-0.3, 0.0, 0.5, 0.9)         # criterion 6 Poisson ratios, d = 2..4
@@ -101,8 +100,9 @@ class Check:
 # ----------------------------------------------------------------------------
 
 def riesz_rows(pair: tuple[int, int], zs: Sequence[float]) -> list[BoundReport]:
-    """lower <= R_1(z) <= upper for the exact spectrum of ``pair``."""
-    spec = spectra1d.spectrum_1d(pair, RIESZ_COUNT)
+    """lower <= R_1(z) <= upper for the exact spectrum of ``pair``, built
+    once, long enough for the largest z."""
+    spec = spectra1d.spectrum_1d(pair, spectra1d.count_reaching(max(zs, default=0.0)))
     rows = []
     for z in zs:
         r1 = riesz.riesz_mean(spec, float(z), 1.0).value
@@ -213,7 +213,7 @@ def _averages(ctx: Context) -> list[BoundReport]:
         for prof in profiles:
             rows.append(BoundReport.less_equal(
                 "average-upper-avp", fd_avg - band,
-                avp.avg_upper_bound(prof, ctx.dom, 2, k),
+                avp.avg_upper_bound(prof, k),
                 "evsums-DirichletbiLaplacian1", params={"k": k, "profile": prof.kind}))
     return rows
 

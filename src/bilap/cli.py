@@ -215,12 +215,8 @@ def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
         if stored != key:
             log.warning("spectrum cache %s holds %s; recomputing", path, stored)
             return None
-        extend = None
-        if source.kind == "exact" and source.detail and source.detail[0] == "spectrum1d":
-            _, i, j, length = source.detail
-            extend = lambda c: spectra1d.spectrum_1d((int(i), int(j)), c, float(length))
         return Spectrum(tuple(float(v) for v in payload["values"]), dom, bc,
-                        source, payload["kernel_dim"], extend=extend)
+                        source, payload["kernel_dim"])
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         log.warning("corrupt spectrum cache %s (%s); recomputing", path, exc)
         return None
@@ -321,7 +317,7 @@ def cmd_avp(args) -> list[BoundReport]:
     for k in parse_int_range(args.k):
         for prof in profiles:
             reports.append(BoundReport.value_row(
-                "avg-upper-bound", avp.avg_upper_bound(prof, dom, d, k),
+                "avg-upper-bound", avp.avg_upper_bound(prof, k),
                 "evsums-DirichletbiLaplacian1", params={"k": k, "profile": prof.kind}))
         reports.append(BoundReport.value_row(
             "rough-bound", avp.rough_bound(dom, d, k),

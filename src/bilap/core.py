@@ -9,9 +9,9 @@ provenance, and the ``BoundReport`` record used by every inequality check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = [
     "BCKind",
@@ -130,8 +130,8 @@ class DomainSpec:
                 raise ValueError("rectangle takes two side lengths")
         else:
             raise ValueError(f"unknown shape {self.shape!r}")
-        if any(not (s > 0.0) for s in self.lengths):
-            raise ValueError("all lengths must be positive")
+        if any(not (0.0 < s < math.inf) for s in self.lengths):
+            raise ValueError("all lengths must be positive and finite")
 
     @classmethod
     def interval(cls, length: float) -> "DomainSpec":
@@ -241,9 +241,10 @@ class SpectrumSource:
 class Spectrum:
     """Ordered nonnegative eigenvalue list with domain/BC metadata.
 
-    ``extend`` (optional, not part of equality) regenerates the same spectrum
-    with more terms; exact 1D sources provide it so Riesz means can request
-    coverage of any threshold on demand.
+    A spectrum is plain data: it holds the values it was built with and
+    never grows.  A caller that needs values up to a threshold builds the
+    spectrum long enough in the first place (``spectra1d.count_reaching``
+    sizes the interval spectra).
     """
 
     values: tuple[float, ...]
@@ -251,9 +252,6 @@ class Spectrum:
     bc: BoundaryCondition
     source: SpectrumSource
     kernel_dim: int = 0
-    extend: Optional[Callable[[int], "Spectrum"]] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         vals = self.values

@@ -21,7 +21,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .avp import _trapz2
 from .core import (
     BoundaryCondition,
     BoundReport,
@@ -29,6 +28,7 @@ from .core import (
     Spectrum,
     SpectrumSource,
 )
+from .spectra1d import spectrum_1d
 
 __all__ = [
     "Grid2D",
@@ -137,8 +137,7 @@ def laplacian_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
         raise ValueError("count must be >= 1")
     values = _separable_values(dom, count, offset=1)
     return Spectrum(tuple(values), dom, BoundaryCondition.dirichlet(),
-                    SpectrumSource("exact", ("laplacian_dirichlet",)), 0,
-                    extend=lambda c: laplacian_spectrum_exact(dom, c))
+                    SpectrumSource("exact", ("laplacian_dirichlet",)), 0)
 
 
 def neumann_laplacian_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
@@ -150,8 +149,7 @@ def neumann_laplacian_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
     values = _separable_values(dom, count, offset=0)
     return Spectrum(tuple(values), dom, BoundaryCondition.kuttler_sigillito(0.0),
                     SpectrumSource("exact", ("laplacian_neumann",)),
-                    kernel_dim=1 if values[0] == 0.0 else 0,
-                    extend=lambda c: neumann_laplacian_spectrum_exact(dom, c))
+                    kernel_dim=1 if values[0] == 0.0 else 0)
 
 
 def navier1_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
@@ -159,8 +157,7 @@ def navier1_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
     lap = laplacian_spectrum_exact(dom, count)
     return Spectrum(tuple(v * v for v in lap.values), dom,
                     BoundaryCondition.navier(1.0),
-                    SpectrumSource("exact", ("navier_a1",)), 0,
-                    extend=lambda c: navier1_spectrum_exact(dom, c))
+                    SpectrumSource("exact", ("navier_a1",)), 0)
 
 
 # ----------------------------------------------------------------------------
@@ -279,6 +276,10 @@ def _certify(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> N
                            f"returned {returned} on the {op.grid.nx}x{op.grid.ny} grid")
 
 
+def _trapz2(arr: np.ndarray, dx: float, dy: float) -> float:
+    return float(np.trapezoid(np.trapezoid(arr, dx=dy, axis=1), dx=dx))
+
+
 def form_energies(vector: np.ndarray, grid: Grid2D,
                   boundary: str = "dirichlet") -> tuple[float, float, float]:
     """(gradient, Laplacian, Hessian) quadratic-form energies of a grid vector.
@@ -361,8 +362,6 @@ def comparison_report(dom: DomainSpec, limits: Sequence[float], bands: Sequence[
     Lambda^(2,3) <= Lambda^(1,3) = mu^2 and lambda^2 = Lambda^(0,2) <=
     Lambda^(0,1) with zero tolerance.
     """
-    from .spectra1d import spectrum_1d
-
     out: list[BoundReport] = []
     if len(limits):
         lam = laplacian_spectrum_exact(dom, len(limits))

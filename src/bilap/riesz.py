@@ -4,11 +4,17 @@ R_sigma(z) = sum_j (z - omega_j)_+^sigma is a finite sum once the spectrum is
 known past z; for sigma = 1 it equals the integral of the counting function,
 and on the interval it is sandwiched by explicit polynomials in z^(1/4) whose
 coefficients follow from the half-integer/integer lattice sums below.
+
+A spectrum passed in must already reach every threshold asked of it (its
+last value at least z); a shorter one raises ``InsufficientSpectrumError``.
+Callers on the interval size the spectrum once, from the largest threshold,
+with ``spectra1d.count_reaching``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
@@ -16,7 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .core import Spectrum, kahan_sum
-from .spectra1d import _check_pair
+from .spectra1d import _check_pair, count_reaching, spectrum_1d
 
 __all__ = [
     "RieszMeanPoint",
@@ -27,14 +33,17 @@ __all__ = [
     "lemma_onedim_bounds",
     "constant_c",
     "second_term_fit",
-    "default_fit_grid",
+    "FIT_GRID",
 ]
 
 _KAHAN_THRESHOLD = 10_000
 
+# Log-spaced thresholds of the second-term regression, 1e4 to 1e9.
+FIT_GRID = tuple(np.logspace(4.0, 9.0, 32))
+
 
 class InsufficientSpectrumError(RuntimeError):
-    """Spectrum does not cover the requested threshold and cannot extend."""
+    """The spectrum's last value lies below the requested threshold."""
 
 
 @dataclass(frozen=True)
@@ -45,34 +54,16 @@ class RieszMeanPoint:
     truncation_count: int
 
 
-def _ensure_cover(spec: Spectrum, z: float) -> Spectrum:
-    """Return a spectrum whose last eigenvalue reaches z (extend if possible)."""
-    if len(spec.values) and spec.values[-1] >= z:
-        return spec
-    if spec.extend is None:
+def _count_below(spec: Spectrum, z: float) -> int:
+    """N(z), the number of eigenvalues strictly below z; raises unless the
+    spectrum reaches z, so that no eigenvalue below z can be missing."""
+    if not (z >= 0.0):
+        raise ValueError(f"z={z} must be >= 0")
+    values = spec.values
+    if not (values and values[-1] >= z):
         raise InsufficientSpectrumError(
-            f"spectrum ends at {spec.values[-1] if spec.values else 'empty'} < z={z} "
-            "and is not extendable")
-    count = max(len(spec.values), 8)
-    for _ in range(64):
-        count *= 2
-        grown = spec.extend(count)
-        if grown.values[-1] >= z:
-            return grown
-    raise InsufficientSpectrumError(f"could not extend spectrum past z={z}")
-
-
-def _positive_part_sum(values: Sequence[float], z: float, sigma: float) -> tuple[float, int]:
-    """Ascending-order sum of (z - omega)_+^sigma; Kahan beyond 1e4 terms."""
-    terms = []
-    for v in values:
-        if v >= z:
-            break
-        diff = z - v
-        terms.append(diff if sigma == 1.0 else diff ** sigma)
-    if len(terms) > _KAHAN_THRESHOLD:
-        return kahan_sum(terms), len(terms)
-    return sum(terms), len(terms)
+            f"spectrum ends at {values[-1] if values else 'empty'} < z={z}")
+    return bisect_left(values, z)
 
 
 def riesz_mean(spec: Spectrum, z: float, sigma: float = 1.0) -> RieszMeanPoint:
@@ -83,26 +74,17 @@ def riesz_mean(spec: Spectrum, z: float, sigma: float = 1.0) -> RieszMeanPoint:
     counting function N(t) over [0, z], which telescopes to
     sum_j (z - omega_j)_+.
     """
-    if z < 0.0:
-        raise ValueError("z must be >= 0")
     if not (sigma > 0.0):
         raise ValueError("sigma must be positive")
-    spec = _ensure_cover(spec, z)
-    value, count = _positive_part_sum(spec.values, z, sigma)
+    count = _count_below(spec, z)
+    terms = [z - v if sigma == 1.0 else (z - v) ** sigma for v in spec.values[:count]]
+    value = kahan_sum(terms) if count > _KAHAN_THRESHOLD else sum(terms)
     return RieszMeanPoint(z=z, sigma=sigma, value=value, truncation_count=count)
 
 
 def counting(spec: Spectrum, z: float) -> int:
     """N(z): number of eigenvalues strictly below z."""
-    if z < 0.0:
-        raise ValueError("z must be >= 0")
-    spec = _ensure_cover(spec, z)
-    n = 0
-    for v in spec.values:
-        if v >= z:
-            break
-        n += 1
-    return n
+    return _count_below(spec, z)
 
 
 # ----------------------------------------------------------------------------
@@ -190,29 +172,20 @@ def lemma_onedim_bounds(
     return lhs, mid, rhs
 
 
-def default_fit_grid(z_max: float = 1e9, n_points: int = 32) -> list[float]:
-    """Log-spaced thresholds for the second-term regression."""
-    return list(np.logspace(4.0, math.log10(z_max), n_points))
-
-
-def second_term_fit(pair: tuple[int, int], z_grid: Sequence[float] | None = None) -> float:
+def second_term_fit(pair: tuple[int, int], z_grid: Sequence[float] = FIT_GRID) -> float:
     """Least-squares slope of R_1(z) - (4/(5 pi)) z^(5/4) against z.
 
     A z^(3/4) regressor absorbs the next-order oscillation so the linear
     coefficient converges to (i+j-3)/2 well before z reaches 1e9.
     """
-    from .spectra1d import spectrum_1d
-
     pair = _check_pair(pair)
-    if z_grid is None:
-        z_grid = default_fit_grid()
     z = np.asarray(sorted(z_grid), dtype=float)
     if len(z) < 8:
         raise ValueError("fit grid needs at least 8 points")
     if z[-1] < 1e6:
         raise ValueError("fit grid must reach at least 1e6")
 
-    spec = spectrum_1d(pair, 8)
+    spec = spectrum_1d(pair, count_reaching(z[-1]))
     y = np.array([riesz_mean(spec, zi, 1.0).value for zi in z])
     y -= 4.0 / (5.0 * math.pi) * z ** 1.25
     design = np.column_stack([z, z ** 0.75])

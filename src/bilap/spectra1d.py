@@ -24,6 +24,7 @@ __all__ = [
     "KERNEL_DIMS",
     "MAX_EIGENFUNCTION_INDEX",
     "spectrum_1d",
+    "count_reaching",
     "eigenfunction_1d",
     "eval_eigenfunction",
     "identity_check",
@@ -75,8 +76,26 @@ def spectrum_1d(pair: tuple[int, int], count: int, length: float = 1.0) -> Spect
         bc=BoundaryCondition.one_d(i, j),
         source=SpectrumSource("exact", ("spectrum1d", i, j, length)),
         kernel_dim=min(KERNEL_DIMS[pair], count),
-        extend=lambda c: spectrum_1d(pair, c, length),
     )
+
+
+def count_reaching(z: float, length: float = 1.0) -> int:
+    """A count whose ``spectrum_1d(pair, count, length)`` reaches z for every pair.
+
+    ceil(L z^(1/4) / pi) + 2.  Proof: every positive root has
+    gamma_m > pi m (by more than 1.5), and no pair's n-th eigenvalue lags
+    the sequences gamma_m^4, (pi m)^4 by more than two indices (the worst is
+    (2,3), whose n-th value is gamma_{n-2}^4).  So the n-th eigenvalue of
+    every pair is at least (pi (n - 2) / L)^4, which is z or more once
+    n - 2 >= L z^(1/4) / pi.  The margin in the root scale is far above
+    rounding.  The count exceeds the shortest covering one by at most three
+    (pair (0,1), whose n-th root lies below pi (n + 1/2) + 0.02).
+    """
+    if not (0.0 <= z < math.inf):
+        raise ValueError(f"z={z} must be finite and >= 0")
+    if not (length > 0.0):
+        raise ValueError("length must be positive")
+    return math.ceil(length * z ** 0.25 / math.pi) + 2
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from bilap.avp import (
     ThresholdError,
     _kernel_samples,
     _shift_matrix,
-    _trapz2,
     avg_upper_bound,
     collar_width_for_k,
     explicit_sum_bound,
@@ -47,6 +46,7 @@ from bilap.checks import AVERAGE_K, INDIVIDUAL_K, MOLLIFIER_RES
 from bilap.core import BoundaryCondition, DomainSpec, Spectrum, SpectrumSource, dimensional_constants
 from bilap.eig2d import (
     Grid2D,
+    _trapz2,
     assemble_dirichlet_laplacian,
     form_energies,
     laplacian_spectrum_exact,
@@ -98,7 +98,7 @@ class TestMollifiedProfile:
 
     def test_recorded_error_within_gate(self, mollified_profiles):
         for p in mollified_profiles.values():
-            assert p.provenance == "quadrature"
+            assert p.kind == "mollified_indicator"
             assert p.est_rel_err <= 1e-4
 
     def test_rho_below_one(self, mollified_profiles):
@@ -259,20 +259,19 @@ class TestMollifiedProfile:
 class TestAverageUpperBound:
     def test_idealised_profile_collapses_to_leading_term(self, unit_square):
         ideal = TestFunctionProfile(
-            kind="inscribed_ball", dom=unit_square, d=2, l2_sq=1.0 - 1e-12,
-            grad_l2_sq=0.0, lap_l2_sq=0.0, sup_sq=1.0, rho=1.0 - 1e-12,
-            provenance="closed_form")
+            kind="inscribed_ball", dom=unit_square, l2_sq=1.0 - 1e-12,
+            grad_l2_sq=0.0, lap_l2_sq=0.0, sup_sq=1.0)
         for k in (1, 5, 20):
-            bound = avg_upper_bound(ideal, unit_square, 2, k)
+            bound = avg_upper_bound(ideal, k)
             assert bound == pytest.approx(predict_average_leading(2, unit_square, k), rel=1e-9)
 
     def test_monotone_in_energy_ratios(self, unit_square):
         p = inscribed_ball_profile(unit_square)
         bump_grad = replace(p, grad_l2_sq=p.grad_l2_sq * 1.5)
         bump_lap = replace(p, lap_l2_sq=p.lap_l2_sq * 1.5)
-        base = avg_upper_bound(p, unit_square, 2, 5)
-        assert avg_upper_bound(bump_grad, unit_square, 2, 5) > base
-        assert avg_upper_bound(bump_lap, unit_square, 2, 5) > base
+        base = avg_upper_bound(p, 5)
+        assert avg_upper_bound(bump_grad, 5) > base
+        assert avg_upper_bound(bump_lap, 5) > base
 
     def test_dominates_fd_average(self, unit_square, clamped_richardson, mollified_profiles):
         limits, bands = clamped_richardson
@@ -281,15 +280,14 @@ class TestAverageUpperBound:
             fd_avg = limits[:k].mean()
             band = bands[:k].mean()
             for p in profiles:
-                assert fd_avg - band <= avg_upper_bound(p, unit_square, 2, k)
+                assert fd_avg - band <= avg_upper_bound(p, k)
 
     def test_rho_precondition(self, unit_square):
         bad = TestFunctionProfile(
-            kind="inscribed_ball", dom=unit_square, d=2, l2_sq=1.0,
-            grad_l2_sq=1.0, lap_l2_sq=1.0, sup_sq=1.0, rho=1.0,
-            provenance="closed_form")
+            kind="inscribed_ball", dom=unit_square, l2_sq=1.0,
+            grad_l2_sq=1.0, lap_l2_sq=1.0, sup_sq=1.0)
         with pytest.raises(ValueError):
-            avg_upper_bound(bad, unit_square, 2, 1)
+            avg_upper_bound(bad, 1)
 
 
 class TestRieszLowerBound:
@@ -423,7 +421,7 @@ def gap_ratios(unit_square):
     for k in (100, 1000, 10000):
         h = collar_width_for_k(unit_square, 2, k)
         profile = mollified_indicator_profile(unit_square, h, 64)
-        bound_gap = avg_upper_bound(profile, unit_square, 2, k) \
+        bound_gap = avg_upper_bound(profile, k) \
             - predict_average_leading(2, unit_square, k)
         weyl_gap = predict_average(2, unit_square, k) \
             - predict_average_leading(2, unit_square, k)
@@ -444,7 +442,7 @@ class TestCollarFamilyTrend:
         for k in (1000, 10000):
             h = collar_width_for_k(unit_square, 2, k)
             profile = mollified_indicator_profile(unit_square, h, 64)
-            bound_gap = avg_upper_bound(profile, unit_square, 2, k) \
+            bound_gap = avg_upper_bound(profile, k) \
                 - predict_average_leading(2, unit_square, k)
             assert bound_gap <= A * k ** 1.5
 

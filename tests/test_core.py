@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bilap.core import (
+    ONE_D_PAIRS,
     BCKind,
     BoundaryCondition,
     BoundReport,
@@ -75,6 +78,21 @@ class TestDomainSpec:
             DomainSpec.rectangle(0.0, 1.0)
         with pytest.raises(ValueError):
             DomainSpec.interval(-1.0)
+        with pytest.raises(ValueError):
+            DomainSpec.rectangle(1.0, math.inf)
+
+    @given(shape=st.sampled_from(["interval", "rectangle", "disc", ""]),
+           lengths=st.lists(st.floats(), max_size=3))
+    def test_validation(self, shape, lengths):
+        arity = {"interval": 1, "rectangle": 2}.get(shape)
+        if len(lengths) == arity and all(0.0 < s < math.inf for s in lengths):
+            dom = DomainSpec(shape, tuple(lengths))
+            assert dom.dimension == arity
+            assert dom.volume == math.prod(lengths)
+            assert dom.inradius == min(lengths) / 2.0
+        else:
+            with pytest.raises(ValueError):
+                DomainSpec(shape, tuple(lengths))
 
 
 class TestTubeVolume:
@@ -130,6 +148,35 @@ class TestBoundaryCondition:
         with pytest.raises(ValueError):
             bc.check_admissible(3)  # (-1/2, 1]
 
+    @given(kind=st.sampled_from([k for k in BCKind if k is not BCKind.ONE_D]),
+           a=st.floats() | st.sampled_from([1.0, -1.0, -0.5, math.nextafter(1.0, 2.0)]),
+           d=st.integers(2, 6))
+    def test_poisson_ratio_validation(self, kind, a, d):
+        limit_forbidden = kind in (BCKind.DIRICHLET, BCKind.NEUMANN)
+        if math.isfinite(a) and a <= 1.0 and not (a == 1.0 and limit_forbidden):
+            bc = BoundaryCondition(kind, poisson_ratio=a)
+            assert bc.is_limit_case == (a == 1.0)
+            if -1.0 / (d - 1) < a:
+                bc.check_admissible(d)
+            else:
+                with pytest.raises(ValueError):
+                    bc.check_admissible(d)
+        else:
+            with pytest.raises(ValueError):
+                BoundaryCondition(kind, poisson_ratio=a)
+        with pytest.raises(ValueError):  # a pair belongs to 1D conditions only
+            BoundaryCondition(kind, poisson_ratio=0.0, pair=(0, 1))
+
+    @given(pair=st.tuples(st.integers(-1, 4), st.integers(-1, 4)))
+    def test_one_d_pair_validation(self, pair):
+        if pair in ONE_D_PAIRS:
+            bc = BoundaryCondition.one_d(*pair)
+            assert bc.pair == pair and not bc.is_limit_case
+            bc.check_admissible(1)
+        else:
+            with pytest.raises(ValueError):
+                BoundaryCondition.one_d(*pair)
+
 
 class TestSpectrum:
     def _mk(self, values, kernel_dim=0):
@@ -150,6 +197,26 @@ class TestSpectrum:
             self._mk([0.0, 1.0], kernel_dim=0)
         spec = self._mk([0.0, 0.0, 1.0], kernel_dim=2)
         assert spec.kernel_dim == 2
+
+    @given(values=st.lists(st.floats(0.0, 1e300) | st.just(0.0), max_size=8).map(sorted),
+           data=st.data())
+    def test_invariants(self, values, data):
+        zeros = values.count(0.0)
+        assert self._mk(values, zeros).kernel_dim == zeros
+        with pytest.raises(ValueError):  # kernel_dim must equal the zero count
+            self._mk(values, data.draw(st.integers(0, 9).filter(lambda k: k != zeros)))
+        if not values:
+            return
+        # each broken list stays nondecreasing where it compares at all
+        i = data.draw(st.integers(0, len(values) - 1))
+        for broken in ([-data.draw(st.floats(5e-324, 1e300)), *values[1:]],
+                       [*values[:-1], math.inf],
+                       [*values[:i], math.nan, *values[i + 1:]]):
+            with pytest.raises(ValueError):  # negative or non-finite
+                self._mk(broken, broken.count(0.0))
+        assume(values[0] < values[-1])
+        with pytest.raises(ValueError):
+            self._mk(values[::-1], zeros)
 
     def test_one_based_access(self):
         spec = self._mk([1.0, 2.0, 3.0])

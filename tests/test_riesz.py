@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilap.checks import LATTICE_R, RIESZ_Z
 from bilap.core import BoundaryCondition, DomainSpec, ONE_D_PAIRS, Spectrum, SpectrumSource
@@ -16,7 +18,7 @@ from bilap.riesz import (
     second_term_fit,
     theorem_bounds_1d,
 )
-from bilap.spectra1d import spectrum_1d
+from bilap.spectra1d import count_reaching, spectrum_1d
 
 PI4 = math.pi ** 4
 
@@ -34,15 +36,15 @@ class TestRieszMean:
 
     def test_kernel_shift_identity(self):
         # Neumann mean equals the clamped mean plus 2z (two zero modes)
-        s23 = spectrum_1d((2, 3), 8)
-        s01 = spectrum_1d((0, 1), 8)
+        s23 = spectrum_1d((2, 3), count_reaching(1e6))
+        s01 = spectrum_1d((0, 1), count_reaching(1e6))
         for z in (1e2, 1e4, 1e6):
             assert riesz_mean(s23, z).value == riesz_mean(s01, z).value + 2 * z
 
     def test_counting_integral_against_telescoped_form(self):
-        spec = spectrum_1d((1, 2), 8)
         z = 2e4
-        vals = [v for v in spec.extend(64).values if v < z]
+        spec = spectrum_1d((1, 2), count_reaching(z))
+        vals = [v for v in spec.values if v < z]
         steps = sum((i + 1) * (([*vals, z][i + 1]) - vals[i]) for i in range(len(vals)))
         assert riesz_mean(spec, z, 1.0).value == pytest.approx(steps, rel=1e-12)
 
@@ -74,19 +76,47 @@ class TestRieszMean:
         assert counting(spec, 1.0) == 2
 
     def test_extension_on_demand(self):
-        spec = spectrum_1d((0, 1), 2)
-        assert counting(spec, 1e8) == 31  # needs far more terms than stored
+        assert counting(spectrum_1d((0, 1), count_reaching(1e8)), 1e8) == 31
 
     def test_insufficient_spectrum_error(self):
         frozen = Spectrum((1.0, 2.0), DomainSpec.interval(1.0),
                           BoundaryCondition.one_d(0, 1), SpectrumSource("exact"))
-        with pytest.raises(InsufficientSpectrumError):
-            riesz_mean(frozen, 10.0)
+        short = spectrum_1d((0, 1), 2)  # ends at gamma_2^4, about 3803
+        for spec, z in ((frozen, 10.0), (short, 1e4)):
+            with pytest.raises(InsufficientSpectrumError):
+                riesz_mean(spec, z)
+            with pytest.raises(InsufficientSpectrumError):
+                counting(spec, z)
+        assert counting(frozen, 2.0) == 1  # a spectrum ending exactly at z covers it
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=st.sampled_from(ONE_D_PAIRS), length=st.floats(0.1, 10.0),
+           z=st.floats(0.0, 1e12) | st.sampled_from([0.0, 1.0, math.pi ** 4, 1e8, 1e12]))
+    def test_count_reaching_covers_every_pair(self, pair, length, z):
+        count = count_reaching(z, length)
+        spec = spectrum_1d(pair, count, length)
+        assert spec.values[-1] >= z
+        # at most three values past the shortest spectrum that reaches z
+        assert count <= 4 or spec.values[count - 5] < z
+        longer = spectrum_1d(pair, 2 * count, length)
+        for sigma in (1.0, 0.5):
+            assert riesz_mean(spec, z, sigma) == riesz_mean(longer, z, sigma)
+        assert counting(spec, z) == counting(longer, z)
+
+    def test_count_reaching_rejects_invalid_thresholds(self):
+        for z in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                count_reaching(z)
+        with pytest.raises(ValueError):
+            count_reaching(1.0, 0.0)
 
     def test_invalid_arguments(self):
         spec = spectrum_1d((0, 1), 2)
-        with pytest.raises(ValueError):
-            riesz_mean(spec, -1.0)
+        for z in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                riesz_mean(spec, z)
+            with pytest.raises(ValueError):
+                counting(spec, z)
         with pytest.raises(ValueError):
             riesz_mean(spec, 1.0, 0.0)
 
@@ -131,7 +161,7 @@ class TestTheoremBounds:
     def test_full_sweep_all_pairs(self):
         """lower <= R_1(z) <= upper on 200 log-spaced z in [1, 1e8]."""
         for pair in ONE_D_PAIRS:
-            spec = spectrum_1d(pair, 8)
+            spec = spectrum_1d(pair, count_reaching(RIESZ_Z[-1]))
             for z in RIESZ_Z:
                 r1 = riesz_mean(spec, float(z)).value
                 lower, upper = theorem_bounds_1d(pair, float(z))

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bilap.roots1d import (
     EXACT_ROOT_CAP,
@@ -72,6 +74,18 @@ class TestSolveGamma:
             solve_gamma(1, 1e-3)
         with pytest.raises(ValueError):
             solve_gamma(1, 0.0)
+
+    # 2 exp(-pi (n + 1/2)) underflows to zero past n = 236
+    @given(n=st.integers(200, 235))
+    @example(n=222)
+    def test_roots_and_defects_across_the_hand_over(self, n):
+        """n = 222 is the last bisected root (EXACT_ROOT_CAP), 223 the first
+        asymptotic one."""
+        lo, hi = solve_gamma(n), solve_gamma(n + 1)
+        for root in (lo, hi):
+            assert math.pi * root.n < root.gamma < math.pi * (root.n + 1)
+        assert 0.0 < hi.r < lo.r
+        assert lo.method == ("bisection" if n <= 222 else "asymptotic")
 
     def test_asymptotic_fallback_beyond_cap(self):
         n = int(EXACT_ROOT_CAP / math.pi) + 5

@@ -69,11 +69,6 @@ class TestSpectrum1D:
             allowance = 0.0 if k <= 8 else 4 * math.ulp(target)
             assert abs(fourth_root - target) <= tail + allowance, k
 
-    def test_extension_callback(self):
-        spec = spectrum_1d((0, 2), 3)
-        grown = spec.extend(10)
-        assert len(grown) == 10 and grown.values[:3] == spec.values
-
 
 class TestEigenfunctions:
     def test_clamped_boundary_values(self):
