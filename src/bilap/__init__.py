@@ -8,7 +8,6 @@ from .core import (
     DimensionalConstants,
     DomainSpec,
     Spectrum,
-    SpectrumSource,
     dimensional_constants,
     tube_volume,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "DimensionalConstants",
     "DomainSpec",
     "Spectrum",
-    "SpectrumSource",
     "dimensional_constants",
     "tube_volume",
     "__version__",

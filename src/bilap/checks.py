@@ -16,7 +16,7 @@ wrapper does, reaches every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -63,7 +63,7 @@ class Context:
             self._fd[n] = eig2d.clamped_spectrum_fd(
                 self.dom, n, max(k, FD_SOLVE_MODES.get(n, 0)))
         spec = self._fd[n]
-        return spec if len(spec) == k else replace(spec, values=spec.values[:k])
+        return spec if len(spec) == k else Spectrum(spec.values[:k])
 
     @cached_property
     def richardson(self) -> tuple[list[float], list[float]]:
@@ -105,7 +105,7 @@ def riesz_rows(pair: tuple[int, int], zs: Sequence[float]) -> list[BoundReport]:
     spec = spectra1d.spectrum_1d(pair, spectra1d.count_reaching(max(zs, default=0.0)))
     rows = []
     for z in zs:
-        r1 = riesz.riesz_mean(spec, float(z), 1.0).value
+        r1 = riesz.riesz_mean(spec, float(z))
         lower, upper = riesz.theorem_bounds_1d(pair, float(z))
         rows.append(BoundReport.less_equal(
             "riesz-lower", lower, r1, "riesz-1-d", params={"pair": pair, "z": z}))

@@ -37,7 +37,6 @@ from .core import (
     BoundReport,
     DomainSpec,
     Spectrum,
-    SpectrumSource,
     dimensional_constants,
 )
 from .roots1d import gamma_root, proposition_bound_report
@@ -95,6 +94,19 @@ def parse_int_range(text: str) -> list[int]:
         return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad integer range {text!r}: {exc}") from exc
+
+
+def load_config(path: Path) -> dict[str, str]:
+    """Flag defaults from a file holding one JSON object.  Each value is
+    passed on as the text of its flag, so argparse converts and checks it
+    as it would on the command line; a null leaves the flag at its default."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, "
+                          f"not {type(payload).__name__}")
+    if "command" in payload:
+        raise ConfigError("a config file cannot choose the subcommand")
+    return {key: str(value) for key, value in payload.items() if value is not None}
 
 
 def parse_bc(name: str, a: float) -> BoundaryCondition:
@@ -173,50 +185,34 @@ def exit_code(reports: Sequence[BoundReport]) -> int:
 # Spectrum cache
 # ----------------------------------------------------------------------------
 
-def spectrum_cache_key(domain: DomainSpec, bc: BoundaryCondition,
-                       source: SpectrumSource) -> str:
-    """File stem of a cached spectrum.  Every defining float enters by its
-    exact repr, so problems that differ in any bit get different keys."""
-    parts = (domain.shape, *map(repr, domain.lengths), bc.kind.value,
-             repr(bc.poisson_ratio), *(bc.pair or ()), source.kind, *source.detail)
-    return ",".join(str(p) for p in parts)
+def spectrum_cache_key(dom: DomainSpec, n: int, k: int) -> str:
+    """File stem of the cached clamped spectrum of the first k modes on the
+    n x n grid.  Each length enters by its exact repr, so domains that
+    differ in any bit get different keys."""
+    return ",".join((dom.shape, *map(repr, dom.lengths), str(n), str(k)))
 
 
-def cache_spectrum(spec: Spectrum, directory: Path) -> Path:
+def cache_spectrum(key: str, spec: Spectrum, directory: Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "values": [format(v, ".17g") for v in spec.values],
-        "domain": {"shape": spec.domain.shape, "lengths": list(spec.domain.lengths)},
-        "bc": {"kind": spec.bc.kind.value, "poisson_ratio": spec.bc.poisson_ratio,
-               "pair": list(spec.bc.pair) if spec.bc.pair else None},
-        "source": {"kind": spec.source.kind, "detail": list(spec.source.detail)},
-        "kernel_dim": spec.kernel_dim,
-    }
-    path = directory / (spectrum_cache_key(spec.domain, spec.bc, spec.source) + ".json")
+    payload = {"key": key, "values": [format(v, ".17g") for v in spec.values]}
+    path = directory / (key + ".json")
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
 
 
 def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
-    """Round-trip-exact reload.  Corrupt entries, and entries whose payload
-    does not reproduce ``key``, log a warning and return None."""
+    """Round-trip-exact reload.  Corrupt entries, and entries that store a
+    different key, log a warning and return None."""
     path = Path(directory) / (key + ".json")
     if not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
-        dom = DomainSpec(payload["domain"]["shape"], tuple(payload["domain"]["lengths"]))
-        bc_raw = payload["bc"]
-        bc = BoundaryCondition(BCKind(bc_raw["kind"]), bc_raw["poisson_ratio"],
-                               tuple(bc_raw["pair"]) if bc_raw["pair"] else None)
-        source = SpectrumSource(payload["source"]["kind"], tuple(payload["source"]["detail"]))
-        stored = spectrum_cache_key(dom, bc, source)
-        if stored != key:
-            log.warning("spectrum cache %s holds %s; recomputing", path, stored)
+        if payload["key"] != key:
+            log.warning("spectrum cache %s holds %s; recomputing", path, payload["key"])
             return None
-        return Spectrum(tuple(float(v) for v in payload["values"]), dom, bc,
-                        source, payload["kernel_dim"])
+        return Spectrum(tuple(float(v) for v in payload["values"]))
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         log.warning("corrupt spectrum cache %s (%s); recomputing", path, exc)
         return None
@@ -354,15 +350,14 @@ def cmd_eig2d(args) -> list[BoundReport]:
     dom = parse_domain(args.domain)
     reports = []
     for n in parse_int_range(args.grids):
-        key = spectrum_cache_key(dom, BoundaryCondition.dirichlet(),
-                                 SpectrumSource("finite_difference", ("clamped", n, n, args.k)))
+        key = spectrum_cache_key(dom, n, args.k)
         t0 = time.perf_counter()
         spec = load_spectrum(key, args.cache) if args.cache else None
         cache_hit = spec is not None
         if not cache_hit:
             spec = eig2d.clamped_spectrum_fd(dom, n, args.k)
             if args.cache:
-                cache_spectrum(spec, args.cache)
+                cache_spectrum(key, spec, args.cache)
         log.info("eig2d solve %dx%d: %.3fs (cache_hit=%s)",
                  n, n, time.perf_counter() - t0, cache_hit)
         reports.extend(BoundReport.value_row(
@@ -492,8 +487,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pre = argparse.ArgumentParser(add_help=False)
         pre.add_argument("--config", type=Path)
         known, _ = pre.parse_known_args(argv)
-        defaults = json.loads(Path(known.config).read_text()) if known.config else None
-        parser = build_parser(defaults)
+        parser = build_parser(load_config(known.config) if known.config else None)
         args = parser.parse_args(argv)
         reports = _COMMANDS[args.command](args)
         write_report(reports, args.out, args.format, meta={"command": args.command})

@@ -2,8 +2,8 @@
 
 Everything here is immutable and pure: boundary-condition tags, interval /
 rectangle domains with exact collar (tube) volumes, the dimensional constants
-that appear in Weyl terms and trial-function estimates, ordered spectra with
-provenance, and the ``BoundReport`` record used by every inequality check.
+that appear in Weyl terms and trial-function estimates, ordered spectra, and
+the ``BoundReport`` record used by every inequality check.
 """
 
 from __future__ import annotations
@@ -11,24 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 __all__ = [
     "BCKind",
     "BoundaryCondition",
     "DomainSpec",
     "DimensionalConstants",
-    "SpectrumSource",
     "Spectrum",
     "BoundReport",
     "dimensional_constants",
     "tube_volume",
     "kahan_sum",
-    "ONE_D_PAIRS",
 ]
-
-# The six admissible derivative pairs (i,j), i < j, for the interval problems.
-ONE_D_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class BCKind(Enum):
@@ -36,12 +30,11 @@ class BCKind(Enum):
     NAVIER = "navier"
     KUTTLER_SIGILLITO = "kuttler_sigillito"
     NEUMANN = "neumann"
-    ONE_D = "one_d"
 
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Boundary condition tag: a d>=2 kind with Poisson ratio, or a 1D pair.
+    """Boundary condition tag: a d>=2 kind with its Poisson ratio.
 
     ``poisson_ratio == 1`` is representable only for Navier and
     Kuttler-Sigillito, where the fourth-order problem collapses onto the
@@ -51,20 +44,13 @@ class BoundaryCondition:
 
     kind: BCKind
     poisson_ratio: float = 0.0
-    pair: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.kind is BCKind.ONE_D:
-            if self.pair not in ONE_D_PAIRS:
-                raise ValueError(f"invalid 1D pair {self.pair!r}; expected one of {ONE_D_PAIRS}")
-        else:
-            if self.pair is not None:
-                raise ValueError("pair is only meaningful for 1D boundary conditions")
-            a = self.poisson_ratio
-            if not math.isfinite(a) or a > 1.0:
-                raise ValueError(f"Poisson ratio {a} out of range (must be <= 1)")
-            if a == 1.0 and self.kind in (BCKind.DIRICHLET, BCKind.NEUMANN):
-                raise ValueError(f"a = 1 is not admissible for {self.kind.value}")
+        a = self.poisson_ratio
+        if not math.isfinite(a) or a > 1.0:
+            raise ValueError(f"Poisson ratio {a} out of range (must be <= 1)")
+        if a == 1.0 and self.kind in (BCKind.DIRICHLET, BCKind.NEUMANN):
+            raise ValueError(f"a = 1 is not admissible for {self.kind.value}")
 
     # -- constructors -------------------------------------------------------
 
@@ -84,21 +70,15 @@ class BoundaryCondition:
     def neumann(cls, a: float) -> "BoundaryCondition":
         return cls(BCKind.NEUMANN, poisson_ratio=a)
 
-    @classmethod
-    def one_d(cls, i: int, j: int) -> "BoundaryCondition":
-        return cls(BCKind.ONE_D, pair=(i, j))
-
     # -- queries -------------------------------------------------------------
 
     @property
     def is_limit_case(self) -> bool:
         """True when a = 1 (square-of-Laplacian identification)."""
-        return self.kind is not BCKind.ONE_D and self.poisson_ratio == 1.0
+        return self.poisson_ratio == 1.0
 
     def check_admissible(self, d: int) -> None:
         """Raise unless the Poisson ratio lies in (-1/(d-1), 1] for dimension d."""
-        if self.kind is BCKind.ONE_D:
-            return
         if d < 2:
             raise ValueError("Poisson-ratio boundary conditions require d >= 2")
         if not (-1.0 / (d - 1) < self.poisson_ratio <= 1.0):
@@ -107,8 +87,6 @@ class BoundaryCondition:
             )
 
     def label(self) -> str:
-        if self.kind is BCKind.ONE_D:
-            return f"pair{self.pair}"
         if self.kind is BCKind.DIRICHLET:
             return "dirichlet"
         return f"{self.kind.value}(a={self.poisson_ratio:g})"
@@ -224,22 +202,8 @@ def dimensional_constants(d: int) -> DimensionalConstants:
 
 
 @dataclass(frozen=True)
-class SpectrumSource:
-    """Provenance of a spectrum: exact closed form, finite differences, or a
-    two-term prediction.  ``detail`` carries hashable parameters (pair, grid
-    size, ...) so cached spectra are keyed unambiguously."""
-
-    kind: str  # "exact" | "finite_difference" | "predicted"
-    detail: tuple = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "finite_difference", "predicted"):
-            raise ValueError(f"unknown spectrum source kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class Spectrum:
-    """Ordered nonnegative eigenvalue list with domain/BC metadata.
+    """Ordered eigenvalue list: finite, nonnegative and nondecreasing.
 
     A spectrum is plain data: it holds the values it was built with and
     never grows.  A caller that needs values up to a threshold builds the
@@ -248,10 +212,6 @@ class Spectrum:
     """
 
     values: tuple[float, ...]
-    domain: DomainSpec
-    bc: BoundaryCondition
-    source: SpectrumSource
-    kernel_dim: int = 0
 
     def __post_init__(self) -> None:
         vals = self.values
@@ -259,9 +219,6 @@ class Spectrum:
             raise ValueError("eigenvalues must be finite and nonnegative")
         if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
             raise ValueError("eigenvalues must be nondecreasing")
-        zeros = sum(1 for v in vals if v == 0.0)
-        if self.kernel_dim != zeros:
-            raise ValueError(f"kernel_dim={self.kernel_dim} but {zeros} zero eigenvalues stored")
 
     def __len__(self) -> int:
         return len(self.values)

@@ -21,13 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import (
-    BoundaryCondition,
-    BoundReport,
-    DomainSpec,
-    Spectrum,
-    SpectrumSource,
-)
+from .core import BoundReport, DomainSpec, Spectrum
 from .spectra1d import spectrum_1d
 
 __all__ = [
@@ -88,7 +82,6 @@ class Grid2D:
 @dataclass(frozen=True)
 class DiscreteOperator:
     grid: Grid2D
-    bc_tag: str  # "dirichlet_laplacian" | "clamped_bilaplacian"
     matrix: sp.csr_matrix
 
     @property
@@ -135,9 +128,7 @@ def laplacian_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
         raise ValueError("separable spectra need a rectangle")
     if count < 1:
         raise ValueError("count must be >= 1")
-    values = _separable_values(dom, count, offset=1)
-    return Spectrum(tuple(values), dom, BoundaryCondition.dirichlet(),
-                    SpectrumSource("exact", ("laplacian_dirichlet",)), 0)
+    return Spectrum(tuple(_separable_values(dom, count, offset=1)))
 
 
 def neumann_laplacian_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
@@ -146,18 +137,13 @@ def neumann_laplacian_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
         raise ValueError("separable spectra need a rectangle")
     if count < 1:
         raise ValueError("count must be >= 1")
-    values = _separable_values(dom, count, offset=0)
-    return Spectrum(tuple(values), dom, BoundaryCondition.kuttler_sigillito(0.0),
-                    SpectrumSource("exact", ("laplacian_neumann",)),
-                    kernel_dim=1 if values[0] == 0.0 else 0)
+    return Spectrum(tuple(_separable_values(dom, count, offset=0)))
 
 
 def navier1_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
     """a = 1 fourth-order spectrum: squares of the Dirichlet Laplacian values."""
     lap = laplacian_spectrum_exact(dom, count)
-    return Spectrum(tuple(v * v for v in lap.values), dom,
-                    BoundaryCondition.navier(1.0),
-                    SpectrumSource("exact", ("navier_a1",)), 0)
+    return Spectrum(tuple(v * v for v in lap.values))
 
 
 # ----------------------------------------------------------------------------
@@ -173,7 +159,7 @@ def assemble_dirichlet_laplacian(grid: Grid2D) -> DiscreteOperator:
     dy = sp.diags([2.0 * iy * np.ones(grid.ny), -iy * np.ones(grid.ny - 1),
                    -iy * np.ones(grid.ny - 1)], [0, 1, -1])
     mat = sp.kronsum(dy, dx).tocsr()  # rows ordered x-major: index = i*ny + j
-    return DiscreteOperator(grid, "dirichlet_laplacian", mat)
+    return DiscreteOperator(grid, mat)
 
 
 def assemble_clamped_bilaplacian(grid: Grid2D) -> DiscreteOperator:
@@ -191,7 +177,7 @@ def assemble_clamped_bilaplacian(grid: Grid2D) -> DiscreteOperator:
     mat = (lap @ lap + sp.diags(corr.ravel())).tocsr()
     # squared-sparse products can carry eps-size asymmetry; symmetrise exactly
     mat = ((mat + mat.T) * 0.5).tocsr()
-    return DiscreteOperator(grid, "clamped_bilaplacian", mat)
+    return DiscreteOperator(grid, mat)
 
 
 def discrete_laplacian_eigenvalues(grid: Grid2D) -> np.ndarray:
@@ -330,14 +316,12 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
     """First k clamped eigenvalues on an n x n interior grid, certified by
     ``smallest_eigs``.  The first values of a larger solve agree with a
     k-mode solve to 1e-10 relative, so callers may slice one solve; the
-    source detail ("clamped", n, n, k) still records k, which keeps the
-    spectrum cache keyed on the exact (n, k) that was solved."""
+    spectrum cache, which keeps the values bit for bit, is keyed on the
+    exact (domain, n, k) that was solved."""
     grid = Grid2D(n, n, dom)
     op = assemble_clamped_bilaplacian(grid)
     values, _ = smallest_eigs(op, k)
-    return Spectrum(tuple(float(v) for v in values), dom,
-                    BoundaryCondition.dirichlet(),
-                    SpectrumSource("finite_difference", ("clamped", n, n, k)), 0)
+    return Spectrum(tuple(float(v) for v in values))
 
 
 def richardson_ladder(spectra: Sequence[Spectrum],

@@ -1,9 +1,10 @@
 """Riesz means, counting functions, and the explicit 1D two-sided bounds.
 
-R_sigma(z) = sum_j (z - omega_j)_+^sigma is a finite sum once the spectrum is
-known past z; for sigma = 1 it equals the integral of the counting function,
-and on the interval it is sandwiched by explicit polynomials in z^(1/4) whose
-coefficients follow from the half-integer/integer lattice sums below.
+R_1(z) = sum_j (z - omega_j)_+, the one Riesz mean the bounds concern, is
+a finite sum once the spectrum is known past z; it equals the integral of
+the counting function, and on the interval it is sandwiched by explicit
+polynomials in z^(1/4) whose coefficients follow from the
+half-integer/integer lattice sums below.
 
 A spectrum passed in must already reach every threshold asked of it (its
 last value at least z); a shorter one raises ``InsufficientSpectrumError``.
@@ -15,9 +16,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .core import Spectrum, kahan_sum
 from .spectra1d import _check_pair, count_reaching, spectrum_1d
 
 __all__ = [
-    "RieszMeanPoint",
     "InsufficientSpectrumError",
     "riesz_mean",
     "counting",
@@ -46,15 +45,7 @@ class InsufficientSpectrumError(RuntimeError):
     """The spectrum's last value lies below the requested threshold."""
 
 
-@dataclass(frozen=True)
-class RieszMeanPoint:
-    z: float
-    sigma: float
-    value: float
-    truncation_count: int
-
-
-def _count_below(spec: Spectrum, z: float) -> int:
+def counting(spec: Spectrum, z: float) -> int:
     """N(z), the number of eigenvalues strictly below z; raises unless the
     spectrum reaches z, so that no eigenvalue below z can be missing."""
     if not (z >= 0.0):
@@ -66,25 +57,16 @@ def _count_below(spec: Spectrum, z: float) -> int:
     return bisect_left(values, z)
 
 
-def riesz_mean(spec: Spectrum, z: float, sigma: float = 1.0) -> RieszMeanPoint:
-    """Exact finite Riesz mean R_sigma(z) over the spectrum.
+def riesz_mean(spec: Spectrum, z: float) -> float:
+    """Exact finite Riesz mean R_1(z) = sum_j (z - omega_j)_+ over the spectrum.
 
     The positive parts are summed in ascending eigenvalue order, so results
-    are bitwise reproducible; for sigma = 1 the sum is the integral of the
-    counting function N(t) over [0, z], which telescopes to
-    sum_j (z - omega_j)_+.
+    are bitwise reproducible; the sum is the integral of the counting
+    function N(t) over [0, z].
     """
-    if not (sigma > 0.0):
-        raise ValueError("sigma must be positive")
-    count = _count_below(spec, z)
-    terms = [z - v if sigma == 1.0 else (z - v) ** sigma for v in spec.values[:count]]
-    value = kahan_sum(terms) if count > _KAHAN_THRESHOLD else sum(terms)
-    return RieszMeanPoint(z=z, sigma=sigma, value=value, truncation_count=count)
-
-
-def counting(spec: Spectrum, z: float) -> int:
-    """N(z): number of eigenvalues strictly below z."""
-    return _count_below(spec, z)
+    count = counting(spec, z)
+    terms = [z - v for v in spec.values[:count]]
+    return kahan_sum(terms) if count > _KAHAN_THRESHOLD else sum(terms)
 
 
 # ----------------------------------------------------------------------------
@@ -172,21 +154,16 @@ def lemma_onedim_bounds(
     return lhs, mid, rhs
 
 
-def second_term_fit(pair: tuple[int, int], z_grid: Sequence[float] = FIT_GRID) -> float:
-    """Least-squares slope of R_1(z) - (4/(5 pi)) z^(5/4) against z.
+def second_term_fit(pair: tuple[int, int]) -> float:
+    """Least-squares slope of R_1(z) - (4/(5 pi)) z^(5/4) against z on FIT_GRID.
 
     A z^(3/4) regressor absorbs the next-order oscillation so the linear
     coefficient converges to (i+j-3)/2 well before z reaches 1e9.
     """
     pair = _check_pair(pair)
-    z = np.asarray(sorted(z_grid), dtype=float)
-    if len(z) < 8:
-        raise ValueError("fit grid needs at least 8 points")
-    if z[-1] < 1e6:
-        raise ValueError("fit grid must reach at least 1e6")
-
+    z = np.asarray(FIT_GRID)
     spec = spectrum_1d(pair, count_reaching(z[-1]))
-    y = np.array([riesz_mean(spec, zi, 1.0).value for zi in z])
+    y = np.array([riesz_mean(spec, zi) for zi in z])
     y -= 4.0 / (5.0 * math.pi) * z ** 1.25
     design = np.column_stack([z, z ** 0.75])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -193,8 +193,6 @@ def expansion_coefficients(bc: BoundaryCondition, d: int,
     """Counting-function coefficients (c0 per unit volume, c1 per unit boundary)."""
     if d < 2:
         raise ValueError("two-term counting asymptotics need d >= 2")
-    if bc.kind is BCKind.ONE_D:
-        raise ValueError("1D pairs have no two-term counting expansion")
     bc.check_admissible(d)
 
     dc = dimensional_constants(d)

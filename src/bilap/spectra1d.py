@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import BoundaryCondition, BoundReport, DomainSpec, ONE_D_PAIRS, Spectrum, SpectrumSource
+from .core import BoundReport, Spectrum
 from .roots1d import gamma_value
 
 __all__ = [
     "Eigenfunction1D",
     "KERNEL_DIMS",
+    "ONE_D_PAIRS",
     "MAX_EIGENFUNCTION_INDEX",
     "spectrum_1d",
     "count_reaching",
@@ -31,6 +33,8 @@ __all__ = [
 ]
 
 KERNEL_DIMS = {(0, 1): 0, (0, 2): 0, (0, 3): 1, (1, 2): 1, (1, 3): 1, (2, 3): 2}
+# The six admissible derivative pairs (i,j), i < j, of the interval problems.
+ONE_D_PAIRS = tuple(KERNEL_DIMS)
 
 # Beyond this index the boundary residuals of the hyperbolic closed forms can
 # no longer be certified in double precision; only eigenvalues are exposed.
@@ -39,11 +43,13 @@ MAX_EIGENFUNCTION_INDEX = 40
 _BC_RESIDUAL_SCALE = 1e-8
 
 
-def _check_pair(pair: tuple[int, int]) -> tuple[int, int]:
-    pair = (int(pair[0]), int(pair[1]))
+def _check_pair(pair: Sequence[int]) -> tuple[int, int]:
+    """The pair as a tuple of two ints; ``ValueError`` unless the whole
+    sequence equals one of ONE_D_PAIRS."""
+    pair = tuple(pair)
     if pair not in ONE_D_PAIRS:
         raise ValueError(f"invalid pair {pair}; expected one of {ONE_D_PAIRS}")
-    return pair
+    return tuple(int(v) for v in pair)
 
 
 def _root_index(pair: tuple[int, int], n: int) -> int:
@@ -60,7 +66,6 @@ def spectrum_1d(pair: tuple[int, int], count: int, length: float = 1.0) -> Spect
     if not (length > 0.0):
         raise ValueError("length must be positive")
     scale = length ** -4
-    i, j = pair
     values = []
     for n in range(1, count + 1):
         if pair == (0, 2):
@@ -70,13 +75,7 @@ def spectrum_1d(pair: tuple[int, int], count: int, length: float = 1.0) -> Spect
         else:
             base = gamma_value(_root_index(pair, n)) ** 4
         values.append(base * scale)
-    return Spectrum(
-        values=tuple(values),
-        domain=DomainSpec.interval(length),
-        bc=BoundaryCondition.one_d(i, j),
-        source=SpectrumSource("exact", ("spectrum1d", i, j, length)),
-        kernel_dim=min(KERNEL_DIMS[pair], count),
-    )
+    return Spectrum(tuple(values))
 
 
 def count_reaching(z: float, length: float = 1.0) -> int:

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from bilap import checks
-from bilap.core import BoundaryCondition, Spectrum, SpectrumSource
+from bilap.core import Spectrum
 
 
 @pytest.fixture(scope="session")
@@ -57,8 +57,7 @@ def test_context_solves_each_grid_once(monkeypatch):
 
     def solve(dom, n, k):
         solved.append((n, k))
-        return Spectrum(tuple(float(n + j) for j in range(k)), dom, BoundaryCondition.dirichlet(),
-                        SpectrumSource("finite_difference", ("clamped", n, n, k)))
+        return Spectrum(tuple(float(n + j) for j in range(k)))
 
     monkeypatch.setattr(checks.eig2d, "clamped_spectrum_fd", solve)
     ctx = checks.Context()

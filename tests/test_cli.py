@@ -15,8 +15,10 @@ from bilap import avp, checks, eig2d
 from bilap.cli import (
     CSV_COLUMNS,
     ConfigError,
+    build_parser,
     cache_spectrum,
     exit_code,
+    load_config,
     load_spectrum,
     main,
     parse_domain,
@@ -25,7 +27,7 @@ from bilap.cli import (
     spectrum_cache_key,
     write_report,
 )
-from bilap.core import BoundaryCondition, BoundReport, DomainSpec, Spectrum, SpectrumSource
+from bilap.core import BoundReport, DomainSpec, Spectrum
 from bilap.spectra1d import spectrum_1d
 
 # The benchmark's reference reports and row comparison, read-only.
@@ -146,57 +148,105 @@ class TestReports:
         assert exit_code([ok, hard_fail]) == 1
 
 
-def _key(spec):
-    return spectrum_cache_key(spec.domain, spec.bc, spec.source)
+SQUARE = DomainSpec.square(1.0)
 
 
 class TestSpectrumCache:
     def test_round_trip_value_exact(self, tmp_path):
+        key = spectrum_cache_key(SQUARE, 8, 12)
         spec = spectrum_1d((0, 1), 12)
-        cache_spectrum(spec, tmp_path)
-        loaded = load_spectrum(_key(spec), tmp_path)
-        assert loaded == spec
+        cache_spectrum(key, spec, tmp_path)
+        assert load_spectrum(key, tmp_path) == spec
 
-    def test_distinct_keys_for_distinct_params(self, tmp_path):
-        a = spectrum_1d((0, 1), 4)
-        b = spectrum_1d((0, 2), 4)
-        c = spectrum_1d((0, 1), 4, length=2.0)
-        keys = {_key(s) for s in (a, b, c)}
-        assert len(keys) == 3
+    def test_distinct_keys_for_distinct_params(self):
+        problems = [(SQUARE, 8, 4), (SQUARE, 8, 5), (SQUARE, 9, 4),
+                    (DomainSpec.square(2.0), 8, 4), (DomainSpec.rectangle(1.0, 2.0), 8, 4),
+                    (DomainSpec.rectangle(2.0, 1.0), 8, 4)]
+        assert len({spectrum_cache_key(*p) for p in problems}) == len(problems)
 
     def test_corrupt_cache_returns_none(self, tmp_path, caplog):
-        spec = spectrum_1d((0, 1), 4)
-        path = cache_spectrum(spec, tmp_path)
+        key = spectrum_cache_key(SQUARE, 8, 4)
+        path = cache_spectrum(key, spectrum_1d((0, 1), 4), tmp_path)
         path.write_text("{not json")
-        assert load_spectrum(_key(spec), tmp_path) is None
+        assert load_spectrum(key, tmp_path) is None
 
     def test_missing_key_returns_none(self, tmp_path):
         assert load_spectrum("nope", tmp_path) is None
 
     def test_entry_under_another_key_is_a_miss(self, tmp_path, caplog):
-        path = cache_spectrum(spectrum_1d((0, 1), 4), tmp_path)
-        path.rename(tmp_path / "other.json")
-        assert load_spectrum("other", tmp_path) is None
+        key, other = spectrum_cache_key(SQUARE, 8, 4), spectrum_cache_key(SQUARE, 8, 5)
+        path = cache_spectrum(key, spectrum_1d((0, 1), 4), tmp_path)
+        path.rename(tmp_path / f"{other}.json")
+        assert load_spectrum(other, tmp_path) is None
         assert "recomputing" in caplog.text
 
-    @given(data=st.data(), lx=lengths, ly=lengths,
+    @given(data=st.data(), lx=lengths, ly=lengths, n=st.integers(2, 200),
            values=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                            min_size=1, max_size=8).map(sorted))
-    def test_round_trip_under_arbitrary_lengths(self, data, lx, ly, values):
-        def nearby(s):  # s itself, the next float up, or any length
-            return data.draw(st.sampled_from([s, math.nextafter(s, math.inf)]) | lengths)
+    def test_round_trip_under_arbitrary_lengths(self, data, lx, ly, n, values):
+        def nearby(s):  # s itself, the next finite float up, or any length
+            up = math.nextafter(s, math.inf)
+            return data.draw(st.sampled_from([s, up] if math.isfinite(up) else [s]) | lengths)
 
-        source = SpectrumSource("finite_difference", ("clamped", 8, 8, len(values)))
-        spec = Spectrum(tuple(values), DomainSpec.rectangle(lx, ly),
-                        BoundaryCondition.dirichlet(), source)
-        other = DomainSpec.rectangle(nearby(lx), nearby(ly))
+        k = len(values)
+        key = spectrum_cache_key(DomainSpec.rectangle(lx, ly), n, k)
+        spec = Spectrum(tuple(values))
         with tempfile.TemporaryDirectory() as tmp:
-            cache_spectrum(spec, Path(tmp))
-            loaded = load_spectrum(_key(spec), Path(tmp))
-        assert loaded == spec
-        same_reprs = tuple(map(repr, other.lengths)) == (repr(lx), repr(ly))
-        other_key = spectrum_cache_key(other, spec.bc, source)
-        assert (other_key == _key(spec)) == same_reprs
+            cache_spectrum(key, spec, Path(tmp))
+            assert load_spectrum(key, Path(tmp)) == spec
+        other = DomainSpec.rectangle(nearby(lx), nearby(ly))
+        other_n, other_k = (data.draw(st.sampled_from([v, v + 1])) for v in (n, k))
+        same = (tuple(map(repr, other.lengths)) == (repr(lx), repr(ly))
+                and (other_n, other_k) == (n, k))
+        assert (spectrum_cache_key(other, other_n, other_k) == key) == same
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=8))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("text", ["[1, 2]", '"n"', "3", "null", "{not json",
+                                      '{"command": "all"}'])
+    def test_a_config_that_is_no_object_of_flags_exits_2(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "roots", "--n", "1"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @given(value=json_values)
+    def test_only_an_object_is_a_config(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(value))
+            if isinstance(value, dict) and "command" not in value:
+                assert load_config(cfg) == {k: str(v) for k, v in value.items()
+                                            if v is not None}
+            else:
+                with pytest.raises(ConfigError):
+                    load_config(cfg)
+
+    @given(value=json_scalars.filter(lambda v: v is not None)
+           | st.lists(st.integers(), max_size=3))
+    def test_config_values_parse_like_flags(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({"n": value}))
+            parser = build_parser(load_config(cfg))
+        try:
+            expected = int(str(value))
+        except ValueError:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["roots"])
+            assert exc.value.code == 2
+        else:
+            assert parser.parse_args(["roots"]).n == expected
+        assert parser.parse_args(["roots", "--n", "4"]).n == 4  # a flag wins
 
 
 class TestMain:
@@ -219,6 +269,12 @@ class TestMain:
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         assert main(["compare", "--domain", "triangle:1"]) == 2
+
+    @pytest.mark.parametrize("command", ["spectrum1d", "riesz1d"])
+    @pytest.mark.parametrize("pair", ["0,1,7", "1", "1,0", "0,x"])
+    def test_invalid_pair_exits_2(self, command, pair, capsys):
+        assert main([command, "--pair", pair]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_profile_range_fault_exits_3(self, tmp_path, capsys, monkeypatch):
         # a mollifier with a negative lobe drives phi outside [0, 1]

@@ -134,8 +134,6 @@ class TestExpansionCoefficients:
         with pytest.raises(ValueError):
             expansion_coefficients(BoundaryCondition.dirichlet(), 1)
         with pytest.raises(ValueError):
-            expansion_coefficients(BoundaryCondition.one_d(0, 1), 2)
-        with pytest.raises(ValueError):
             expansion_coefficients(BoundaryCondition.navier(-0.9), 3)  # outside (-1/2, 1]
 
     def test_navier_ks_limit_case_allowed(self):

@@ -3,12 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bilap.core import ONE_D_PAIRS
 from bilap.roots1d import gamma_value
 from bilap.spectra1d import (
     KERNEL_DIMS,
     MAX_EIGENFUNCTION_INDEX,
+    ONE_D_PAIRS,
     eigenfunction_1d,
     eval_eigenfunction,
     identity_check,
@@ -25,8 +27,7 @@ class TestSpectrum1D:
 
     def test_neumann_kernel(self):
         spec = spectrum_1d((2, 3), 5)
-        assert spec.values[0] == 0.0 and spec.values[1] == 0.0
-        assert spec.kernel_dim == 2
+        assert spec.values[0] == 0.0 and spec.values[1] == 0.0 < spec.values[2]
         assert spec.value(3) == pytest.approx(GAMMA_1_FOURTH, rel=1e-12)
 
     def test_clamped_first_value(self):
@@ -34,9 +35,9 @@ class TestSpectrum1D:
         assert spec.value(1) == pytest.approx(GAMMA_1_FOURTH, rel=1e-12)
         assert spec.value(1) == pytest.approx(500.564, abs=5e-4)
 
-    def test_kernel_dimensions(self):
+    def test_zero_modes_per_pair(self):
         for pair, dim in KERNEL_DIMS.items():
-            assert spectrum_1d(pair, 10).kernel_dim == dim
+            assert spectrum_1d(pair, 10).values.count(0.0) == dim
 
     def test_monotone_values(self):
         for pair in ONE_D_PAIRS:
@@ -56,6 +57,18 @@ class TestSpectrum1D:
             spectrum_1d((0, 1), 0)
         with pytest.raises(ValueError):
             spectrum_1d((0, 1), 5, length=0.0)
+
+    # short lists, float pairs, and valid pairs cut short or with a third entry
+    @given(pair=st.lists(st.integers(-1, 4), min_size=1, max_size=3).map(tuple)
+           | st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.sampled_from([1.0, 1.5]))
+           | st.sampled_from(ONE_D_PAIRS).flatmap(
+               lambda p: st.sampled_from([p, p[:1], p + (p[1],), p + (7,)])))
+    def test_one_d_pair_validation(self, pair):
+        if pair in ONE_D_PAIRS:
+            assert len(spectrum_1d(pair, 3)) == 3
+        else:
+            with pytest.raises(ValueError):
+                spectrum_1d(pair, 3)
 
     def test_clamped_fourth_roots_two_term_sharp(self):
         # |Lambda_k^(1/4) - pi(k+1/2)| <= pi e^(-pi k), with a 4-ulp allowance
