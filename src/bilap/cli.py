@@ -8,9 +8,12 @@ other subcommands expose single layers with their own grids.  ``compare``
 and ``all`` share ``eig2d.richardson_ladder``; only ``eig2d`` has ``--cache``,
 keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
-2 configuration error, 3 internal error (a failed self-check of the
-computation, such as the profile range check or the eigensolve
-certificate, or a failed factorisation, ``numpy.linalg.LinAlgError``).
+2 configuration error (``ConfigError`` from parsing or validating flags and
+config values, or an ``OSError``), 3 internal error: any other
+``ValueError`` raised by a computation (a violated precondition such as
+``avg_upper_bound``'s rho < 1, or a failed factorisation,
+``numpy.linalg.LinAlgError``), or a failed self-check, such as the profile
+range check or the eigensolve certificate.
 Reported-only rows never affect the exit code.  Two runs with the same
 configuration produce byte-identical output apart from the timestamp
 header line.
@@ -47,7 +50,12 @@ CSV_COLUMNS = ("check", "param1", "param2", "lhs", "rhs", "margin", "holds", "pa
 
 
 class ConfigError(ValueError):
-    pass
+    """A flag or config value the command cannot run with (exit 2)."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 # ----------------------------------------------------------------------------
@@ -96,11 +104,27 @@ def parse_int_range(text: str) -> list[int]:
         raise ConfigError(f"bad integer range {text!r}: {exc}") from exc
 
 
+def parse_pair(text: str) -> tuple[int, int]:
+    """Derivative pair 'i,j', one of ``spectra1d.ONE_D_PAIRS``."""
+    try:
+        pair = tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad pair {text!r}: {exc}") from exc
+    _require(pair in spectra1d.ONE_D_PAIRS,
+             f"invalid pair {text!r}; expected one of {spectra1d.ONE_D_PAIRS}")
+    return pair
+
+
 def load_config(path: Path) -> dict[str, str]:
     """Flag defaults from a file holding one JSON object.  Each value is
-    passed on as the text of its flag, so argparse converts and checks it
-    as it would on the command line; a null leaves the flag at its default."""
-    payload = json.loads(Path(path).read_text())
+    passed on as the text of its flag, so argparse converts it with the
+    flag's type as it would on the command line, and ``build_parser``
+    checks it against the flag's choices; a null leaves the flag at its
+    default."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"config {path} is no JSON text: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must hold a JSON object, "
                           f"not {type(payload).__name__}")
@@ -115,7 +139,20 @@ def parse_bc(name: str, a: float) -> BoundaryCondition:
                 "ks": BCKind.KUTTLER_SIGILLITO, "neumann": BCKind.NEUMANN}[name]
     except KeyError as exc:
         raise ConfigError(f"unknown boundary condition {name!r}") from exc
-    return BoundaryCondition(kind, poisson_ratio=a if kind is not BCKind.DIRICHLET else 0.0)
+    try:
+        return BoundaryCondition(kind, poisson_ratio=a if kind is not BCKind.DIRICHLET else 0.0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _fd_grids(dom: DomainSpec, grids: Sequence[int], k: int) -> Sequence[int]:
+    """``grids`` unchanged if each n x n grid of ``dom`` can carry k clamped
+    modes: a rectangle, n >= 2 and 1 <= k <= n^2."""
+    _require(dom.shape == "rectangle", "finite-difference grids need square:L or rect:LxW")
+    for n in grids:
+        _require(n >= 2 and 1 <= k <= n * n,
+                 f"grid {n} cannot carry k={k} modes (need n >= 2 and 1 <= k <= n^2)")
+    return grids
 
 
 # ----------------------------------------------------------------------------
@@ -223,6 +260,7 @@ def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
 # ----------------------------------------------------------------------------
 
 def cmd_roots(args) -> list[BoundReport]:
+    _require(args.n >= 1, "--n must be >= 1")
     reports = []
     for n in range(1, args.n + 1):
         root = gamma_root(n)
@@ -235,7 +273,9 @@ def cmd_roots(args) -> list[BoundReport]:
 
 
 def cmd_spectrum1d(args) -> list[BoundReport]:
-    pair = tuple(int(v) for v in args.pair.split(","))
+    pair = parse_pair(args.pair)
+    _require(args.count >= 1, "--count must be >= 1")
+    _require(0.0 < args.length < math.inf, "--length must be positive and finite")
     spec = spectra1d.spectrum_1d(pair, args.count, args.length)
     reports = [BoundReport.value_row(
         "eigenvalue", v, "riesz-1-d", params={"pair": pair, "n": n})
@@ -245,18 +285,24 @@ def cmd_spectrum1d(args) -> list[BoundReport]:
 
 
 def cmd_riesz1d(args) -> list[BoundReport]:
-    pair = tuple(int(v) for v in args.pair.split(","))
+    pair = parse_pair(args.pair)
     zs = parse_range(args.z)
+    _require(all(math.isfinite(z) and z >= 0.0 for z in zs), "--z values must be finite and >= 0")
     return checks.riesz_rows(pair, zs)
 
 
 def cmd_lemma_onedim(args) -> list[BoundReport]:
-    return checks.lattice_rows(parse_range(args.r_grid))
+    radii = parse_range(args.r_grid)
+    _require(all(r >= 0.0 for r in radii), "--r-grid values must be >= 0")
+    return checks.lattice_rows(radii)
 
 
 def cmd_constants(args) -> list[BoundReport]:
+    dims = parse_int_range(args.dims)
+    _require(all(d >= 1 for d in dims), "--dims must be >= 1")
+    _require(-1.0 < args.a <= 1.0, "--a must lie in (-1, 1]")
     reports = []
-    for d in parse_int_range(args.dims):
+    for d in dims:
         dc = dimensional_constants(d)
         for name, val, ref in (
             ("ball-volume", dc.ball_volume, "weyllaw"),
@@ -289,8 +335,11 @@ def cmd_constants(args) -> list[BoundReport]:
 def cmd_predict(args) -> list[BoundReport]:
     dom = parse_domain(args.domain)
     bc = parse_bc(args.bc, args.a)
+    ks = parse_int_range(args.k)
+    _require(dom.dimension >= 2, "predict needs square:L or rect:LxW")
+    _require(all(k >= 1 for k in ks), "--k must be >= 1")
     reports = []
-    for k in parse_int_range(args.k):
+    for k in ks:
         val = semiclassical.predict_eigenvalue(bc, dom.dimension, dom, k)
         reports.append(BoundReport.value_row(
             "two-term-prediction", val, "weyl_dirichlet_biharmonic_single",
@@ -305,12 +354,17 @@ def cmd_predict(args) -> list[BoundReport]:
 def cmd_avp(args) -> list[BoundReport]:
     dom = parse_domain(args.domain)
     d = dom.dimension
+    ks, zs, ts = parse_int_range(args.k), parse_range(args.z), parse_range(args.t)
+    _require(all(k >= 1 for k in ks), "--k must be >= 1")
+    _require(all(v > 0.0 for v in (*zs, *ts)), "--z and --t values must be positive")
     ball = avp.inscribed_ball_profile(dom)
     profiles = [ball]
     if dom.shape == "rectangle":
+        _require(0.0 < args.h <= dom.inradius, f"--h must lie in (0, {dom.inradius}]")
+        _require(args.grid_res >= 64, "--grid-res must be >= 64")
         profiles.append(avp.mollified_indicator_profile(dom, args.h, args.grid_res))
     reports = []
-    for k in parse_int_range(args.k):
+    for k in ks:
         for prof in profiles:
             reports.append(BoundReport.value_row(
                 "avg-upper-bound", avp.avg_upper_bound(prof, k),
@@ -325,12 +379,12 @@ def cmd_avp(args) -> list[BoundReport]:
                 params={"k": k, "main": main, "second": second, "remainder": rem}))
         except avp.ThresholdError:
             pass
-    for z in parse_range(args.z):
+    for z in zs:
         for prof in profiles:
             reports.append(BoundReport.value_row(
                 "riesz-lower-bound", avp.riesz_lower_bound(prof, z),
                 "Riesz-mean-ineq-DirichletbiLaplacian", params={"z": z, "profile": prof.kind}))
-    for t in parse_range(args.t):
+    for t in ts:
         for prof in profiles:
             weighted, unweighted = avp.partition_lower_bound(prof, t)
             reports.append(BoundReport.value_row(
@@ -349,7 +403,7 @@ def cmd_eig2d(args) -> list[BoundReport]:
     given; the cache serves only a spectrum of the same grid and k."""
     dom = parse_domain(args.domain)
     reports = []
-    for n in parse_int_range(args.grids):
+    for n in _fd_grids(dom, parse_int_range(args.grids), args.k):
         key = spectrum_cache_key(dom, n, args.k)
         t0 = time.perf_counter()
         spec = load_spectrum(key, args.cache) if args.cache else None
@@ -370,10 +424,10 @@ def cmd_compare(args) -> list[BoundReport]:
     """Comparison chain with Richardson bands from the three finest grids."""
     dom = parse_domain(args.domain)
     grids = sorted(set(parse_int_range(args.grids)))
-    if len(grids) < 3:
-        raise ValueError(f"compare needs at least three distinct grids, got {args.grids!r}")
+    _require(len(grids) >= 3, f"compare needs at least three distinct grids, got {args.grids!r}")
     limits, bands = eig2d.richardson_ladder(
-        [eig2d.clamped_spectrum_fd(dom, n, args.k) for n in grids[-3:]], args.k)
+        [eig2d.clamped_spectrum_fd(dom, n, args.k) for n in _fd_grids(dom, grids[-3:], args.k)],
+        args.k)
     return eig2d.comparison_report(dom, limits, bands)
 
 
@@ -400,6 +454,12 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         p.add_argument("--out", type=Path, default=None, help="report path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if config_defaults:
+            # argparse checks choices only on flags given on the command line
+            for action in p._actions:
+                value = config_defaults.get(action.dest)
+                _require(action.choices is None or value is None or value in action.choices,
+                         f"config value {value!r} of {'/'.join(action.option_strings)} "
+                         f"is not one of {list(action.choices or ())}")
             p.set_defaults(**config_defaults)
 
     p = sub.add_parser("roots", help="frequency-equation roots and defect brackets")
@@ -491,14 +551,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         reports = _COMMANDS[args.command](args)
         write_report(reports, args.out, args.format, meta={"command": args.command})
-    # LinAlgError is a ValueError raised by a computation, so this clause
-    # comes first; ResolutionError and _certify failures are RuntimeErrors
-    except (AssertionError, RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"bilap: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError included
+    except (ConfigError, OSError) as exc:  # load_config raises JSON errors as ConfigError
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2
+    # any other ValueError, numpy's LinAlgError included, comes from a
+    # computation; ResolutionError and _certify failures are RuntimeErrors
+    except (AssertionError, RuntimeError, ValueError) as exc:
+        print(f"bilap: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     failed = sum(1 for r in reports if r.asserted and not r.holds)
     if failed:
         print(f"bilap: {failed} asserted check(s) failed", file=sys.stderr)

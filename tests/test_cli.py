@@ -1,5 +1,6 @@
 """CLI: parsing, report schema, reproducibility, caching, exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bilap import avp, checks, eig2d
+from bilap import avp, checks, cli, eig2d
 from bilap.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -219,6 +220,25 @@ class TestConfig:
         assert main(["--config", str(cfg), "roots", "--n", "1"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_config_choice_is_checked_before_the_command_runs(self, tmp_path, capsys,
+                                                             monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "constants", lambda args: ran.append(args) or [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        assert main(["--config", str(cfg), "constants"]) == 2
+        assert "'xml' of --format" in capsys.readouterr().err
+        assert ran == []
+        cfg.write_text(json.dumps({"format": "json"}))
+        assert main(["--config", str(cfg), "constants"]) == 0
+        assert len(ran) == 1
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        assert main(["--config", str(cfg), "roots", "--n", "1"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     @given(value=json_values)
     def test_only_an_object_is_a_config(self, value):
         with tempfile.TemporaryDirectory() as tmp:
@@ -298,6 +318,47 @@ class TestMain:
                      "--out", str(tmp_path / "e.csv")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("bilap: internal error: RuntimeError: eigenpair")
+        assert err[-1].endswith("on the 8x8 grid, even-even block")
+
+    def test_computation_value_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a profile whose density rho reaches 1 breaks avg_upper_bound's precondition
+        ball = avp.inscribed_ball_profile
+
+        def dense_ball(dom):
+            prof = ball(dom)
+            return dataclasses.replace(prof, l2_sq=2.0 * dom.volume * prof.sup_sq)
+
+        monkeypatch.setattr(avp, "inscribed_ball_profile", dense_ball)
+        assert main(["avp", "--domain", "interval:1", "--k", "1",
+                     "--out", str(tmp_path / "a.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("bilap: internal error: ValueError: profile density")
+
+    @pytest.mark.parametrize("argv", [
+        ["roots", "--n", "0"],
+        ["spectrum1d", "--count", "0"],
+        ["spectrum1d", "--length", "0"],
+        ["spectrum1d", "--length", "inf"],
+        ["riesz1d", "--z", "nan"],
+        ["lemma-onedim", "--r-grid", "nan"],
+        ["constants", "--dims", "0..2"],
+        ["constants", "--a", "-1"],
+        ["predict", "--bc", "navier", "--a", "2"],
+        ["predict", "--domain", "interval:1"],
+        ["avp", "--k", "0"],
+        ["avp", "--t", "0"],
+        ["avp", "--h", "0.6"],
+        ["avp", "--grid-res", "10"],
+        ["eig2d", "--grids", "3", "--k", "10"],
+        ["eig2d", "--grids", "1", "--k", "1"],
+        ["eig2d", "--k", "0"],
+        ["eig2d", "--domain", "interval:1"],
+        ["compare", "--grids", "2,3,4", "--k", "5"],
+        ["compare", "--domain", "interval:1", "--grids", "8,12,16"],
+    ])
+    def test_invalid_flag_values_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_factorisation_fault_exits_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError is a ValueError, yet no configuration error

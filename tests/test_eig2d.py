@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bilap import eig2d
+from bilap import checks, eig2d
 from bilap.core import DomainSpec
 from bilap.eig2d import (
     DiscreteOperator,
@@ -246,6 +248,83 @@ class TestSolver:
         err = [abs(beam_lambda1(n) - exact) for n in (40, 80)]
         assert err[1] <= err[0] / 3.0  # ~second order
         assert err[1] <= 0.01 * exact
+
+
+def _parity_basis(n: int, parity: int) -> np.ndarray:
+    """Orthonormal columns spanning the vectors v with v[n-1-i] = parity v[i]."""
+    cols = []
+    for i in range(n // 2):
+        col = np.zeros(n)
+        col[i], col[n - 1 - i] = 1.0, float(parity)
+        cols.append(col / math.sqrt(2.0))
+    if n % 2 and parity > 0:
+        col = np.zeros(n)
+        col[n // 2] = 1.0
+        cols.append(col)
+    return np.array(cols).T
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("nx", [2, 3])
+    @pytest.mark.parametrize("ny", [2, 3])
+    @pytest.mark.parametrize("px", [1, -1])
+    @pytest.mark.parametrize("py", [1, -1])
+    def test_block_is_the_folded_full_operator(self, nx, ny, px, py):
+        grid = Grid2D(nx, ny, DomainSpec.rectangle(1.0, 1.45))
+        full = assemble_clamped_bilaplacian(grid)
+        q = np.kron(_parity_basis(nx, px), _parity_basis(ny, py))
+        block = assemble_clamped_bilaplacian(grid, (px, py))
+        assert block.parity == (px, py)
+        assert block.symmetry_defect() == 0.0
+        oracle = q.T @ full.matrix.toarray() @ q
+        assert np.abs(block.matrix.toarray() - oracle).max() <= 1e-12 * full.norm_inf()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 20), lx=st.floats(0.5, 2.0), ly=st.floats(0.5, 2.0),
+           data=st.data())
+    def test_block_solve_matches_a_dense_solve_of_the_full_operator(self, n, lx, ly, data):
+        k = data.draw(st.integers(1, n * n), label="k")
+        dom = DomainSpec.rectangle(lx, ly)
+        full = assemble_clamped_bilaplacian(Grid2D(n, n, dom)).matrix.toarray()
+        oracle = np.linalg.eigvalsh(full)[:k]
+        values = np.array(clamped_spectrum_fd(dom, n, k).values)
+        assert (np.abs(values - oracle) / oracle).max() <= 1e-10
+
+    @staticmethod
+    def _counted_solves(monkeypatch) -> list[tuple[int, int]]:
+        calls = []
+        solve = eig2d.smallest_eigs
+
+        def counted(op, k):
+            calls.append((op.dim, k))
+            return solve(op, k)
+
+        monkeypatch.setattr(eig2d, "smallest_eigs", counted)
+        return calls
+
+    @pytest.mark.parametrize("initial", [lambda k: 1, lambda k: k // 4])
+    def test_short_blocks_are_solved_again(self, monkeypatch, initial):
+        # k // 4 modes per block give 48 values, but the even-even block holds
+        # 14 of the first 48: only the coverage certificate asks for more
+        dom = DomainSpec.rectangle(1.0, 1.45)
+        expected = np.array(clamped_spectrum_fd(dom, 24, 48).values)
+        calls = self._counted_solves(monkeypatch)
+        monkeypatch.setattr(eig2d, "_initial_block_modes", initial)
+        values = np.array(clamped_spectrum_fd(dom, 24, 48).values)
+        assert len(calls) > 4
+        assert (np.abs(values - expected) / expected).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", sorted(checks.FD_SOLVE_MODES))
+    def test_sweep_grids_factorise_only_blocks(self, monkeypatch, unit_square, n):
+        calls = self._counted_solves(monkeypatch)
+        clamped_spectrum_fd(unit_square, n, checks.FD_SOLVE_MODES[n])
+        assert len(calls) >= 4
+        assert max(dim for dim, _ in calls) <= math.ceil(n / 2) ** 2
+
+    def test_mode_count_validation(self, unit_square):
+        for k in (0, 17):
+            with pytest.raises(ValueError, match="outside"):
+                clamped_spectrum_fd(unit_square, 4, k)
 
 
 class TestFormEnergies:
