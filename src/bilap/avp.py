@@ -355,10 +355,11 @@ def partition_lower_bound(profile: TestFunctionProfile, t: float) -> tuple[float
 # Geometry-explicit average bounds
 # ----------------------------------------------------------------------------
 
-def rough_bound(dom: DomainSpec, d: int, k: int) -> float:
+def rough_bound(dom: DomainSpec, k: int) -> float:
     """Inradius-only average upper bound (valid for every k >= 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    d = dom.dimension
     dc = dimensional_constants(d)
     vol = dom.volume
     kv = k / vol
@@ -368,24 +369,24 @@ def rough_bound(dom: DomainSpec, d: int, k: int) -> float:
         + dc.c_d)
 
 
-def collar_width_for_k(dom: DomainSpec, d: int, k: int,
-                       eps: float = EPSILON_DEFAULT) -> float:
+def collar_width_for_k(dom: DomainSpec, k: int, eps: float = EPSILON_DEFAULT) -> float:
     """Collar width h(k) = sqrt((d+4)/4) A_d C_d^(-1/2) (k/|O|)^(-1/d) eps."""
+    d = dom.dimension
     dc = dimensional_constants(d)
     return (math.sqrt((d + 4.0) / 4.0) * dc.grad_sup / math.sqrt(dc.classical)
             * (k / dom.volume) ** (-1.0 / d) * eps)
 
 
-def explicit_sum_threshold(dom: DomainSpec, d: int,
-                           eps: float = EPSILON_DEFAULT) -> float:
+def explicit_sum_threshold(dom: DomainSpec, eps: float = EPSILON_DEFAULT) -> float:
     """Smallest admissible k: the collar width h(k) must not exceed the
     inradius, i.e. k >= |O| ((d+4)/4)^(d/2) (A_d eps / (C_d^(1/2) r))^d."""
+    d = dom.dimension
     dc = dimensional_constants(d)
     return dom.volume * ((d + 4.0) / 4.0) ** (d / 2.0) \
         * (dc.grad_sup * eps / (math.sqrt(dc.classical) * dom.inradius)) ** d
 
 
-def step_average_bound(dom: DomainSpec, d: int, k: int, h: float) -> float:
+def step_average_bound(dom: DomainSpec, k: int, h: float) -> float:
     """Certified average upper bound at collar width h with the exact |w_h|.
 
     Branches on the dimension exactly as the derivation does: the d = 2, 3
@@ -393,6 +394,7 @@ def step_average_bound(dom: DomainSpec, d: int, k: int, h: float) -> float:
     """
     if not (0.0 < h <= dom.inradius):
         raise ValueError(f"h={h} outside (0, inradius]")
+    d = dom.dimension
     dc = dimensional_constants(d)
     vol = dom.volume
     w = tube_volume(dom, h)
@@ -417,18 +419,18 @@ def _epsilon_bracket(d: int, eps: float) -> float:
     return eps + 2.0 / eps + 4.0 / (d + 4.0) * dc.lap_sup ** 2 / dc.grad_sup ** 4 / eps ** 3
 
 
-def second_term_coefficient(dom: DomainSpec, d: int,
-                            eps: float = EPSILON_DEFAULT) -> float:
+def second_term_coefficient(dom: DomainSpec, eps: float = EPSILON_DEFAULT) -> float:
     """Coefficient A with second-term = A k^(3/d); at eps = sqrt(2) this is
-    M_d (|dO|/|O|) C_d^(3/2) |O|^(-3/d), the constant fed to the individual
+    M_d (|dO|/|O|) C_d^(3/2) |O|^(-3/d), the constant of the individual
     eigenvalue sandwich."""
+    d = dom.dimension
     dc = dimensional_constants(d)
     return (math.sqrt(4.0 / (d + 4.0)) * dc.grad_sup * dc.classical ** 1.5
             * (dom.boundary_measure / dom.volume) * dom.volume ** (-3.0 / d)
             * _epsilon_bracket(d, eps))
 
 
-def explicit_sum_bound(dom: DomainSpec, d: int, k: int,
+def explicit_sum_bound(dom: DomainSpec, k: int,
                        eps: float = EPSILON_DEFAULT) -> tuple[float, float, float]:
     """(main, second, remainder): asymptotically sharp average upper bound.
 
@@ -441,18 +443,19 @@ def explicit_sum_bound(dom: DomainSpec, d: int, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    threshold = explicit_sum_threshold(dom, d, eps)
+    threshold = explicit_sum_threshold(dom, eps)
     if k < threshold:
         raise ThresholdError(
             f"k={k} below admissible threshold {threshold:.3f}; use rough_bound")
+    d = dom.dimension
     dc = dimensional_constants(d)
     vol, per = dom.volume, dom.boundary_measure
     kv = k / vol
     main = d / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d)
     second = (math.sqrt(4.0 / (d + 4.0)) * dc.grad_sup * dc.classical ** 1.5
               * kv ** (3.0 / d) * (per / vol) * _epsilon_bracket(d, eps))
-    h = collar_width_for_k(dom, d, k, eps)
-    certified = step_average_bound(dom, d, k, h)
+    h = collar_width_for_k(dom, k, eps)
+    certified = step_average_bound(dom, k, h)
     return main, second, certified - main - second
 
 
@@ -460,18 +463,16 @@ def explicit_sum_bound(dom: DomainSpec, d: int, k: int,
 # Individual eigenvalue sandwich
 # ----------------------------------------------------------------------------
 
-def individual_bounds(dom: DomainSpec, d: int, A: float, k: int) -> tuple[float, float]:
+def individual_bounds(dom: DomainSpec, k: int) -> tuple[float, float]:
     """Asymptotically Weyl-sharp sandwich from the averaged bounds.
 
     ``lower`` bounds Lambda_k from below; ``upper`` bounds Lambda_{k+1} (and
-    therefore Lambda_k as well) from above.  ``A`` is the second-term
-    coefficient of an average upper bound, normally
-    explicit_sum_bound's second / (k/|O|)^(3/d).
+    therefore Lambda_k as well) from above.  The second-term constant A is
+    that of the explicit sum bound, ``second_term_coefficient(dom)``.
     """
-    if not (A > 0.0):
-        raise ValueError("A must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
+    d, A = dom.dimension, second_term_coefficient(dom)
     dc = dimensional_constants(d)
     vol = dom.volume
     c2 = dc.classical ** 2
@@ -490,12 +491,14 @@ def individual_bounds(dom: DomainSpec, d: int, A: float, k: int) -> tuple[float,
     return lower, upper
 
 
-def modulus_bound(dom: DomainSpec, d: int, A: float, k: int) -> float:
-    """Envelope C(d, |O|, A) k^(7/(2d)) dominating |Lambda_k - Weyl term|.
+def modulus_bound(dom: DomainSpec, k: int) -> float:
+    """Envelope C(d, |O|, A) k^(7/(2d)) dominating |Lambda_k - Weyl term|,
+    with A = ``second_term_coefficient(dom)`` as in ``individual_bounds``.
 
     The constant collects every subleading coefficient of the two displays
     (each k-power below 7/(2d) is majorised by k^(7/(2d)) for k >= 1).
     """
+    d, A = dom.dimension, second_term_coefficient(dom)
     dc = dimensional_constants(d)
     vol = dom.volume
     c2 = dc.classical ** 2
@@ -522,8 +525,8 @@ class KroegerLaptevPoint:
     interval: Optional[tuple[float, float]]
 
 
-def kroeger_laptev_refined(spec: Spectrum, dom: DomainSpec, d: int, k: int) -> KroegerLaptevPoint:
-    """Evaluate the refined average bound at index k.
+def kroeger_laptev_refined(spec: Spectrum, dom: DomainSpec, k: int) -> KroegerLaptevPoint:
+    """Evaluate the refined average bound at index k, in the dimension of ``dom``.
 
     m_k = C_d^2 (k/|O|)^(4/d);  S_k = ((d+4)/d) (avg of first k) / m_k;
     when S_k <= 1 the next eigenvalue lies in m_k (1 -/+ sqrt(1-S_k))^2.
@@ -532,6 +535,7 @@ def kroeger_laptev_refined(spec: Spectrum, dom: DomainSpec, d: int, k: int) -> K
         raise ValueError("k must be >= 1")
     if len(spec.values) < k + 1:
         raise ValueError(f"need at least {k + 1} eigenvalues, have {len(spec.values)}")
+    d = dom.dimension
     dc = dimensional_constants(d)
     m_k = dc.classical ** 2 * (k / dom.volume) ** (4.0 / d)
     avg = sum(spec.values[:k]) / k
@@ -542,14 +546,14 @@ def kroeger_laptev_refined(spec: Spectrum, dom: DomainSpec, d: int, k: int) -> K
     return KroegerLaptevPoint(k, m_k, s_k, (m_k * (1.0 - root) ** 2, m_k * (1.0 + root) ** 2))
 
 
-def kroeger_laptev_report(spec: Spectrum, dom: DomainSpec, d: int,
-                          k_max: int) -> list[BoundReport]:
+def kroeger_laptev_report(spec: Spectrum, dom: DomainSpec, k_max: int) -> list[BoundReport]:
     """Reports: S_k <= 1, interval containment of omega_{k+1}, and the
-    quadratic form m_k (1 - S_k) >= (sqrt(omega_{k+1}) - sqrt(m_k))^2."""
-    label = "kroeger-laptev-extrapolated-d1"
+    quadratic form m_k (1 - S_k) >= (sqrt(omega_{k+1}) - sqrt(m_k))^2,
+    labelled with the dimension of ``dom``."""
+    label = f"kroeger-laptev-extrapolated-d{dom.dimension}"
     out: list[BoundReport] = []
     for k in range(1, k_max + 1):
-        pt = kroeger_laptev_refined(spec, dom, d, k)
+        pt = kroeger_laptev_refined(spec, dom, k)
         params = {"k": k}
         out.append(BoundReport.less_equal(
             f"{label}-sk", pt.s_k, 1.0, "technical_lemma", params=params))

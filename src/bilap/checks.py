@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import avp, eig2d, riesz, roots1d, semiclassical, spectra1d
-from .core import BoundaryCondition, BoundReport, DomainSpec, Spectrum
+from .core import BCKind, BoundaryCondition, BoundReport, DomainSpec, Spectrum
 
 __all__ = ["Check", "Context", "REGISTRY", "run_all", "riesz_rows", "lattice_rows"]
 
@@ -167,10 +167,9 @@ def _coefficients(ctx: Context) -> list[BoundReport]:
     rows = []
     for d in (2, 3, 4):
         for a in NEUMANN_A:
-            ca = semiclassical.expansion_coefficients(
-                BoundaryCondition.neumann(a), d, "arctan_g")
-            cb = semiclassical.expansion_coefficients(
-                BoundaryCondition.neumann(a), d, "arctan_inv_g")
+            bc = BoundaryCondition(BCKind.NEUMANN, a)
+            ca = semiclassical.expansion_coefficients(bc, d, "arctan_g")
+            cb = semiclassical.expansion_coefficients(bc, d, "arctan_inv_g")
             rows.append(BoundReport.less_equal(
                 "neumann-c1-forms-agree", abs(ca.c1 - cb.c1), 1e-9, "c1neu",
                 params={"d": d, "a": a}))
@@ -183,7 +182,7 @@ def _coefficients(ctx: Context) -> list[BoundReport]:
 
 def _kroeger_laptev(ctx: Context) -> list[BoundReport]:
     spec23 = spectra1d.spectrum_1d((2, 3), KL_K + 2)
-    rows = avp.kroeger_laptev_report(spec23, DomainSpec.interval(1.0), 1, KL_K)
+    rows = avp.kroeger_laptev_report(spec23, DomainSpec.interval(1.0), KL_K)
     worst_young = -math.inf
     for p in YOUNG_LATTICE:
         for x in YOUNG_LATTICE:
@@ -208,7 +207,7 @@ def _averages(ctx: Context) -> list[BoundReport]:
         fd_avg = sum(limits[:k]) / k
         band = sum(bands[:k]) / k
         rows.append(BoundReport.less_equal(
-            "average-lower-weyl", semiclassical.predict_average_leading(2, ctx.dom, k),
+            "average-lower-weyl", semiclassical.predict_average_leading(ctx.dom, k),
             fd_avg + band, "weyl_dirichlet_biharmonic", params={"k": k}))
         for prof in profiles:
             rows.append(BoundReport.less_equal(
@@ -232,10 +231,9 @@ def _heat_trace(ctx: Context) -> list[BoundReport]:
 
 def _individual(ctx: Context) -> list[BoundReport]:
     limits, bands = ctx.richardson
-    A = avp.second_term_coefficient(ctx.dom, 2)
     rows = []
     for k in INDIVIDUAL_K:
-        lower, upper = avp.individual_bounds(ctx.dom, 2, A, k)
+        lower, upper = avp.individual_bounds(ctx.dom, k)
         rows.append(BoundReport.less_equal(
             "individual-lower", lower, limits[k - 1] + bands[k - 1],
             "dirichlet_ineq_1_2", params={"k": k}))

@@ -9,11 +9,12 @@ and ``all`` share ``eig2d.richardson_ladder``; only ``eig2d`` has ``--cache``,
 keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
 2 configuration error (``ConfigError`` from parsing or validating flags and
-config values, or an ``OSError``), 3 internal error: any other
+config keys and values, or an ``OSError``), 3 internal error: any other
 ``ValueError`` raised by a computation (a violated precondition such as
 ``avg_upper_bound``'s rho < 1, or a failed factorisation,
-``numpy.linalg.LinAlgError``), or a failed self-check, such as the profile
-range check or the eigensolve certificate.
+``numpy.linalg.LinAlgError``), an ``ArithmeticError`` such as an overflow,
+or a failed self-check, such as the profile range check or the eigensolve
+certificate.
 Reported-only rows never affect the exit code.  Two runs with the same
 configuration produce byte-identical output apart from the timestamp
 header line.
@@ -293,7 +294,7 @@ def cmd_riesz1d(args) -> list[BoundReport]:
 
 def cmd_lemma_onedim(args) -> list[BoundReport]:
     radii = parse_range(args.r_grid)
-    _require(all(r >= 0.0 for r in radii), "--r-grid values must be >= 0")
+    _require(all(0.0 <= r < math.inf for r in radii), "--r-grid values must be finite and >= 0")
     return checks.lattice_rows(radii)
 
 
@@ -338,25 +339,29 @@ def cmd_predict(args) -> list[BoundReport]:
     ks = parse_int_range(args.k)
     _require(dom.dimension >= 2, "predict needs square:L or rect:LxW")
     _require(all(k >= 1 for k in ks), "--k must be >= 1")
+    try:
+        bc.check_admissible(dom.dimension)
+    except ValueError as exc:
+        raise ConfigError(f"--a: {exc}") from exc
     reports = []
     for k in ks:
-        val = semiclassical.predict_eigenvalue(bc, dom.dimension, dom, k)
+        val = semiclassical.predict_eigenvalue(bc, dom, k)
         reports.append(BoundReport.value_row(
             "two-term-prediction", val, "weyl_dirichlet_biharmonic_single",
             params={"k": k, "bc": bc.label(), "note": "asymptotic, smooth-domain hypothesis"}))
         if bc.kind is BCKind.DIRICHLET:
             reports.append(BoundReport.value_row(
-                "two-term-average", semiclassical.predict_average(dom.dimension, dom, k),
+                "two-term-average", semiclassical.predict_average(dom, k),
                 "weyl_dirichlet_biharmonic", params={"k": k}))
     return reports
 
 
 def cmd_avp(args) -> list[BoundReport]:
     dom = parse_domain(args.domain)
-    d = dom.dimension
     ks, zs, ts = parse_int_range(args.k), parse_range(args.z), parse_range(args.t)
     _require(all(k >= 1 for k in ks), "--k must be >= 1")
-    _require(all(v > 0.0 for v in (*zs, *ts)), "--z and --t values must be positive")
+    _require(all(0.0 < v < math.inf for v in (*zs, *ts)),
+             "--z and --t values must be positive and finite")
     ball = avp.inscribed_ball_profile(dom)
     profiles = [ball]
     if dom.shape == "rectangle":
@@ -370,10 +375,10 @@ def cmd_avp(args) -> list[BoundReport]:
                 "avg-upper-bound", avp.avg_upper_bound(prof, k),
                 "evsums-DirichletbiLaplacian1", params={"k": k, "profile": prof.kind}))
         reports.append(BoundReport.value_row(
-            "rough-bound", avp.rough_bound(dom, d, k),
+            "rough-bound", avp.rough_bound(dom, k),
             "rough_estimate_bilaplacian", params={"k": k}))
         try:
-            main, second, rem = avp.explicit_sum_bound(dom, d, k)
+            main, second, rem = avp.explicit_sum_bound(dom, k)
             reports.append(BoundReport.value_row(
                 "explicit-sum-bound", main + second + rem, "explicit_sum",
                 params={"k": k, "main": main, "second": second, "remainder": rem}))
@@ -394,8 +399,9 @@ def cmd_avp(args) -> list[BoundReport]:
 
 
 def cmd_kroeger_laptev(args) -> list[BoundReport]:
+    _require(args.k >= 1, "--k must be >= 1")
     spec = spectra1d.spectrum_1d((2, 3), args.k + 1)
-    return avp.kroeger_laptev_report(spec, DomainSpec.interval(1.0), 1, args.k)
+    return avp.kroeger_laptev_report(spec, DomainSpec.interval(1.0), args.k)
 
 
 def cmd_eig2d(args) -> list[BoundReport]:
@@ -522,6 +528,12 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p = sub.add_parser("all", help="full verification sweep")
     common(p)
+    if config_defaults:
+        # a key of another subcommand is harmless; one of no subcommand is a typo
+        flags = {action.dest for sp in sub.choices.values() for action in sp._actions}
+        unknown = sorted(set(config_defaults) - flags)
+        _require(not unknown, f"config key(s) {', '.join(map(repr, unknown))} "
+                              f"name no flag of any subcommand")
     return parser
 
 
@@ -554,9 +566,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError) as exc:  # load_config raises JSON errors as ConfigError
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2
-    # any other ValueError, numpy's LinAlgError included, comes from a
-    # computation; ResolutionError and _certify failures are RuntimeErrors
-    except (AssertionError, RuntimeError, ValueError) as exc:
+    # any other ValueError, numpy's LinAlgError included, or ArithmeticError
+    # (an overflow) comes from a computation; ResolutionError and _certify
+    # failures are RuntimeErrors
+    except (ArithmeticError, AssertionError, RuntimeError, ValueError) as exc:
         print(f"bilap: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     failed = sum(1 for r in reports if r.asserted and not r.holds)

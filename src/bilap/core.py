@@ -52,26 +52,6 @@ class BoundaryCondition:
         if a == 1.0 and self.kind in (BCKind.DIRICHLET, BCKind.NEUMANN):
             raise ValueError(f"a = 1 is not admissible for {self.kind.value}")
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def dirichlet(cls) -> "BoundaryCondition":
-        return cls(BCKind.DIRICHLET)
-
-    @classmethod
-    def navier(cls, a: float) -> "BoundaryCondition":
-        return cls(BCKind.NAVIER, poisson_ratio=a)
-
-    @classmethod
-    def kuttler_sigillito(cls, a: float) -> "BoundaryCondition":
-        return cls(BCKind.KUTTLER_SIGILLITO, poisson_ratio=a)
-
-    @classmethod
-    def neumann(cls, a: float) -> "BoundaryCondition":
-        return cls(BCKind.NEUMANN, poisson_ratio=a)
-
-    # -- queries -------------------------------------------------------------
-
     @property
     def is_limit_case(self) -> bool:
         """True when a = 1 (square-of-Laplacian identification)."""

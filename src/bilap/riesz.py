@@ -129,8 +129,8 @@ def lemma_onedim_bounds(
       integers:      sum (R^4 - n^4)_+        - (4/5) R^5 + (1/2) R^4
       half_integers: sum (R^4 - (n+1/2)^4)_+  - (4/5) R^5 + R^4
     """
-    if R < 0.0:
-        raise ValueError("R must be >= 0")
+    if not (0.0 <= R < math.inf):
+        raise ValueError(f"R={R} outside [0, inf)")
     if variant == "integers":
         total = 0.0
         n = 1

@@ -232,13 +232,12 @@ def _second_term_factor(bc: BoundaryCondition, d: int) -> float:
     return -coeffs.c1 / base
 
 
-def predict_eigenvalue(bc: BoundaryCondition, d: int, dom: DomainSpec, k: int) -> float:
-    """Two-term prediction of the k-th eigenvalue (asymptotic, smooth-domain
-    hypothesis; exact only in the large-k limit)."""
+def predict_eigenvalue(bc: BoundaryCondition, dom: DomainSpec, k: int) -> float:
+    """Two-term prediction of the k-th eigenvalue on ``dom``, in its dimension
+    (asymptotic, smooth-domain hypothesis; exact only in the large-k limit)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if dom.dimension != d:
-        raise ValueError(f"domain dimension {dom.dimension} != requested d={d}")
+    d = dom.dimension
     dc = dimensional_constants(d)
     dc_minus = dimensional_constants(d - 1)
     vol, per = dom.volume, dom.boundary_measure
@@ -248,12 +247,11 @@ def predict_eigenvalue(bc: BoundaryCondition, d: int, dom: DomainSpec, k: int) -
     return lead + second
 
 
-def predict_average(d: int, dom: DomainSpec, k: int) -> float:
+def predict_average(dom: DomainSpec, k: int) -> float:
     """Two-term prediction of the first-k Dirichlet eigenvalue average."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if dom.dimension != d:
-        raise ValueError(f"domain dimension {dom.dimension} != requested d={d}")
+    d = dom.dimension
     dc = dimensional_constants(d)
     dc_minus = dimensional_constants(d - 1)
     vol, per = dom.volume, dom.boundary_measure
@@ -264,10 +262,11 @@ def predict_average(d: int, dom: DomainSpec, k: int) -> float:
     return lead + second
 
 
-def predict_average_leading(d: int, dom: DomainSpec, k: int) -> float:
+def predict_average_leading(dom: DomainSpec, k: int) -> float:
     """The Weyl leading term of the average; also the universal lower bound
     for Dirichlet-type averages."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    d = dom.dimension
     dc = dimensional_constants(d)
     return d / (d + 4.0) * dc.classical ** 2 * (k / dom.volume) ** (4.0 / d)

@@ -270,7 +270,7 @@ class TestAverageUpperBound:
             grad_l2_sq=0.0, lap_l2_sq=0.0, sup_sq=1.0)
         for k in (1, 5, 20):
             bound = avg_upper_bound(ideal, k)
-            assert bound == pytest.approx(predict_average_leading(2, unit_square, k), rel=1e-9)
+            assert bound == pytest.approx(predict_average_leading(unit_square, k), rel=1e-9)
 
     def test_monotone_in_energy_ratios(self, unit_square):
         p = inscribed_ball_profile(unit_square)
@@ -349,76 +349,76 @@ class TestRoughBound:
         # s^-4, the natural fourth-order covariance
         small, big = DomainSpec.square(1.0), DomainSpec.square(2.0)
         for k in (1, 10, 40):
-            assert rough_bound(big, 2, k) == pytest.approx(
-                rough_bound(small, 2, k) / 16.0, rel=1e-12)
+            assert rough_bound(big, k) == pytest.approx(
+                rough_bound(small, k) / 16.0, rel=1e-12)
 
     def test_dominates_fd_first_eigenvalue(self, unit_square, clamped_richardson):
         limits, bands = clamped_richardson
-        assert rough_bound(unit_square, 2, 1) >= limits[0] - bands[0]
+        assert rough_bound(unit_square, 1) >= limits[0] - bands[0]
 
     def test_dominates_fd_averages(self, unit_square, clamped_richardson):
         limits, _ = clamped_richardson
         for k in (1, 5, 10, 30, 50):
-            assert rough_bound(unit_square, 2, k) >= limits[:k].mean()
+            assert rough_bound(unit_square, k) >= limits[:k].mean()
 
 
 class TestExplicitSumBound:
     def test_threshold_is_collar_feasibility(self, unit_square):
-        k0 = explicit_sum_threshold(unit_square, 2)
-        h_at = collar_width_for_k(unit_square, 2, math.ceil(k0))
+        k0 = explicit_sum_threshold(unit_square)
+        h_at = collar_width_for_k(unit_square, math.ceil(k0))
         assert h_at <= unit_square.inradius
-        assert collar_width_for_k(unit_square, 2, math.floor(k0) - 1) > unit_square.inradius
+        assert collar_width_for_k(unit_square, math.floor(k0) - 1) > unit_square.inradius
 
     def test_below_threshold_raises(self, unit_square):
         with pytest.raises(ThresholdError):
-            explicit_sum_bound(unit_square, 2, 10)
+            explicit_sum_bound(unit_square, 10)
 
     def test_certified_sum_dominates_fd_average(self, unit_square, clamped_richardson):
         limits, _ = clamped_richardson
-        k0 = math.ceil(explicit_sum_threshold(unit_square, 2))
+        k0 = math.ceil(explicit_sum_threshold(unit_square))
         for k in range(k0, 51):
-            main, second, rem = explicit_sum_bound(unit_square, 2, k)
+            main, second, rem = explicit_sum_bound(unit_square, k)
             assert limits[:k].mean() <= main + second + rem
 
     def test_sum_equals_step_bound(self, unit_square):
         k = 100
-        main, second, rem = explicit_sum_bound(unit_square, 2, k)
-        h = collar_width_for_k(unit_square, 2, k)
+        main, second, rem = explicit_sum_bound(unit_square, k)
+        h = collar_width_for_k(unit_square, k)
         assert main + second + rem == pytest.approx(
-            step_average_bound(unit_square, 2, k, h), rel=1e-12)
+            step_average_bound(unit_square, k, h), rel=1e-12)
 
     def test_remainder_vanishes_against_second_term(self, unit_square):
         ratios = []
         for k in (100, 1000, 10000):
-            _, _, rem = explicit_sum_bound(unit_square, 2, k)
+            _, _, rem = explicit_sum_bound(unit_square, k)
             ratios.append(rem / k ** 1.5)
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_remainder_k_to_2_over_d_envelope(self, unit_square):
         # on convex rectangles the remainder is O(k^(2/d)); the normalised
         # sequence must be bounded by its early maximum
-        seq = [explicit_sum_bound(unit_square, 2, k)[2] / k for k in (200, 1000, 5000, 20000)]
+        seq = [explicit_sum_bound(unit_square, k)[2] / k for k in (200, 1000, 5000, 20000)]
         assert max(seq) == seq[0]
 
     def test_second_coefficient_matches_m_d(self, unit_square):
         dc = dimensional_constants(2)
         k = 64
-        _, second, _ = explicit_sum_bound(unit_square, 2, k)
+        _, second, _ = explicit_sum_bound(unit_square, k)
         expected = dc.m_d * unit_square.boundary_measure / unit_square.volume \
             * dc.classical ** 1.5 * (k / unit_square.volume) ** 1.5
         assert second == pytest.approx(expected, rel=1e-12)
-        assert second_term_coefficient(unit_square, 2) * k ** 1.5 == pytest.approx(
+        assert second_term_coefficient(unit_square) * k ** 1.5 == pytest.approx(
             second, rel=1e-12)
 
     def test_epsilon_sweep_stays_certified(self, unit_square, clamped_richardson):
         limits, _ = clamped_richardson
         fd_avg = limits.mean()  # first 50 modes
         for eps in (1.0, 1.2, EPSILON_DEFAULT, 1.45):
-            main, second, rem = explicit_sum_bound(unit_square, 2, 50, eps=eps)
+            main, second, rem = explicit_sum_bound(unit_square, 50, eps=eps)
             assert fd_avg <= main + second + rem, eps
         # wider collars push the feasibility threshold above k = 50
         with pytest.raises(ThresholdError):
-            explicit_sum_bound(unit_square, 2, 50, eps=2.0)
+            explicit_sum_bound(unit_square, 50, eps=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -426,12 +426,12 @@ def gap_ratios(unit_square):
     from bilap.semiclassical import predict_average
     ratios = []
     for k in (100, 1000, 10000):
-        h = collar_width_for_k(unit_square, 2, k)
+        h = collar_width_for_k(unit_square, k)
         profile = mollified_indicator_profile(unit_square, h, 64)
         bound_gap = avg_upper_bound(profile, k) \
-            - predict_average_leading(2, unit_square, k)
-        weyl_gap = predict_average(2, unit_square, k) \
-            - predict_average_leading(2, unit_square, k)
+            - predict_average_leading(unit_square, k)
+        weyl_gap = predict_average(unit_square, k) \
+            - predict_average_leading(unit_square, k)
         ratios.append(bound_gap / weyl_gap)
     return ratios
 
@@ -445,12 +445,12 @@ class TestCollarFamilyTrend:
         assert gap_ratios[2] < 0.5 * gap_ratios[0]
 
     def test_gap_stays_below_certified_second_term(self, unit_square):
-        A = second_term_coefficient(unit_square, 2)
+        A = second_term_coefficient(unit_square)
         for k in (1000, 10000):
-            h = collar_width_for_k(unit_square, 2, k)
+            h = collar_width_for_k(unit_square, k)
             profile = mollified_indicator_profile(unit_square, h, 64)
             bound_gap = avg_upper_bound(profile, k) \
-                - predict_average_leading(2, unit_square, k)
+                - predict_average_leading(unit_square, k)
             assert bound_gap <= A * k ** 1.5
 
     @pytest.mark.xfail(
@@ -465,48 +465,42 @@ class TestCollarFamilyTrend:
 class TestIndividualBounds:
     def test_leading_terms_coincide(self, unit_square):
         # the correction is O(k^(7/(2d))), i.e. relative O(k^(-1/4)) at d=2
-        A = second_term_coefficient(unit_square, 2)
         lead = lambda k: dimensional_constants(2).classical ** 2 * k ** 2
         deviations = []
         for k in (10 ** 12, 10 ** 16):
-            lower, upper = individual_bounds(unit_square, 2, A, k)
+            lower, upper = individual_bounds(unit_square, k)
             deviations.append(max(abs(lower / lead(k) - 1.0), abs(upper / lead(k) - 1.0)))
         assert deviations[1] <= 1e-2
         assert deviations[1] <= 0.15 * deviations[0]  # ~ (1e4)^(1/4) gain
 
     def test_envelope_exponent(self, unit_square):
-        A = second_term_coefficient(unit_square, 2)
-        assert modulus_bound(unit_square, 2, A, 4 * 10 ** 6) / \
-            modulus_bound(unit_square, 2, A, 10 ** 6) == pytest.approx(4 ** (7 / 4), rel=1e-12)
+        assert modulus_bound(unit_square, 4 * 10 ** 6) / \
+            modulus_bound(unit_square, 10 ** 6) == pytest.approx(4 ** (7 / 4), rel=1e-12)
 
     def test_fd_sandwich_20_to_50(self, unit_square, clamped_richardson):
-        A = second_term_coefficient(unit_square, 2)
         limits, bands = clamped_richardson
         for k in INDIVIDUAL_K:
-            lower, upper = individual_bounds(unit_square, 2, A, k)
+            lower, upper = individual_bounds(unit_square, k)
             assert lower <= limits[k - 1] + bands[k - 1]
             assert limits[k - 1] - bands[k - 1] <= upper
 
     def test_envelope_contains_fd_values(self, unit_square, clamped_richardson):
-        A = second_term_coefficient(unit_square, 2)
         limits, bands = clamped_richardson
         lead = dimensional_constants(2).classical ** 2
         for k in INDIVIDUAL_K:
             dev = abs(limits[k - 1] - lead * k ** 2)
-            assert dev <= modulus_bound(unit_square, 2, A, k) + bands[k - 1]
+            assert dev <= modulus_bound(unit_square, k) + bands[k - 1]
 
     def test_validation(self, unit_square):
         with pytest.raises(ValueError):
-            individual_bounds(unit_square, 2, -1.0, 5)
-        with pytest.raises(ValueError):
-            individual_bounds(unit_square, 2, 1.0, 0)
+            individual_bounds(unit_square, 0)
 
 
 class TestKroegerLaptev:
     def test_1d_neumann_k10(self):
         spec = spectrum_1d((2, 3), 12)
         dom = DomainSpec.interval(1.0)
-        pt = kroeger_laptev_refined(spec, dom, 1, 10)
+        pt = kroeger_laptev_refined(spec, dom, 10)
         assert pt.s_k < 1.0
         lo, hi = pt.interval
         assert lo <= spec.value(11) <= hi
@@ -514,8 +508,17 @@ class TestKroegerLaptev:
     def test_1d_neumann_full_range(self):
         spec = spectrum_1d((2, 3), 501)
         dom = DomainSpec.interval(1.0)
-        reports = kroeger_laptev_report(spec, dom, 1, 500)
+        reports = kroeger_laptev_report(spec, dom, 500)
         assert all(r.holds for r in reports if r.asserted)
+
+    def test_square_rows_are_labelled_and_computed_in_d2(self, unit_square, clamped_fd):
+        spec = Spectrum(tuple(clamped_fd[32]))
+        reports = kroeger_laptev_report(spec, unit_square, 3)
+        assert reports and all(r.check.startswith("kroeger-laptev-extrapolated-d2-")
+                               for r in reports)
+        # S_1 = ((d+4)/d) Lambda_1 / m_1 with m_1 = C_2^2 |O|^(-2) = 16 pi^2
+        assert reports[0].lhs == pytest.approx(3.0 * spec.value(1) / (16.0 * math.pi ** 2),
+                                               rel=1e-14)
 
     def test_interval_collapses_when_s_equals_one(self):
         # synthetic spectrum whose first-k average saturates the bound
@@ -523,7 +526,7 @@ class TestKroegerLaptev:
         m1 = dimensional_constants(1).classical ** 2  # m_k at k=1
         sat = m1 / 5.0  # (d+4)/d = 5 at d=1
         spec = Spectrum((sat, sat))
-        pt = kroeger_laptev_refined(spec, dom, 1, 1)
+        pt = kroeger_laptev_refined(spec, dom, 1)
         assert pt.s_k == pytest.approx(1.0, rel=1e-15)
         lo, hi = pt.interval
         assert lo == pytest.approx(pt.m_k) and hi == pytest.approx(pt.m_k)
@@ -532,13 +535,13 @@ class TestKroegerLaptev:
         dom = DomainSpec.interval(1.0)
         big = dimensional_constants(1).classical ** 2  # eigenvalue above m_1
         spec = Spectrum((big, big))
-        pt = kroeger_laptev_refined(spec, dom, 1, 1)
+        pt = kroeger_laptev_refined(spec, dom, 1)
         assert pt.s_k > 1.0 and pt.interval is None
 
     def test_needs_k_plus_one_values(self):
         spec = spectrum_1d((2, 3), 5)
         with pytest.raises(ValueError):
-            kroeger_laptev_refined(spec, DomainSpec.interval(1.0), 1, 5)
+            kroeger_laptev_refined(spec, DomainSpec.interval(1.0), 5)
 
 
 class TestYoungRefined:

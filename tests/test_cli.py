@@ -233,6 +233,19 @@ class TestConfig:
         assert main(["--config", str(cfg), "constants"]) == 0
         assert len(ran) == 1
 
+    def test_config_key_of_no_subcommand_exits_2(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "roots", lambda args: ran.append(args) or [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"formt": "json"}))
+        assert main(["--config", str(cfg), "roots"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'formt'" in err
+        assert ran == []
+        cfg.write_text(json.dumps({"grid_res": 80}))  # a flag of avp only
+        assert main(["--config", str(cfg), "roots"]) == 0
+        assert len(ran) == 1
+
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xff\xfe{")
@@ -355,10 +368,22 @@ class TestMain:
         ["eig2d", "--domain", "interval:1"],
         ["compare", "--grids", "2,3,4", "--k", "5"],
         ["compare", "--domain", "interval:1", "--grids", "8,12,16"],
+        ["lemma-onedim", "--r-grid", "inf"],
+        ["predict", "--bc", "navier", "--a", "-5"],
+        ["avp", "--z", "inf"],
+        ["avp", "--t", "inf"],
+        ["kroeger-laptev", "--k", "0"],
+        ["kroeger-laptev", "--k", "-5"],
     ])
     def test_invalid_flag_values_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_overflow_exits_3(self, capsys):
+        # the scale length ** -4 overflows a float
+        assert main(["spectrum1d", "--length", "1e-300", "--count", "2"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("bilap: internal error: OverflowError:")
 
     def test_factorisation_fault_exits_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError is a ValueError, yet no configuration error

@@ -125,15 +125,15 @@ class TestTubeVolume:
 
 class TestBoundaryCondition:
     def test_a_equal_one_only_for_navier_ks(self):
-        assert BoundaryCondition.navier(1.0).is_limit_case
-        assert BoundaryCondition.kuttler_sigillito(1.0).is_limit_case
+        assert BoundaryCondition(BCKind.NAVIER, 1.0).is_limit_case
+        assert BoundaryCondition(BCKind.KUTTLER_SIGILLITO, 1.0).is_limit_case
         with pytest.raises(ValueError):
-            BoundaryCondition.neumann(1.0)
+            BoundaryCondition(BCKind.NEUMANN, 1.0)
         with pytest.raises(ValueError):
             BoundaryCondition(BCKind.DIRICHLET, poisson_ratio=1.0)
 
     def test_admissible_range_depends_on_dimension(self):
-        bc = BoundaryCondition.navier(-0.6)
+        bc = BoundaryCondition(BCKind.NAVIER, -0.6)
         bc.check_admissible(2)  # (-1, 1]
         with pytest.raises(ValueError):
             bc.check_admissible(3)  # (-1/2, 1]

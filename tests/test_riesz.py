@@ -179,8 +179,9 @@ class TestLatticeSumLemma:
     def test_invalid_variant_and_range(self):
         with pytest.raises(ValueError):
             lemma_onedim_bounds(1.0, "thirds")
-        with pytest.raises(ValueError):
-            lemma_onedim_bounds(-1.0, "integers")
+        for R in (-1.0, math.nan, math.inf):  # inf would never finish the sum
+            with pytest.raises(ValueError):
+                lemma_onedim_bounds(R, "integers")
 
 
 class TestSecondTermFit:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bilap.core import BoundaryCondition, DomainSpec, dimensional_constants
+from bilap.core import BCKind, BoundaryCondition, DomainSpec, dimensional_constants
 from bilap.semiclassical import (
     adaptive_gauss_legendre,
     arctan_g,
@@ -86,23 +86,23 @@ class TestGNeumann:
 class TestExpansionCoefficients:
     def test_c0_is_weyl_constant(self):
         for d in (2, 3, 4):
-            co = expansion_coefficients(BoundaryCondition.dirichlet(), d)
+            co = expansion_coefficients(BoundaryCondition(BCKind.DIRICHLET), d)
             dc = dimensional_constants(d)
             assert co.c0 == pytest.approx((2 * math.pi) ** -d * dc.ball_volume, rel=1e-15)
 
     def test_navier_d2_closed_form(self):
-        co = expansion_coefficients(BoundaryCondition.navier(0.4), 2)
+        co = expansion_coefficients(BoundaryCondition(BCKind.NAVIER, 0.4), 2)
         assert co.c1 == pytest.approx(-1.0 / (4 * math.pi), rel=1e-14)
 
     def test_dirichlet_d2_value(self):
-        co = expansion_coefficients(BoundaryCondition.dirichlet(), 2)
+        co = expansion_coefficients(BoundaryCondition(BCKind.DIRICHLET), 2)
         assert co.c1 == pytest.approx(-0.140276, abs=1e-6)
 
     def test_sign_pattern(self):
         for d in (2, 3):
-            cd = expansion_coefficients(BoundaryCondition.dirichlet(), d).c1
-            cn = expansion_coefficients(BoundaryCondition.navier(0.2), d).c1
-            ck = expansion_coefficients(BoundaryCondition.kuttler_sigillito(0.2), d).c1
+            cd = expansion_coefficients(BoundaryCondition(BCKind.DIRICHLET), d).c1
+            cn = expansion_coefficients(BoundaryCondition(BCKind.NAVIER, 0.2), d).c1
+            ck = expansion_coefficients(BoundaryCondition(BCKind.KUTTLER_SIGILLITO, 0.2), d).c1
             assert cd < 0.0 and cn < 0.0 and ck > 0.0
             assert ck == pytest.approx(-cn, rel=1e-15)
 
@@ -115,8 +115,9 @@ class TestExpansionCoefficients:
     def test_neumann_two_forms_agree(self):
         for d in (2, 3, 4):
             for a in (-0.3, 0.0, 0.5, 0.9):
-                ca = expansion_coefficients(BoundaryCondition.neumann(a), d, "arctan_g")
-                cb = expansion_coefficients(BoundaryCondition.neumann(a), d, "arctan_inv_g")
+                bc = BoundaryCondition(BCKind.NEUMANN, a)
+                ca = expansion_coefficients(bc, d, "arctan_g")
+                cb = expansion_coefficients(bc, d, "arctan_inv_g")
                 assert abs(ca.c1 - cb.c1) <= 1e-9, (d, a)
                 assert ca.quadrature_error <= 1e-10
 
@@ -127,17 +128,17 @@ class TestExpansionCoefficients:
         integral, _ = neumann_boundary_integral(0.0, d)
         base = dimensional_constants(d - 1).ball_volume / (4 * (2 * math.pi) ** (d - 1))
         expected = base * (3.0 - 4.0 * (d - 1) / math.pi * integral)
-        co = expansion_coefficients(BoundaryCondition.neumann(0.0), d)
+        co = expansion_coefficients(BoundaryCondition(BCKind.NEUMANN, 0.0), d)
         assert co.c1 == pytest.approx(expected, rel=1e-12)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            expansion_coefficients(BoundaryCondition.dirichlet(), 1)
+            expansion_coefficients(BoundaryCondition(BCKind.DIRICHLET), 1)
         with pytest.raises(ValueError):
-            expansion_coefficients(BoundaryCondition.navier(-0.9), 3)  # outside (-1/2, 1]
+            expansion_coefficients(BoundaryCondition(BCKind.NAVIER, -0.9), 3)  # outside (-1/2, 1]
 
     def test_navier_ks_limit_case_allowed(self):
-        co = expansion_coefficients(BoundaryCondition.navier(1.0), 2)
+        co = expansion_coefficients(BoundaryCondition(BCKind.NAVIER, 1.0), 2)
         assert co.c1 < 0.0
 
 
@@ -157,47 +158,47 @@ class TestPredictors:
         c2 = (4 * math.pi) ** 2
         expected = c2 * 100 ** 2 + (c2 * 2 / (2 * math.sqrt(math.pi))) \
             * (1 + dirichlet_gamma_ratio(2)) * 4 * 100 ** 1.5
-        got = predict_eigenvalue(BoundaryCondition.dirichlet(), 2, self.dom, 100)
+        got = predict_eigenvalue(BoundaryCondition(BCKind.DIRICHLET), self.dom, 100)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_second_term_signs(self):
         lead = (4 * math.pi) ** 2 * 100
-        pd = predict_eigenvalue(BoundaryCondition.dirichlet(), 2, self.dom, 10)
-        pk = predict_eigenvalue(BoundaryCondition.kuttler_sigillito(0.3), 2, self.dom, 10)
+        pd = predict_eigenvalue(BoundaryCondition(BCKind.DIRICHLET), self.dom, 10)
+        pk = predict_eigenvalue(BoundaryCondition(BCKind.KUTTLER_SIGILLITO, 0.3), self.dom, 10)
         assert pd > lead > pk
 
     def test_navier_independent_of_a(self):
-        vals = {predict_eigenvalue(BoundaryCondition.navier(a), 2, self.dom, 7)
+        vals = {predict_eigenvalue(BoundaryCondition(BCKind.NAVIER, a), self.dom, 7)
                 for a in (-0.5, 0.0, 0.5, 1.0)}
         assert len(vals) == 1
 
     def test_prediction_order_matches_eigenvalue_comparisons(self):
         # large-k predicted ordering: dirichlet >= navier >= ks >= neumann(0.3)
         k = 10 ** 6
-        pd = predict_eigenvalue(BoundaryCondition.dirichlet(), 2, self.dom, k)
-        pn = predict_eigenvalue(BoundaryCondition.navier(0.3), 2, self.dom, k)
-        pk = predict_eigenvalue(BoundaryCondition.kuttler_sigillito(0.3), 2, self.dom, k)
+        pd = predict_eigenvalue(BoundaryCondition(BCKind.DIRICHLET), self.dom, k)
+        pn = predict_eigenvalue(BoundaryCondition(BCKind.NAVIER, 0.3), self.dom, k)
+        pk = predict_eigenvalue(BoundaryCondition(BCKind.KUTTLER_SIGILLITO, 0.3), self.dom, k)
         assert pd >= pn >= pk
 
     def test_average_leading_term(self):
-        got = predict_average_leading(2, self.dom, 10)
+        got = predict_average_leading(self.dom, 10)
         assert got == pytest.approx((1.0 / 3.0) * 16 * math.pi ** 2 * 100, rel=1e-14)
 
     def test_average_ratios(self):
         d = 2
-        lead_avg = predict_average_leading(d, self.dom, 50)
+        lead_avg = predict_average_leading(self.dom, 50)
         lead_single = (4 * math.pi) ** 2 * 50 ** 2
         assert lead_avg / lead_single == pytest.approx(d / (d + 4.0), rel=1e-14)
-        second_avg = predict_average(d, self.dom, 50) - lead_avg
+        second_avg = predict_average(self.dom, 50) - lead_avg
         second_single = predict_eigenvalue(
-            BoundaryCondition.dirichlet(), d, self.dom, 50) - lead_single
+            BoundaryCondition(BCKind.DIRICHLET), self.dom, 50) - lead_single
         assert second_avg / second_single == pytest.approx(d / (d + 3.0), rel=1e-12)
 
     def test_d1_unsupported(self):
         with pytest.raises(ValueError):
-            predict_eigenvalue(BoundaryCondition.dirichlet(), 1, DomainSpec.interval(1.0), 5)
+            predict_eigenvalue(BoundaryCondition(BCKind.DIRICHLET), DomainSpec.interval(1.0), 5)
         with pytest.raises(ValueError):
-            predict_average(1, DomainSpec.interval(1.0), 5)
+            predict_average(DomainSpec.interval(1.0), 5)
 
 
 class TestQuadratureHelper:
