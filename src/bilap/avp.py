@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,12 +56,10 @@ __all__ = [
     "explicit_sum_bound",
     "step_average_bound",
     "individual_bounds",
-    "modulus_bound",
     "KroegerLaptevPoint",
     "kroeger_laptev_refined",
     "kroeger_laptev_report",
     "young_refined",
-    "navier_cross_inequalities",
     "EPSILON_DEFAULT",
 ]
 
@@ -491,25 +489,6 @@ def individual_bounds(dom: DomainSpec, k: int) -> tuple[float, float]:
     return lower, upper
 
 
-def modulus_bound(dom: DomainSpec, k: int) -> float:
-    """Envelope C(d, |O|, A) k^(7/(2d)) dominating |Lambda_k - Weyl term|,
-    with A = ``second_term_coefficient(dom)`` as in ``individual_bounds``.
-
-    The constant collects every subleading coefficient of the two displays
-    (each k-power below 7/(2d) is majorised by k^(7/(2d)) for k >= 1).
-    """
-    d, A = dom.dimension, second_term_coefficient(dom)
-    dc = dimensional_constants(d)
-    vol = dom.volume
-    c2 = dc.classical ** 2
-    v4, v3 = vol ** (4.0 / d), vol ** (3.0 / d)
-    c7 = 6.0 * (d + 1) / (d * (d + 4.0)) * c2 / v4 + 2.0 * A / v3
-    c3 = 9.0 * c2 / (d * (d + 4.0) * v4) + (d + 3.0) / d * A / v3
-    c52 = 1.5 * (9.0 + 12.0 * d) / (4.0 * d * d) / v3
-    c2t = 81.0 * A / (16.0 * d * d) / v3
-    return (c7 + c3 + c52 + c2t) * k ** (3.5 / d)
-
-
 # ----------------------------------------------------------------------------
 # Refined Kroeger-Laptev route
 # ----------------------------------------------------------------------------
@@ -583,48 +562,3 @@ def young_refined(p: float, x: float) -> tuple[float, float]:
     y = (p + 1.0) * x - p - x ** (p + 1.0)
     return y, -p * (1.0 - math.sqrt(x)) ** 2
 
-
-# ----------------------------------------------------------------------------
-# Cross inequalities between Laplacian spectra and fourth-order energies
-# ----------------------------------------------------------------------------
-
-def navier_cross_inequalities(
-    lap_dirichlet: Spectrum,
-    lap_neumann: Spectrum,
-    navier_energies: Sequence[tuple[float, float]],
-    n: int,
-    m: int,
-    N: int,
-    tol: float = 0.0,
-) -> list[BoundReport]:
-    """Averaged-principle comparisons between Laplacian eigenvalues and the
-    gradient/Hessian energies of fourth-order eigenfunctions.
-
-    navier_energies[k] = (grad_energy, hessian_energy) of the k-th (1-based
-    k <= N) eigenfunction.  Two reports:
-
-      sum_{j<=n} (lambda_{n+1} - lambda_j)         >= sum_{k<=N} (lambda_{n+1} - grad_k)
-      sum_{2<=j<=m} (mu_{m+1} - mu_j) mu_j         >= sum_{k<=N} (mu_{m+1} grad_k - hess_k)
-    """
-    if n < 1 or m < 1 or N < 0:
-        raise ValueError("n, m must be >= 1 and N >= 0")
-    if len(navier_energies) < N:
-        raise ValueError(f"need {N} energy pairs, have {len(navier_energies)}")
-    if len(lap_dirichlet.values) < n + 1 or len(lap_neumann.values) < m + 1:
-        raise ValueError("Laplacian spectra too short for requested n, m")
-
-    lam = lap_dirichlet.values
-    mu = lap_neumann.values
-    params = {"n": n, "m": m, "N": N}
-
-    rhs1 = sum(lam[n] - lam[j] for j in range(n))
-    lhs1 = sum(lam[n] - navier_energies[k][0] for k in range(N))
-    rhs2 = sum((mu[m] - mu[j]) * mu[j] for j in range(1, m))
-    lhs2 = sum(mu[m] * navier_energies[k][0] - navier_energies[k][1] for k in range(N))
-
-    return [
-        BoundReport.less_equal("cross-gradient-sum", lhs1, rhs1, "prima",
-                               params=params, tol=tol),
-        BoundReport.less_equal("cross-hessian-sum", lhs2, rhs2, "seconda",
-                               params=params, tol=tol),
-    ]

@@ -135,15 +135,27 @@ def load_config(path: Path) -> dict[str, str]:
 
 
 def parse_bc(name: str, a: float) -> BoundaryCondition:
+    """The condition ``name`` with Poisson ratio ``a``; Dirichlet has no
+    Poisson ratio, so it takes only a = 0."""
     try:
         kind = {"dirichlet": BCKind.DIRICHLET, "navier": BCKind.NAVIER,
                 "ks": BCKind.KUTTLER_SIGILLITO, "neumann": BCKind.NEUMANN}[name]
     except KeyError as exc:
         raise ConfigError(f"unknown boundary condition {name!r}") from exc
+    _require(kind is not BCKind.DIRICHLET or a == 0.0,
+             f"--a {a} given for dirichlet, which has no Poisson ratio")
     try:
-        return BoundaryCondition(kind, poisson_ratio=a if kind is not BCKind.DIRICHLET else 0.0)
+        return BoundaryCondition(kind, poisson_ratio=a)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_admissible(bc: BoundaryCondition, d: int) -> None:
+    """``bc.check_admissible(d)``, its ``ValueError`` raised as a ``ConfigError``."""
+    try:
+        bc.check_admissible(d)
+    except ValueError as exc:
+        raise ConfigError(f"--a: {exc}") from exc
 
 
 def _fd_grids(dom: DomainSpec, grids: Sequence[int], k: int) -> Sequence[int]:
@@ -302,6 +314,8 @@ def cmd_constants(args) -> list[BoundReport]:
     dims = parse_int_range(args.dims)
     _require(all(d >= 1 for d in dims), "--dims must be >= 1")
     _require(-1.0 < args.a <= 1.0, "--a must lie in (-1, 1]")
+    if max(dims) >= 2:  # (-1/(d-1), 1] narrows as d grows
+        _check_admissible(parse_bc("navier", args.a), max(dims))
     reports = []
     for d in dims:
         dc = dimensional_constants(d)
@@ -316,11 +330,8 @@ def cmd_constants(args) -> list[BoundReport]:
             reports.append(BoundReport.value_row(name, val, ref, params={"d": d}))
         if d >= 2:
             for bc_name in ("dirichlet", "navier", "ks", "neumann"):
-                bc = parse_bc(bc_name, args.a)
-                try:
-                    co = semiclassical.expansion_coefficients(bc, d)
-                except ValueError:
-                    continue
+                bc = parse_bc(bc_name, 0.0 if bc_name == "dirichlet" else args.a)
+                co = semiclassical.expansion_coefficients(bc, d)
                 reports.append(BoundReport.value_row(
                     "c0-per-volume", co.c0, "semiclassicalcounting", params={"d": d}))
                 reports.append(BoundReport.value_row(
@@ -339,10 +350,7 @@ def cmd_predict(args) -> list[BoundReport]:
     ks = parse_int_range(args.k)
     _require(dom.dimension >= 2, "predict needs square:L or rect:LxW")
     _require(all(k >= 1 for k in ks), "--k must be >= 1")
-    try:
-        bc.check_admissible(dom.dimension)
-    except ValueError as exc:
-        raise ConfigError(f"--a: {exc}") from exc
+    _check_admissible(bc, dom.dimension)
     reports = []
     for k in ks:
         val = semiclassical.predict_eigenvalue(bc, dom, k)

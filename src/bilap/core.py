@@ -21,7 +21,6 @@ __all__ = [
     "BoundReport",
     "dimensional_constants",
     "tube_volume",
-    "kahan_sum",
 ]
 
 
@@ -252,14 +251,3 @@ class BoundReport:
         return cls(check, items, float(value), float(value), 0.0, True,
                    paper_ref, asserted=False)
 
-
-def kahan_sum(terms) -> float:
-    """Compensated summation; used for Riesz sums beyond 1e4 terms."""
-    total = 0.0
-    carry = 0.0
-    for t in terms:
-        y = t - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-    return total

@@ -47,7 +47,6 @@ __all__ = [
     "assemble_dirichlet_laplacian",
     "assemble_clamped_bilaplacian",
     "smallest_eigs",
-    "form_energies",
     "discrete_laplacian_eigenvalues",
     "richardson_extrapolate",
     "richardson_ladder",
@@ -248,17 +247,6 @@ def discrete_laplacian_eigenvalues(grid: Grid2D) -> np.ndarray:
 # Solving
 # ----------------------------------------------------------------------------
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """First significantly nonzero component of each vector made positive."""
-    out = vectors.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        nz = np.nonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0]
-        if len(nz) and v[nz[0]] < 0.0:
-            out[:, col] = -v
-    return out
-
-
 def smallest_eigs(op: DiscreteOperator, k: int,
                   dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of the symmetric operator, certified.
@@ -267,7 +255,7 @@ def smallest_eigs(op: DiscreteOperator, k: int,
     subset solve; otherwise a deterministic shift-invert Lanczos (fixed start
     vector).  Either result must pass ``_certify`` (residual bound and
     inertia count) or ``RuntimeError`` is raised.  Values ascend; vectors are
-    orthonormal with the first significant component positive.  The inertia
+    orthonormal, each with the sign the solver returned.  The inertia
     count proves that every eigenvalue not returned lies at or above
     ``_inertia_floor(op, values[-1])``.  ``clamped_spectrum_fd`` solves each
     parity block of the clamped matrix here and reads that floor as its
@@ -291,7 +279,7 @@ def smallest_eigs(op: DiscreteOperator, k: int,
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], vectors[:, order]
     _certify(op, values, vectors)
-    return values, _fix_signs(vectors)
+    return values, vectors
 
 
 def _inertia_shift(top: float, residual: float) -> float:
@@ -335,44 +323,6 @@ def _certify(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> N
     if below != returned:
         raise RuntimeError(f"{below} eigenvalues lie below {sigma:.6e} but the solve "
                            f"returned {returned} on the {op.label}")
-
-
-def _trapz2(arr: np.ndarray, dx: float, dy: float) -> float:
-    return float(np.trapezoid(np.trapezoid(arr, dx=dy, axis=1), dx=dx))
-
-
-def form_energies(vector: np.ndarray, grid: Grid2D,
-                  boundary: str = "dirichlet") -> tuple[float, float, float]:
-    """(gradient, Laplacian, Hessian) quadratic-form energies of a grid vector.
-
-    ``boundary="dirichlet"`` extends the samples by their zero boundary
-    values, takes central differences (second-order one-sided at the outer
-    ring) and integrates by the trapezoid rule over the closed rectangle;
-    for vectors that vanish on the boundary this recovers the continuum
-    energies to O(h^2).  ``boundary="free"`` keeps only the given samples
-    with one-sided differences at the ring, so constant vectors (the
-    Neumann-kernel analog) have exactly zero energy.
-    """
-    u = np.asarray(vector, dtype=float).reshape(grid.nx, grid.ny)
-    hx, hy = grid.hx, grid.hy
-    if boundary == "dirichlet":
-        field = np.zeros((grid.nx + 2, grid.ny + 2))
-        field[1:-1, 1:-1] = u
-    elif boundary == "free":
-        field = u
-    else:
-        raise ValueError(f"unknown boundary treatment {boundary!r}")
-    if min(field.shape) < 3:
-        raise ValueError("need at least 3 samples per direction")
-
-    ux, uy = np.gradient(field, hx, hy, edge_order=2)
-    uxx, uxy = np.gradient(ux, hx, hy, edge_order=2)
-    _, uyy = np.gradient(uy, hx, hy, edge_order=2)
-
-    grad = _trapz2(ux ** 2 + uy ** 2, hx, hy)
-    lap = _trapz2((uxx + uyy) ** 2, hx, hy)
-    hess = _trapz2(uxx ** 2 + 2.0 * uxy ** 2 + uyy ** 2, hx, hy)
-    return grad, lap, hess
 
 
 # ----------------------------------------------------------------------------

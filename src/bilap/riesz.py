@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import Spectrum, kahan_sum
+from .core import Spectrum
 from .spectra1d import _check_pair, count_reaching, spectrum_1d
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "second_term_fit",
     "FIT_GRID",
 ]
-
-_KAHAN_THRESHOLD = 10_000
 
 # Log-spaced thresholds of the second-term regression, 1e4 to 1e9.
 FIT_GRID = tuple(np.logspace(4.0, 9.0, 32))
@@ -58,15 +56,13 @@ def counting(spec: Spectrum, z: float) -> int:
 
 
 def riesz_mean(spec: Spectrum, z: float) -> float:
-    """Exact finite Riesz mean R_1(z) = sum_j (z - omega_j)_+ over the spectrum.
+    """Finite Riesz mean R_1(z) = sum_j (z - omega_j)_+ over the spectrum.
 
-    The positive parts are summed in ascending eigenvalue order, so results
-    are bitwise reproducible; the sum is the integral of the counting
-    function N(t) over [0, z].
+    ``math.fsum`` returns the correctly rounded sum of the positive parts
+    z - omega_j, each rounded once, whatever their number or order; the sum
+    is the integral of the counting function N(t) over [0, z].
     """
-    count = counting(spec, z)
-    terms = [z - v for v in spec.values[:count]]
-    return kahan_sum(terms) if count > _KAHAN_THRESHOLD else sum(terms)
+    return math.fsum(z - v for v in spec.values[:counting(spec, z)])
 
 
 # ----------------------------------------------------------------------------

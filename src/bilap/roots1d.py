@@ -22,7 +22,6 @@ __all__ = [
     "solve_gamma",
     "gamma_root",
     "gamma_value",
-    "defect",
     "proposition_bound_report",
     "log_cosh",
     "EXACT_ROOT_CAP",
@@ -136,13 +135,6 @@ def gamma_value(n: int) -> float:
     if n <= 0:
         return 0.0
     return gamma_root(n).gamma
-
-
-def defect(n: int) -> float:
-    """r_n = |gamma_n - pi(n+1/2)| for n >= 1."""
-    if n < 1:
-        raise ValueError("defect is defined for n >= 1")
-    return gamma_root(n).r
 
 
 def _sech(a: float) -> float:

@@ -27,7 +27,6 @@ from .core import BCKind, BoundaryCondition, DomainSpec, dimensional_constants
 __all__ = [
     "ExpansionCoefficients",
     "f_neumann",
-    "g_neumann",
     "arctan_g",
     "neumann_boundary_integral",
     "dirichlet_gamma_ratio",
@@ -94,26 +93,17 @@ def f_neumann(a: float) -> float:
     return 4.0 * a - 1.0 - 3.0 * a * a + 2.0 * (1.0 - a) * math.sqrt(2.0 * a * a - 2.0 * a + 1.0)
 
 
-def _g_parts(t: float, a: float) -> tuple[float, float]:
+def arctan_g(t: float, a: float, inverse: bool = False) -> float:
+    """arctan(g) (or arctan(1/g)) of the ratio
+
+        g(t, a) = sqrt(1 - t^2) (1 + (1-a) t^2)^2 / (sqrt(1 + t^2) (1 - (1-a) t^2)^2)
+
+    via atan2 of numerator and denominator, so it is smooth through the
+    double pole at t = 1/sqrt(1-a) (inside (0, 1) for a < 0) and takes the
+    value 0 at the removable 0/0 corner t = 1, a = 0.
+    """
     num = math.sqrt(max(0.0, 1.0 - t * t)) * (1.0 + (1.0 - a) * t * t) ** 2
     den = math.sqrt(1.0 + t * t) * (1.0 - (1.0 - a) * t * t) ** 2
-    return num, den
-
-
-def g_neumann(t: float, a: float) -> float:
-    """Raw ratio g(t, a); poles (for a < 0 inside (0,1)) raise: callers that
-    integrate must go through ``arctan_g`` which is continuous across them."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t={t} outside [0, 1]")
-    num, den = _g_parts(t, a)
-    if den == 0.0:
-        raise ZeroDivisionError(f"g(t={t}, a={a}) has a pole; use arctan_g")
-    return num / den
-
-
-def arctan_g(t: float, a: float, inverse: bool = False) -> float:
-    """arctan(g) (or arctan(1/g)) via atan2; smooth through the double pole."""
-    num, den = _g_parts(t, a)
     return math.atan2(den, num) if inverse else math.atan2(num, den)
 
 

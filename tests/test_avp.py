@@ -32,9 +32,7 @@ from bilap.avp import (
     inscribed_ball_profile,
     kroeger_laptev_refined,
     kroeger_laptev_report,
-    modulus_bound,
     mollified_indicator_profile,
-    navier_cross_inequalities,
     partition_lower_bound,
     riesz_lower_bound,
     rough_bound,
@@ -44,17 +42,13 @@ from bilap.avp import (
 )
 from bilap.checks import AVERAGE_K, INDIVIDUAL_K, MOLLIFIER_RES
 from bilap.core import DomainSpec, Spectrum, dimensional_constants
-from bilap.eig2d import (
-    Grid2D,
-    _trapz2,
-    assemble_dirichlet_laplacian,
-    form_energies,
-    laplacian_spectrum_exact,
-    neumann_laplacian_spectrum_exact,
-    smallest_eigs,
-)
 from bilap.semiclassical import adaptive_gauss_legendre, predict_average_leading
 from bilap.spectra1d import spectrum_1d
+
+
+def trapz2(arr: np.ndarray, dx: float, dy: float) -> float:
+    """Composite trapezoid rule on a grid of spacing dx along axis 0, dy along axis 1."""
+    return float(np.trapezoid(np.trapezoid(arr, dx=dy, axis=1), dx=dx))
 
 
 class TestInscribedBallProfile:
@@ -193,9 +187,9 @@ class TestMollifiedProfile:
                             for k in (eta, gx_k, gy_k, lap_k))
         grad_sq = gx * gx + gy * gy
         expected = {
-            "l2_sq": _trapz2(phi * phi, dx, dy),
-            "grad_l2_sq": _trapz2(grad_sq, dx, dy),
-            "lap_l2_sq": _trapz2(lap * lap, dx, dy),
+            "l2_sq": trapz2(phi * phi, dx, dy),
+            "grad_l2_sq": trapz2(grad_sq, dx, dy),
+            "lap_l2_sq": trapz2(lap * lap, dx, dy),
             "sup_sq": phi.max() ** 2,
         }
         # est_rel_err is left out: it is round-off (about 1e-16) on either route
@@ -208,7 +202,7 @@ class TestMollifiedProfile:
            frac=st.floats(0.3, 1.0, exclude_min=True), grid_res=st.integers(64, 80))
     def test_row_classes_match_the_full_grid(self, lx, ly, frac, grid_res):
         """The class-pair profile against the fields formed at every grid
-        point, Tx @ K @ Ty.T, and summed by ``_trapz2``."""
+        point, Tx @ K @ Ty.T, and summed by ``trapz2``."""
         dom = DomainSpec.rectangle(lx, ly)
         h = frac * dom.inradius
         target, h2 = h / grid_res, h / 2.0
@@ -225,8 +219,8 @@ class TestMollifiedProfile:
         errs = []
         for name, arr in (("l2_sq", phi * phi), ("grad_l2_sq", grad_sq),
                           ("lap_l2_sq", lap * lap)):
-            expected[name] = fine = _trapz2(arr, dx, dy)
-            coarse = _trapz2(arr[::2, ::2], 2.0 * dx, 2.0 * dy)
+            expected[name] = fine = trapz2(arr, dx, dy)
+            coarse = trapz2(arr[::2, ::2], 2.0 * dx, 2.0 * dy)
             errs.append(abs(fine - coarse) / (3.0 * abs(fine)))
         if max(errs) > MAX_QUADRATURE_REL_ERR:  # near h = inradius at low grid_res
             with pytest.raises(ResolutionError):
@@ -473,23 +467,12 @@ class TestIndividualBounds:
         assert deviations[1] <= 1e-2
         assert deviations[1] <= 0.15 * deviations[0]  # ~ (1e4)^(1/4) gain
 
-    def test_envelope_exponent(self, unit_square):
-        assert modulus_bound(unit_square, 4 * 10 ** 6) / \
-            modulus_bound(unit_square, 10 ** 6) == pytest.approx(4 ** (7 / 4), rel=1e-12)
-
     def test_fd_sandwich_20_to_50(self, unit_square, clamped_richardson):
         limits, bands = clamped_richardson
         for k in INDIVIDUAL_K:
             lower, upper = individual_bounds(unit_square, k)
             assert lower <= limits[k - 1] + bands[k - 1]
             assert limits[k - 1] - bands[k - 1] <= upper
-
-    def test_envelope_contains_fd_values(self, unit_square, clamped_richardson):
-        limits, bands = clamped_richardson
-        lead = dimensional_constants(2).classical ** 2
-        for k in INDIVIDUAL_K:
-            dev = abs(limits[k - 1] - lead * k ** 2)
-            assert dev <= modulus_bound(unit_square, k) + bands[k - 1]
 
     def test_validation(self, unit_square):
         with pytest.raises(ValueError):
@@ -567,53 +550,3 @@ class TestYoungRefined:
         with pytest.raises(ValueError):
             young_refined(-1.0, 1.0)
 
-
-@pytest.fixture(scope="module")
-def spectra(unit_square):
-    return (laplacian_spectrum_exact(unit_square, 12),
-            neumann_laplacian_spectrum_exact(unit_square, 12))
-
-
-class TestCrossInequalities:
-    def test_empty_rhs_trivially_holds(self, spectra):
-        lam, mu = spectra
-        reports = navier_cross_inequalities(lam, mu, [], 3, 3, 0)
-        assert all(r.holds for r in reports)
-
-    def test_exact_energy_oracle_sweep(self, spectra):
-        # a = 1 eigenfunctions are sine products; energies are (lam, lam^2)
-        lam, mu = spectra
-        energies = [(lam.value(k), lam.value(k) ** 2) for k in range(1, 11)]
-        for n in range(1, 11):
-            for m in range(1, 11):
-                for N in range(0, 11):
-                    reports = navier_cross_inequalities(lam, mu, energies, n, m, N,
-                                                        tol=1e-9)
-                    assert all(r.holds for r in reports), (n, m, N)
-
-    def test_fd_energies_within_refinement_band(self, spectra, unit_square):
-        lam, mu = spectra
-
-        def energies_on(n):
-            grid = Grid2D(n, n, unit_square)
-            _, vecs = smallest_eigs(assemble_dirichlet_laplacian(grid), 8)
-            cell = grid.hx * grid.hy
-            out = []
-            for k in range(8):
-                v = vecs[:, k] / math.sqrt(cell * float((vecs[:, k] ** 2).sum()))
-                g, _, hs = form_energies(v, grid)
-                out.append((g, hs))
-            return out
-
-        e48, e96 = energies_on(48), energies_on(96)
-        gap_g = max(abs(a[0] - b[0]) for a, b in zip(e48, e96))
-        gap_h = max(abs(a[1] - b[1]) for a, b in zip(e48, e96))
-        for n, m, N in ((5, 5, 5), (8, 8, 8), (3, 6, 4)):
-            tol = 3 * N * (mu.value(m + 1) * gap_g + gap_h)
-            reports = navier_cross_inequalities(lam, mu, e96, n, m, N, tol=tol)
-            assert all(r.holds for r in reports), (n, m, N)
-
-    def test_length_validation(self, spectra):
-        lam, mu = spectra
-        with pytest.raises(ValueError):
-            navier_cross_inequalities(lam, mu, [(1.0, 1.0)], 3, 3, 5)

@@ -374,6 +374,8 @@ class TestMain:
         ["avp", "--t", "inf"],
         ["kroeger-laptev", "--k", "0"],
         ["kroeger-laptev", "--k", "-5"],
+        ["constants", "--dims", "2..3", "--a", "-0.6"],
+        ["predict", "--bc", "dirichlet", "--a", "-5", "--k", "1"],
     ])
     def test_invalid_flag_values_exit_2(self, argv, capsys):
         assert main(argv) == 2
@@ -401,6 +403,16 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         names = {r["check"] for r in payload["reports"]}
         assert {"ball-volume", "classical-constant", "c1-per-boundary"} <= names
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--dims", "2..3", "--a", "0.2"], 8),
+        (["--dims", "2", "--a", "-0.6"], 4),
+    ])
+    def test_constants_writes_every_boundary_row(self, argv, rows, capsys):
+        # Dirichlet takes no Poisson ratio, so its row ignores --a
+        assert main(["constants", *argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sum(r["check"] == "c1-per-boundary" for r in payload["reports"]) == rows
 
     def test_spectrum1d_and_lemma(self, tmp_path):
         assert main(["spectrum1d", "--pair", "2,3", "--count", "6",

@@ -1,11 +1,14 @@
-"""Core domain types and dimensional constants."""
+"""Core domain types, dimensional constants, and the package's exports."""
 
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import bilap
 from bilap.core import (
     BCKind,
     BoundaryCondition,
@@ -13,7 +16,6 @@ from bilap.core import (
     DomainSpec,
     Spectrum,
     dimensional_constants,
-    kahan_sum,
     tube_volume,
 )
 
@@ -200,8 +202,9 @@ class TestBoundReport:
         assert not r.asserted and r.holds
 
 
-def test_kahan_sum_beats_plain_sum():
-    terms = [0.1] * 10 ** 5 + [1e-13] * 10 ** 5
-    exact = math.fsum(terms)
-    assert abs(kahan_sum(terms) - exact) <= 1e-12
-    assert abs(kahan_sum(terms) - exact) <= abs(sum(terms) - exact)
+@pytest.mark.parametrize(
+    "name", ["bilap", *(f"bilap.{m.name}" for m in pkgutil.iter_modules(bilap.__path__))])
+def test_all_names_only_attributes_of_the_module(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names {missing}, which {name} does not define"

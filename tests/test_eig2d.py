@@ -1,4 +1,4 @@
-"""Finite-difference operators, solvers, energies, and the comparison chain."""
+"""Finite-difference operators, solvers, and the comparison chain."""
 
 import math
 
@@ -18,7 +18,6 @@ from bilap.eig2d import (
     clamped_spectrum_fd,
     comparison_report,
     discrete_laplacian_eigenvalues,
-    form_energies,
     laplacian_spectrum_exact,
     navier1_spectrum_exact,
     neumann_laplacian_spectrum_exact,
@@ -211,14 +210,6 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="residual"):
             smallest_eigs(op, 6)
 
-    def test_sign_convention(self, unit_square):
-        grid = Grid2D(16, 16, unit_square)
-        _, vectors = smallest_eigs(assemble_dirichlet_laplacian(grid), 4)
-        for i in range(4):
-            v = vectors[:, i]
-            first = v[np.abs(v) > 1e-12 * np.abs(v).max()][0]
-            assert first > 0.0
-
     def test_non_symmetric_rejected(self, unit_square):
         grid = Grid2D(3, 3, unit_square)
         mat = sp.csr_matrix(np.triu(np.ones((9, 9))))
@@ -325,42 +316,6 @@ class TestParityBlocks:
         for k in (0, 17):
             with pytest.raises(ValueError, match="outside"):
                 clamped_spectrum_fd(unit_square, 4, k)
-
-
-class TestFormEnergies:
-    def test_constant_vector_free_boundary(self, unit_square):
-        grid = Grid2D(16, 16, unit_square)
-        energies = form_energies(np.ones(grid.dim), grid, boundary="free")
-        assert energies == (0.0, 0.0, 0.0)
-
-    def test_sine_product_gradient_energy_converges(self, unit_square):
-        errs = []
-        for n in (16, 32, 64):
-            grid = Grid2D(n, n, unit_square)
-            x = np.linspace(grid.hx, 1 - grid.hx, n)
-            u = 2.0 * np.outer(np.sin(math.pi * x), np.sin(math.pi * x))
-            g, lap, hess = form_energies(u, grid)
-            errs.append(abs(g - 2 * PI2))
-            assert hess == pytest.approx(lap, rel=0.2)
-        assert errs[2] <= errs[0] / 8.0  #\appr O(h^2)
-        assert errs[2] <= 0.02
-
-    def test_cauchy_schwarz_discrete(self, unit_square, clamped_fd):
-        """(int |grad u|^2)^2 <= int u^2 * int (lap u)^2 on clamped modes,
-        where the continuum inequality is strict with a real margin."""
-        grid = Grid2D(32, 32, unit_square)
-        op = assemble_clamped_bilaplacian(grid)
-        _, vectors = smallest_eigs(op, 6)
-        cell = grid.hx * grid.hy
-        for i in range(6):
-            v = vectors[:, i] / math.sqrt(cell * float((vectors[:, i] ** 2).sum()))
-            g, lap, _ = form_energies(v, grid)
-            assert g * g <= lap * 1.02  # discrete quadratures carry O(h^2) slack
-
-    def test_unknown_boundary_mode(self, unit_square):
-        grid = Grid2D(8, 8, unit_square)
-        with pytest.raises(ValueError):
-            form_energies(np.ones(64), grid, boundary="periodic")
 
 
 class TestComparisonReport:

@@ -1,6 +1,7 @@
 """Riesz means, counting functions, explicit envelopes, lattice sums, fits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ class TestRieszMean:
         diffs = np.diff(vals)
         assert (diffs >= -1e-9).all()
         assert (np.diff(diffs) >= -1e-6).all()  # slopes N(z) nondecreasing
+
+    def test_long_sum_is_correctly_rounded(self):
+        # 12,022 positive parts, where a plain left-to-right sum is 29 ulps off
+        z = math.sqrt(12_000) + 0.1
+        spec = Spectrum(tuple(math.sqrt(j) for j in range(12_100)))
+        exact = sum((Fraction(z - v) for v in spec.values if v < z), Fraction(0))
+        assert riesz_mean(spec, z) == float(exact)
 
     def test_counting_strictness(self):
         spec = spectrum_1d((0, 2), 4)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bilap.roots1d import (
     EXACT_ROOT_CAP,
-    defect,
     gamma_root,
     gamma_value,
     log_cosh,
@@ -65,10 +64,6 @@ class TestSolveGamma:
         assert gamma_value(2) < 2.5 * math.pi
         assert gamma_value(3) > 3.5 * math.pi
 
-    def test_defect_requires_positive_index(self):
-        with pytest.raises(ValueError):
-            defect(0)
-
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             solve_gamma(1, 1e-3)
@@ -106,26 +101,26 @@ class TestResidualsAndDefects:
     def test_defect_condition(self):
         # 1 = sin(r_n) cosh(pi(n+1/2) + (-1)^(n+1) r_n) to 1e-9 relative
         for n in (1, 2, 5, 10, 30):
-            r = defect(n)
+            r = gamma_root(n).r
             sign = 1 if n % 2 == 1 else -1
             lhs = math.sin(r) * math.cosh(math.pi * (n + 0.5) + sign * r)
             assert abs(lhs - 1.0) <= 1e-9
 
     def test_defect_strictly_decreasing(self):
-        rs = [defect(n) for n in range(1, 51)]
+        rs = [gamma_root(n).r for n in range(1, 51)]
         assert all(rs[i + 1] < rs[i] for i in range(len(rs) - 1))
 
     def test_defect_exponential_tail(self):
         for n in range(1, 51):
-            assert defect(n) <= math.pi * math.exp(-math.pi * n)
+            assert gamma_root(n).r <= math.pi * math.exp(-math.pi * n)
 
     def test_defect_times_cosh_near_one(self):
         for n in range(5, 51):
-            product = defect(n) * math.cosh(math.pi * (n + 0.5))
+            product = gamma_root(n).r * math.cosh(math.pi * (n + 0.5))
             assert 0.9 <= product <= 1.1
 
     def test_first_defect_value(self):
-        assert defect(1) == pytest.approx(0.0176518, abs=5e-7)
+        assert gamma_root(1).r == pytest.approx(0.0176518, abs=5e-7)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from bilap.semiclassical import (
     dirichlet_gamma_ratio,
     expansion_coefficients,
     f_neumann,
-    g_neumann,
     predict_average,
     predict_average_leading,
     predict_eigenvalue,
@@ -45,29 +44,24 @@ class TestFNeumann:
 
 class TestGNeumann:
     def test_unity_at_origin(self):
+        # g(0, a) = 1
         for a in (-0.5, 0.0, 0.7):
-            assert g_neumann(0.0, a) == 1.0
+            assert arctan_g(0.0, a) == math.pi / 4.0
 
     def test_zero_at_one(self):
-        for a in (-0.5, 0.3, 0.7):
-            assert g_neumann(1.0, a) == 0.0
+        # g(1, a) = 0; a = 0 is a removable 0/0 corner, where the arctan
+        # takes the conventional endpoint value 0
+        for a in (-0.5, 0.3, 0.7, 0.0):
             assert arctan_g(1.0, a) == 0.0
-        # a = 0 is a removable 0/0 corner: the raw ratio raises, the
-        # arctan wrapper returns the conventional endpoint value 0
-        with pytest.raises(ZeroDivisionError):
-            g_neumann(1.0, 0.0)
-        assert arctan_g(1.0, 0.0) == 0.0
 
     def test_frozen_value(self):
         expected = math.sqrt(0.75) * 1.25 ** 2 / (math.sqrt(1.25) * 0.75 ** 2)
-        assert g_neumann(0.5, 0.0) == pytest.approx(expected, rel=1e-15)
-        assert g_neumann(0.5, 0.0) == pytest.approx(2.1516, abs=1e-4)
+        assert arctan_g(0.5, 0.0) == pytest.approx(math.atan(expected), rel=1e-15)
+        assert math.tan(arctan_g(0.5, 0.0)) == pytest.approx(2.1516, abs=1e-4)
 
-    def test_pole_raises_but_arctan_is_continuous(self):
+    def test_arctan_is_continuous_through_the_pole(self):
         a = -0.3
         t_pole = 1.0 / math.sqrt(1.0 - a)
-        with pytest.raises(ZeroDivisionError):
-            g_neumann(t_pole, a)
         assert arctan_g(t_pole, a) == pytest.approx(math.pi / 2.0)
         assert arctan_g(t_pole - 1e-9, a) == pytest.approx(math.pi / 2.0, abs=1e-6)
         assert arctan_g(t_pole + 1e-9, a) == pytest.approx(math.pi / 2.0, abs=1e-6)
@@ -77,10 +71,6 @@ class TestGNeumann:
             for t in np.linspace(0.05, 0.95, 19):
                 total = arctan_g(float(t), a) + arctan_g(float(t), a, inverse=True)
                 assert total == pytest.approx(math.pi / 2.0, rel=1e-14)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            g_neumann(1.5, 0.0)
 
 
 class TestExpansionCoefficients:
