@@ -17,7 +17,8 @@ or a failed self-check, such as the profile range check or the eigensolve
 certificate.
 Reported-only rows never affect the exit code.  Two runs with the same
 configuration produce byte-identical output apart from the timestamp
-header line.
+header line.  Importing this module first runs BLAS on one thread
+(``OPENBLAS_NUM_THREADS=1``) unless the caller set a thread count.
 """
 
 from __future__ import annotations
@@ -26,16 +27,36 @@ import argparse
 import json
 import logging
 import math
+import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
+# The variables OpenBLAS reads its thread count from, once, when it loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-from . import avp, checks, eig2d, riesz, semiclassical, spectra1d
-from .core import (
+# Every BLAS call behind the reports is small: 194 x 97 GEMM chains for the
+# collar profiles, dense eigh on parity blocks of at most 600 unknowns,
+# SuperLU and ARPACK on blocks of at most 4,096.  On a 2-core machine a
+# second OpenBLAS thread buys no wall time there but spins: one thread cut
+# the benchmark's rect_sweep CPU time from 3.14 s to 1.60 s (medians of ten
+# pairs) at the same wall time, 1.59 s against 1.61 s.  The spinning thread
+# also makes small calls slow in some fresh processes: a first 256^2 eigh
+# took 0.92 s in 1 of 16, and four profile-shaped GEMM chains 0.06-0.10 s in
+# 6 of 16, against at most 0.019 s and 0.002 s in all 16 on one thread.
+# numpy's and scipy's bundled OpenBLAS read the variable when they load, so
+# this works only before numpy is imported; a caller's own setting is kept.
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from . import avp, checks, eig2d, riesz, semiclassical, spectra1d  # noqa: E402
+from .core import (  # noqa: E402
     BCKind,
     BoundaryCondition,
     BoundReport,
@@ -43,7 +64,7 @@ from .core import (
     Spectrum,
     dimensional_constants,
 )
-from .roots1d import gamma_root, proposition_bound_report
+from .roots1d import gamma_root, proposition_bound_report  # noqa: E402
 
 log = logging.getLogger("bilap")
 
@@ -181,6 +202,18 @@ def _param_columns(report: BoundReport) -> tuple[str, str]:
 
 def _float_repr(x: float) -> str:
     return repr(float(x))
+
+
+def _run_meta(command: str) -> dict:
+    """What a JSON report records about the run: the subcommand, the Python,
+    numpy and scipy versions, and whichever BLAS thread variables are set."""
+    return {
+        "command": command,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": {v: os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ},
+    }
 
 
 def write_report(reports: Sequence[BoundReport], path: Optional[Path],
@@ -570,7 +603,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = build_parser(load_config(known.config) if known.config else None)
         args = parser.parse_args(argv)
         reports = _COMMANDS[args.command](args)
-        write_report(reports, args.out, args.format, meta={"command": args.command})
+        write_report(reports, args.out, args.format, meta=_run_meta(args.command))
     except (ConfigError, OSError) as exc:  # load_config raises JSON errors as ConfigError
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -4,11 +4,16 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -141,12 +146,88 @@ class TestReports:
         assert payload["meta"]["command"] == "x"
         assert payload["reports"][0]["holds"] is True
 
+    def test_main_json_meta_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        out = tmp_path / "c.json"
+        assert main(["constants", "--dims", "2", "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"] == {
+            "command": "constants",
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": {"OMP_NUM_THREADS": "3"},
+        }
+
     def test_exit_code_ignores_reported_only_rows(self):
         ok = BoundReport.less_equal("a", 1.0, 2.0, "r")
         soft_fail = BoundReport.less_equal("b", 2.0, 1.0, "r", asserted=False)
         hard_fail = BoundReport.less_equal("c", 2.0, 1.0, "r")
         assert exit_code([ok, soft_fail]) == 0
         assert exit_code([ok, hard_fail]) == 1
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Run in a fresh interpreter: {prelude}, then `import bilap.cli`; print the
+# thread variables then set and the thread count of every mapped OpenBLAS.
+_IMPORT_PROBE = """
+import ctypes, json, os, sys
+{prelude}
+import bilap.cli
+threads = {{}}
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as fh:
+        libs = sorted({{line.split()[-1] for line in fh if "openblas" in line.lower()}})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        threads[path] = None
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                threads[path] = fn()
+                break
+print(json.dumps({{"env": {{v: os.environ[v] for v in {names!r} if v in os.environ}},
+                  "threads": threads}}))
+"""
+
+
+def _after_cli_import(env: dict, prelude: str = "") -> dict:
+    """Import ``bilap.cli`` in a fresh interpreter whose environment holds
+    none of the BLAS thread variables apart from ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    code = _IMPORT_PROBE.format(prelude=prelude, names=BLAS_THREAD_VARS)
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def default_import():
+    return _after_cli_import({})
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread unless the caller chose a count."""
+
+    def test_default_is_one_thread(self, default_import):
+        assert default_import["env"] == {"OPENBLAS_NUM_THREADS": "1"}
+        # no OpenBLAS mapped (another BLAS, or not Linux): nothing more to check
+        assert all(n == 1 for n in default_import["threads"].values()), default_import
+
+    def test_user_setting_is_kept(self, default_import):
+        assert default_import["env"] == {"OPENBLAS_NUM_THREADS": "1"}
+        assert _after_cli_import({"OPENBLAS_NUM_THREADS": "2"})["env"] == {
+            "OPENBLAS_NUM_THREADS": "2"}
+        assert _after_cli_import({"OMP_NUM_THREADS": "2"})["env"] == {"OMP_NUM_THREADS": "2"}
+
+    def test_import_after_numpy_leaves_environment(self, default_import):
+        assert default_import["env"] == {"OPENBLAS_NUM_THREADS": "1"}
+        assert _after_cli_import({}, "import numpy")["env"] == {}
 
 
 SQUARE = DomainSpec.square(1.0)
