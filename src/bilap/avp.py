@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import semiclassical
 from .core import (
     BoundReport,
     DomainSpec,
@@ -50,7 +51,6 @@ __all__ = [
     "avg_upper_bound",
     "riesz_lower_bound",
     "partition_lower_bound",
-    "rough_bound",
     "explicit_sum_threshold",
     "collar_width_for_k",
     "explicit_sum_bound",
@@ -353,20 +353,6 @@ def partition_lower_bound(profile: TestFunctionProfile, t: float) -> tuple[float
 # Geometry-explicit average bounds
 # ----------------------------------------------------------------------------
 
-def rough_bound(dom: DomainSpec, k: int) -> float:
-    """Inradius-only average upper bound (valid for every k >= 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    d = dom.dimension
-    dc = dimensional_constants(d)
-    vol = dom.volume
-    kv = k / vol
-    return dom.inradius ** -4 * (
-        d / (d + 4.0) * dc.classical ** 2 * (dc.a_d * vol) ** (4.0 / d) * kv ** (4.0 / d)
-        + 2.0 * dc.classical * (dc.b_d * vol) ** (2.0 / d) * kv ** (2.0 / d)
-        + dc.c_d)
-
-
 def collar_width_for_k(dom: DomainSpec, k: int, eps: float = EPSILON_DEFAULT) -> float:
     """Collar width h(k) = sqrt((d+4)/4) A_d C_d^(-1/2) (k/|O|)^(-1/d) eps."""
     d = dom.dimension
@@ -376,12 +362,9 @@ def collar_width_for_k(dom: DomainSpec, k: int, eps: float = EPSILON_DEFAULT) ->
 
 
 def explicit_sum_threshold(dom: DomainSpec, eps: float = EPSILON_DEFAULT) -> float:
-    """Smallest admissible k: the collar width h(k) must not exceed the
-    inradius, i.e. k >= |O| ((d+4)/4)^(d/2) (A_d eps / (C_d^(1/2) r))^d."""
-    d = dom.dimension
-    dc = dimensional_constants(d)
-    return dom.volume * ((d + 4.0) / 4.0) ** (d / 2.0) \
-        * (dc.grad_sup * eps / (math.sqrt(dc.classical) * dom.inradius)) ** d
+    """Smallest admissible k: the collar width h(k) = h(1) k^(-1/d) must not
+    exceed the inradius r, i.e. k >= (h(1) / r)^d."""
+    return (collar_width_for_k(dom, 1, eps) / dom.inradius) ** dom.dimension
 
 
 def step_average_bound(dom: DomainSpec, k: int, h: float) -> float:
@@ -400,7 +383,7 @@ def step_average_bound(dom: DomainSpec, k: int, h: float) -> float:
     if rem_vol <= 0.0:
         return math.inf
     kv = k / vol
-    main = d / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d)
+    main = semiclassical.predict_average_leading(dom, k)
     if d >= 4:
         t1 = 4.0 / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d) * (w / rem_vol)
     else:
@@ -412,11 +395,6 @@ def step_average_bound(dom: DomainSpec, k: int, h: float) -> float:
     return main + t1 + t2 + t3
 
 
-def _epsilon_bracket(d: int, eps: float) -> float:
-    dc = dimensional_constants(d)
-    return eps + 2.0 / eps + 4.0 / (d + 4.0) * dc.lap_sup ** 2 / dc.grad_sup ** 4 / eps ** 3
-
-
 def second_term_coefficient(dom: DomainSpec, eps: float = EPSILON_DEFAULT) -> float:
     """Coefficient A with second-term = A k^(3/d); at eps = sqrt(2) this is
     M_d (|dO|/|O|) C_d^(3/2) |O|^(-3/d), the constant of the individual
@@ -425,15 +403,15 @@ def second_term_coefficient(dom: DomainSpec, eps: float = EPSILON_DEFAULT) -> fl
     dc = dimensional_constants(d)
     return (math.sqrt(4.0 / (d + 4.0)) * dc.grad_sup * dc.classical ** 1.5
             * (dom.boundary_measure / dom.volume) * dom.volume ** (-3.0 / d)
-            * _epsilon_bracket(d, eps))
+            * (eps + 2.0 / eps + 4.0 / (d + 4.0) * dc.lap_sup ** 2 / dc.grad_sup ** 4 / eps ** 3))
 
 
 def explicit_sum_bound(dom: DomainSpec, k: int,
                        eps: float = EPSILON_DEFAULT) -> tuple[float, float, float]:
     """(main, second, remainder): asymptotically sharp average upper bound.
 
-    main   = (d/(d+4)) C_d^2 (k/|O|)^(4/d)
-    second = M_d (|dO|/|O|) C_d^(3/2) (k/|O|)^(3/d)      (at eps = sqrt(2))
+    main   = (d/(d+4)) C_d^2 (k/|O|)^(4/d), ``predict_average_leading``
+    second = ``second_term_coefficient(dom, eps)`` k^(3/d)
     remainder = certified collar bound minus the two model terms, so that
     main + second + remainder is exactly the certified bound at h(k).
 
@@ -444,16 +422,11 @@ def explicit_sum_bound(dom: DomainSpec, k: int,
     threshold = explicit_sum_threshold(dom, eps)
     if k < threshold:
         raise ThresholdError(
-            f"k={k} below admissible threshold {threshold:.3f}; use rough_bound")
-    d = dom.dimension
-    dc = dimensional_constants(d)
-    vol, per = dom.volume, dom.boundary_measure
-    kv = k / vol
-    main = d / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d)
-    second = (math.sqrt(4.0 / (d + 4.0)) * dc.grad_sup * dc.classical ** 1.5
-              * kv ** (3.0 / d) * (per / vol) * _epsilon_bracket(d, eps))
-    h = collar_width_for_k(dom, k, eps)
-    certified = step_average_bound(dom, k, h)
+            f"k={k} below admissible threshold {threshold:.3f}; "
+            f"use the inscribed-ball bound")
+    main = semiclassical.predict_average_leading(dom, k)
+    second = second_term_coefficient(dom, eps) * k ** (3.0 / dom.dimension)
+    certified = step_average_bound(dom, k, collar_width_for_k(dom, k, eps))
     return main, second, certified - main - second
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "assemble_clamped_bilaplacian",
     "smallest_eigs",
     "discrete_laplacian_eigenvalues",
-    "richardson_extrapolate",
     "richardson_ladder",
     "comparison_report",
 ]
@@ -61,6 +60,8 @@ DENSE_LIMIT = 600
 # Each eigenpair must satisfy ||A v - lambda v||_2 <= RESIDUAL_TOL ||A||_inf
 # (a backward error; measured at most 6e-15 on the clamped grids 32^2..128^2).
 RESIDUAL_TOL = 1e-12
+# The exact 1D comparison chain runs over modes j = 1..COMPARISON_1D_MODES.
+COMPARISON_1D_MODES = 50
 
 
 @dataclass(frozen=True)
@@ -329,14 +330,6 @@ def _certify(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> N
 # Refinement studies and the eigenvalue comparison chain
 # ----------------------------------------------------------------------------
 
-def richardson_extrapolate(coarse: float, mid: float, fine: float,
-                           ratio: float = 2.0, order: float = 2.0) -> tuple[float, float]:
-    """(limit, band) from three refinements; band = 3 * |fine - mid|."""
-    gain = ratio ** order - 1.0
-    limit = fine + (fine - mid) / gain
-    return limit, 3.0 * abs(fine - mid)
-
-
 def _initial_block_modes(k: int) -> int:
     """Modes first asked of each parity block for k merged values: a quarter
     of k and a margin for the blocks that are even across a mirror line,
@@ -381,27 +374,28 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
             values[i] = smallest_eigs(blocks[i], min(2 * len(values[i]), blocks[i].dim))[0]
 
 
-def richardson_ladder(spectra: Sequence[Spectrum],
+def richardson_ladder(mid: Spectrum, fine: Spectrum,
                       count: int) -> tuple[list[float], list[float]]:
-    """(limits, bands) of the first ``count`` modes of three refinements,
-    given coarse to fine: the error budget of every FD-derived row."""
+    """(limits, bands) of the first ``count`` modes from grids n x n (``mid``)
+    and 2n x 2n (``fine``), the error budget of every FD-derived row: per mode,
+    limit = fine + (fine - mid)/3 (second order, ratio 2), band = 3|fine - mid|."""
     limits, bands = [], []
     for j in range(1, count + 1):
-        limit, band = richardson_extrapolate(*(spec.value(j) for spec in spectra))
-        limits.append(limit)
-        bands.append(band)
+        m, f = mid.value(j), fine.value(j)
+        limits.append(f + (f - m) / 3.0)
+        bands.append(3.0 * abs(f - m))
     return limits, bands
 
 
-def comparison_report(dom: DomainSpec, limits: Sequence[float], bands: Sequence[float],
-                      n_max_1d: int = 50) -> list[BoundReport]:
+def comparison_report(dom: DomainSpec, limits: Sequence[float],
+                      bands: Sequence[float]) -> list[BoundReport]:
     """Eigenvalue comparison chain: 2D against Richardson bands, 1D exactly.
 
     2D rows check lambda_j^2 <= Lambda_j (and its a = 1 restatement) for
     j = 1..len(limits) against the clamped ``limits`` lowered by their
     ``bands``, as ``richardson_ladder`` gives them.  1D rows run the exact chain
     Lambda^(2,3) <= Lambda^(1,3) = mu^2 and lambda^2 = Lambda^(0,2) <=
-    Lambda^(0,1) with zero tolerance.
+    Lambda^(0,1) with zero tolerance for j = 1..COMPARISON_1D_MODES.
     """
     out: list[BoundReport] = []
     if len(limits):
@@ -415,11 +409,11 @@ def comparison_report(dom: DomainSpec, limits: Sequence[float], bands: Sequence[
                 "navier-a1-below-clamped", lam_sq, limit - band, "dirnav",
                 params={"j": j, "a": 1, "domain": dom.label()}))
 
-    spec_01 = spectrum_1d((0, 1), n_max_1d)
-    spec_02 = spectrum_1d((0, 2), n_max_1d)
-    spec_13 = spectrum_1d((1, 3), n_max_1d)
-    spec_23 = spectrum_1d((2, 3), n_max_1d)
-    for j in range(1, n_max_1d + 1):
+    spec_01 = spectrum_1d((0, 1), COMPARISON_1D_MODES)
+    spec_02 = spectrum_1d((0, 2), COMPARISON_1D_MODES)
+    spec_13 = spectrum_1d((1, 3), COMPARISON_1D_MODES)
+    spec_23 = spectrum_1d((2, 3), COMPARISON_1D_MODES)
+    for j in range(1, COMPARISON_1D_MODES + 1):
         mu_sq = (math.pi * (j - 1)) ** 4
         out.append(BoundReport.less_equal(
             "1d-neumann-below-ks", spec_23.value(j), spec_13.value(j), "dirnav",

@@ -199,11 +199,12 @@ def proposition_bound_report(n_max: int) -> list[BoundReport]:
             "riesz-1-d", params=params))
 
         # The defect is positive by construction, so only the unsigned
-        # deviation of r_n * cosh(pi(n+1/2)) from 1 is meaningful.
+        # deviation of r_n * cosh(pi(n+1/2)) from 1 is meaningful.  A root is
+        # bisected exactly when pi(n+1/2) < EXACT_ROOT_CAP, where cosh is finite.
         if root.method == "asymptotic":
             product = math.exp(math.log(r) + log_cosh(a)) if r > 0.0 else 1.0
         else:
-            product = r * math.cosh(a) if a < EXACT_ROOT_CAP else r / sech_a
+            product = r * math.cosh(a)
         out.append(BoundReport.less_equal(
             "defect-asymptotic-product", abs(product - 1.0), 0.1,
             "gamma-expansion", params=params, asserted=(n >= 5)))

@@ -10,7 +10,9 @@ boundary measure with a condition-specific coefficient:
     neumann             +(B_{d-1}/(4 (2 pi)^{d-1})) (4 f(a)^((1-d)/4) - 1 - J(a,d))
 
 where G_d = Gamma((d+1)/4) / (sqrt(pi) Gamma((d+3)/4)) and J is the arctan
-quadrature below.  The one-dimensional problem has no two-term counting
+quadrature below.  ``expansion_coefficients`` is the one source of c0 and
+c1: the two-term predictors invert N(lambda) = k with them and restate no
+Weyl constant.  The one-dimensional problem has no two-term counting
 expansion, so d = 1 is rejected here.
 """
 
@@ -43,21 +45,28 @@ __all__ = [
 # Quadrature
 # ----------------------------------------------------------------------------
 
+# The adaptive rule: its default tolerance over the whole interval, the
+# nodes per panel, and the most halvings of any panel.
+QUADRATURE_TOL = 1e-12
+GL_ORDER = 15
+GL_MAX_DEPTH = 40
+
+
 @lru_cache(maxsize=None)
-def _gl_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gl_nodes() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
     return tuple(x), tuple(w)
 
 
-def _panel(f, a: float, b: float, order: int) -> float:
-    x, w = _gl_nodes(order)
+def _panel(f, a: float, b: float) -> float:
+    x, w = _gl_nodes()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-12,
-                            order: int = 15, max_depth: int = 40) -> tuple[float, float]:
+def adaptive_gauss_legendre(f, a: float, b: float,
+                            tol: float = QUADRATURE_TOL) -> tuple[float, float]:
     """Adaptive panel-splitting Gauss-Legendre; returns (value, error estimate).
 
     A panel is accepted when splitting it changes the value by less than its
@@ -65,16 +74,16 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-12,
     """
     def recurse(lo: float, hi: float, whole: float, budget: float, depth: int):
         mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid, order)
-        right = _panel(f, mid, hi, order)
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
         diff = abs(left + right - whole)
-        if diff <= budget or depth >= max_depth:
+        if diff <= budget or depth >= GL_MAX_DEPTH:
             return left + right, diff
         lv, le = recurse(lo, mid, left, budget / 2.0, depth + 1)
         rv, re = recurse(mid, hi, right, budget / 2.0, depth + 1)
         return lv + rv, le + re
 
-    whole = _panel(f, a, b, order)
+    whole = _panel(f, a, b)
     return recurse(a, b, whole, tol, 0)
 
 
@@ -107,8 +116,7 @@ def arctan_g(t: float, a: float, inverse: bool = False) -> float:
     return math.atan2(den, num) if inverse else math.atan2(num, den)
 
 
-def neumann_boundary_integral(a: float, d: int, tol: float = 1e-12,
-                              inverse: bool = False) -> tuple[float, float]:
+def neumann_boundary_integral(a: float, d: int, inverse: bool = False) -> tuple[float, float]:
     """integral_0^1 t^(d-2) arctan(g(t,a)) dt (or with 1/g), with error estimate.
 
     The substitution t = 1 - u^2 removes the sqrt(1-t) behaviour at t = 1,
@@ -121,7 +129,7 @@ def neumann_boundary_integral(a: float, d: int, tol: float = 1e-12,
         t = 1.0 - u * u
         return (t ** (d - 2)) * arctan_g(t, a, inverse) * 2.0 * u
 
-    return adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)
+    return adaptive_gauss_legendre(integrand, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -133,7 +141,7 @@ def dirichlet_gamma_ratio(d: int) -> float:
     return math.gamma((d + 1) / 4.0) / (math.sqrt(math.pi) * math.gamma((d + 3) / 4.0))
 
 
-def dirichlet_arcsin_integral(d: int, tol: float = 1e-12) -> tuple[float, float, float]:
+def dirichlet_arcsin_integral(d: int) -> tuple[float, float, float]:
     """(quadrature, estimate, closed_form) of integral_0^1 t^(d-2) arcsin(t^2) dt.
 
     The closed form pi (1 - G_d) / (2 (d-1)) is the independent cross-check
@@ -146,7 +154,7 @@ def dirichlet_arcsin_integral(d: int, tol: float = 1e-12) -> tuple[float, float,
         t = 1.0 - u * u
         return (t ** (d - 2)) * math.asin(min(1.0, t * t)) * 2.0 * u
 
-    value, err = adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)
+    value, err = adaptive_gauss_legendre(integrand, 0.0, 1.0)
     closed = math.pi * (1.0 - dirichlet_gamma_ratio(d)) / (2.0 * (d - 1))
     return value, err, closed
 
@@ -159,8 +167,6 @@ class ExpansionCoefficients:
     ``quadrature_error`` is nonzero only for the Neumann conditions.
     """
 
-    d: int
-    bc: BoundaryCondition
     c0: float
     c1: float
     quadrature_error: float = 0.0
@@ -169,11 +175,10 @@ class ExpansionCoefficients:
 def _neumann_bracket(a: float, d: int, inverse: bool = False) -> tuple[float, float]:
     """Bracket 4 f(a)^((1-d)/4) - 1 - (4(d-1)/pi) * J  (or its 1/g variant)."""
     f = f_neumann(a)
+    integral, err = neumann_boundary_integral(a, d, inverse)
     if inverse:
-        integral, err = neumann_boundary_integral(a, d, inverse=True)
         value = 4.0 * f ** ((1 - d) / 4.0) - 3.0 + 4.0 * (d - 1) / math.pi * integral
     else:
-        integral, err = neumann_boundary_integral(a, d, inverse=False)
         value = 4.0 * f ** ((1 - d) / 4.0) - 1.0 - 4.0 * (d - 1) / math.pi * integral
     return value, err
 
@@ -191,11 +196,11 @@ def expansion_coefficients(bc: BoundaryCondition, d: int,
     base = dc_minus.ball_volume / (4.0 * (2.0 * math.pi) ** (d - 1))
 
     if bc.kind is BCKind.DIRICHLET:
-        return ExpansionCoefficients(d, bc, c0, -base * (1.0 + dirichlet_gamma_ratio(d)))
+        return ExpansionCoefficients(c0, -base * (1.0 + dirichlet_gamma_ratio(d)))
     if bc.kind is BCKind.NAVIER:
-        return ExpansionCoefficients(d, bc, c0, -base)
+        return ExpansionCoefficients(c0, -base)
     if bc.kind is BCKind.KUTTLER_SIGILLITO:
-        return ExpansionCoefficients(d, bc, c0, base)
+        return ExpansionCoefficients(c0, base)
 
     # Neumann
     if bc.poisson_ratio == 1.0:
@@ -204,52 +209,40 @@ def expansion_coefficients(bc: BoundaryCondition, d: int,
         raise ValueError(f"unknown Neumann form {neumann_form!r}")
     bracket, err = _neumann_bracket(bc.poisson_ratio, d,
                                     inverse=(neumann_form == "arctan_inv_g"))
-    return ExpansionCoefficients(d, bc, c0, base * bracket, quadrature_error=err)
+    return ExpansionCoefficients(c0, base * bracket, quadrature_error=err)
 
 
 # ----------------------------------------------------------------------------
 # Predictors
 # ----------------------------------------------------------------------------
 
-def _second_term_factor(bc: BoundaryCondition, d: int) -> float:
-    """Signed bracket multiplying C_d^2 B_{d-1} / (d B_d^(1-1/d)) in the
-    single-eigenvalue expansion: +(1+G_d) dirichlet, +1 navier, -1
-    kuttler_sigillito, -(neumann bracket).  Algebraically this is
-    -c1 / (B_{d-1} / (4 (2 pi)^{d-1})) per unit boundary."""
-    coeffs = expansion_coefficients(bc, d)
-    dc_minus = dimensional_constants(d - 1)
-    base = dc_minus.ball_volume / (4.0 * (2.0 * math.pi) ** (d - 1))
-    return -coeffs.c1 / base
+def _two_terms(bc: BoundaryCondition, dom: DomainSpec, k: int) -> tuple[float, float]:
+    """(leading, second) terms of the k-th eigenvalue on ``dom``: the root of
+    N(lambda) = c0 |Omega| lambda^(d/4) + c1 |dOmega| lambda^((d-1)/4) = k to
+    second order in s = lambda^(1/4).  With s0 = (k / (c0 |Omega|))^(1/d),
+    s = s0 - c1 |dOmega| / (d c0 |Omega|), so lambda = s0^4 - 4 c1 |dOmega|
+    s0^3 / (d c0 |Omega|)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    d = dom.dimension
+    co = expansion_coefficients(bc, d)
+    s0 = (k / (co.c0 * dom.volume)) ** (1.0 / d)
+    return s0 ** 4, -4.0 * co.c1 * dom.boundary_measure * s0 ** 3 / (d * co.c0 * dom.volume)
 
 
 def predict_eigenvalue(bc: BoundaryCondition, dom: DomainSpec, k: int) -> float:
     """Two-term prediction of the k-th eigenvalue on ``dom``, in its dimension
     (asymptotic, smooth-domain hypothesis; exact only in the large-k limit)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    d = dom.dimension
-    dc = dimensional_constants(d)
-    dc_minus = dimensional_constants(d - 1)
-    vol, per = dom.volume, dom.boundary_measure
-    lead = dc.classical ** 2 * (k / vol) ** (4.0 / d)
-    unit = dc.classical ** 2 * dc_minus.ball_volume / (d * dc.ball_volume ** (1.0 - 1.0 / d))
-    second = unit * _second_term_factor(bc, d) * (per / vol) * (k / vol) ** (3.0 / d)
-    return lead + second
+    return sum(_two_terms(bc, dom, k))
 
 
 def predict_average(dom: DomainSpec, k: int) -> float:
-    """Two-term prediction of the first-k Dirichlet eigenvalue average."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Two-term prediction of the first-k Dirichlet eigenvalue average: the
+    mean over j <= k of the terms of ``predict_eigenvalue``, which grow like
+    j^(4/d) and j^(3/d)."""
+    lead, second = _two_terms(BoundaryCondition(BCKind.DIRICHLET), dom, k)
     d = dom.dimension
-    dc = dimensional_constants(d)
-    dc_minus = dimensional_constants(d - 1)
-    vol, per = dom.volume, dom.boundary_measure
-    lead = d / (d + 4.0) * dc.classical ** 2 * (k / vol) ** (4.0 / d)
-    unit = dc.classical ** 2 * dc_minus.ball_volume / (d * dc.ball_volume ** (1.0 - 1.0 / d))
-    second = (d / (d + 3.0)) * unit * (1.0 + dirichlet_gamma_ratio(d)) \
-        * (per / vol) * (k / vol) ** (3.0 / d)
-    return lead + second
+    return d / (d + 4.0) * lead + d / (d + 3.0) * second
 
 
 def predict_average_leading(dom: DomainSpec, k: int) -> float:

@@ -22,12 +22,6 @@ def check_context() -> checks.Context:
 
 
 @pytest.fixture(scope="session")
-def clamped_fd(check_context) -> dict[int, np.ndarray]:
-    """First FD_MODES clamped eigenvalues on each refinement grid."""
-    return {n: np.array(check_context.fd(n, checks.FD_MODES).values) for n in checks.FD_GRIDS}
-
-
-@pytest.fixture(scope="session")
 def clamped_richardson(check_context) -> tuple[np.ndarray, np.ndarray]:
     """(limits, bands): Richardson-extrapolated clamped eigenvalues with the
     adversarial tolerance band 3|fine - mid| per mode."""

@@ -35,7 +35,6 @@ from bilap.avp import (
     mollified_indicator_profile,
     partition_lower_bound,
     riesz_lower_bound,
-    rough_bound,
     second_term_coefficient,
     step_average_bound,
     young_refined,
@@ -337,23 +336,46 @@ class TestPartitionLowerBound:
             partition_lower_bound(mollified_profiles[0.1], 0.0)
 
 
+def ball_bound(dom: DomainSpec, k: int) -> float:
+    """The paper's rough (inradius-only) average bound: the inscribed-ball
+    profile's average bound."""
+    return avg_upper_bound(inscribed_ball_profile(dom), k)
+
+
 class TestRoughBound:
     def test_homothety_scaling(self):
         # dilating the domain by s at fixed mode index scales the bound by
         # s^-4, the natural fourth-order covariance
         small, big = DomainSpec.square(1.0), DomainSpec.square(2.0)
         for k in (1, 10, 40):
-            assert rough_bound(big, k) == pytest.approx(
-                rough_bound(small, k) / 16.0, rel=1e-12)
+            assert ball_bound(big, k) == pytest.approx(
+                ball_bound(small, k) / 16.0, rel=1e-12)
 
     def test_dominates_fd_first_eigenvalue(self, unit_square, clamped_richardson):
         limits, bands = clamped_richardson
-        assert rough_bound(unit_square, 1) >= limits[0] - bands[0]
+        assert ball_bound(unit_square, 1) >= limits[0] - bands[0]
 
     def test_dominates_fd_averages(self, unit_square, clamped_richardson):
         limits, _ = clamped_richardson
         for k in (1, 5, 10, 30, 50):
-            assert rough_bound(unit_square, k) >= limits[:k].mean()
+            assert ball_bound(unit_square, k) >= limits[:k].mean()
+
+    @pytest.mark.parametrize("dom", [DomainSpec.interval(1.0), DomainSpec.interval(3.7),
+                                     DomainSpec.square(1.0), DomainSpec.rectangle(1.0, 2.0)],
+                             ids=["interval:1", "interval:3.7", "square:1", "rect:1x2"])
+    def test_equals_the_paper_form(self, dom):
+        # r^-4 ((d/(d+4)) C_d^2 (a_d |O|)^(4/d) (k/|O|)^(4/d)
+        #       + 2 C_d (b_d |O|)^(2/d) (k/|O|)^(2/d) + c_d)
+        d = dom.dimension
+        dc = dimensional_constants(d)
+        vol = dom.volume
+        for k in range(1, 201):
+            kv = k / vol
+            paper = dom.inradius ** -4 * (
+                d / (d + 4.0) * dc.classical ** 2 * (dc.a_d * vol) ** (4.0 / d) * kv ** (4.0 / d)
+                + 2.0 * dc.classical * (dc.b_d * vol) ** (2.0 / d) * kv ** (2.0 / d)
+                + dc.c_d)
+            assert ball_bound(dom, k) == pytest.approx(paper, rel=1e-14), k
 
 
 class TestExplicitSumBound:
@@ -494,8 +516,8 @@ class TestKroegerLaptev:
         reports = kroeger_laptev_report(spec, dom, 500)
         assert all(r.holds for r in reports if r.asserted)
 
-    def test_square_rows_are_labelled_and_computed_in_d2(self, unit_square, clamped_fd):
-        spec = Spectrum(tuple(clamped_fd[32]))
+    def test_square_rows_are_labelled_and_computed_in_d2(self, unit_square, check_context):
+        spec = check_context.fd(32, 50)
         reports = kroeger_laptev_report(spec, unit_square, 3)
         assert reports and all(r.check.startswith("kroeger-laptev-extrapolated-d2-")
                                for r in reports)

@@ -554,15 +554,21 @@ class TestMain:
 
     def test_compare_small_grids(self, tmp_path):
         out = tmp_path / "cmp.csv"
-        assert main(["compare", "--domain", "square:1", "--grids", "12,16,24",
+        assert main(["compare", "--domain", "square:1", "--grids", "12,24",
                      "--k", "4", "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("grids", ["32,64", "12,12,16"])
-    def test_compare_needs_three_distinct_grids(self, grids, capsys):
-        assert main(["compare", "--grids", grids, "--k", "3"]) == 2
-        assert "three distinct grids" in capsys.readouterr().err
+    def test_compare_refuses_a_finest_pair_not_n_and_2n(self, capsys):
+        # the Richardson limit assumes grid ratio 2; 16 -> 24 would put the
+        # first limit 12 below the converged value
+        assert main(["compare", "--grids", "12,16,24", "--k", "4"]) == 2
+        assert "16 and 24 are not n and 2n" in capsys.readouterr().err
 
-    def test_compare_solves_the_three_finest_grids(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("grids", ["32", "12,12"])
+    def test_compare_needs_two_distinct_grids(self, grids, capsys):
+        assert main(["compare", "--grids", grids, "--k", "3"]) == 2
+        assert "two distinct grids" in capsys.readouterr().err
+
+    def test_compare_solves_the_two_finest_grids(self, tmp_path, monkeypatch):
         solved = []
         solve = eig2d.clamped_spectrum_fd
 
@@ -572,11 +578,11 @@ class TestMain:
 
         monkeypatch.setattr(eig2d, "clamped_spectrum_fd", counted)
         reports = []
-        for grids in ("12,16,24,32", "16,24,32"):
+        for grids in ("6,12,24", "12,24"):
             out = tmp_path / f"{grids}.csv"
             assert main(["compare", "--grids", grids, "--k", "4", "--out", str(out)]) == 0
             reports.append(_rows(out))
-        assert solved == [16, 24, 32, 16, 24, 32]
+        assert solved == [12, 24, 12, 24]
         assert reports[0] == reports[1]
 
     def test_config_file_defaults(self, tmp_path):

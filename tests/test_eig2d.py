@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilap import checks, eig2d
-from bilap.core import DomainSpec
+from bilap.core import DomainSpec, Spectrum
 from bilap.eig2d import (
     DiscreteOperator,
     Grid2D,
@@ -21,7 +21,7 @@ from bilap.eig2d import (
     laplacian_spectrum_exact,
     navier1_spectrum_exact,
     neumann_laplacian_spectrum_exact,
-    richardson_extrapolate,
+    richardson_ladder,
     smallest_eigs,
 )
 from bilap.roots1d import gamma_value
@@ -216,9 +216,9 @@ class TestSolver:
         with pytest.raises(ValueError):
             smallest_eigs(DiscreteOperator(grid, mat), 2)
 
-    def test_richardson_exponent_near_two(self, clamped_fd):
-        gaps = [clamped_fd[32][0] - clamped_fd[64][0],
-                clamped_fd[64][0] - clamped_fd[128][0]]
+    def test_richardson_exponent_near_two(self, check_context):
+        lam1 = [check_context.fd(n, checks.FD_MODES).value(1) for n in (32, 64, 128)]
+        gaps = [lam1[0] - lam1[1], lam1[1] - lam1[2]]
         order = math.log2(abs(gaps[0] / gaps[1]))
         assert order == pytest.approx(2.0, abs=0.5)
 
@@ -320,7 +320,7 @@ class TestParityBlocks:
 
 class TestComparisonReport:
     def test_1d_chain_zero_tolerance(self):
-        reports = comparison_report(DomainSpec.square(1.0), [], [], n_max_1d=50)
+        reports = comparison_report(DomainSpec.square(1.0), [], [])
         assert reports and all(r.holds for r in reports)
 
     def test_2d_chain_with_fixtures(self, unit_square, clamped_richardson):
@@ -334,9 +334,9 @@ class TestComparisonReport:
         assert all(r.margin > 0.0 for r in two_d)
 
     def test_richardson_helper(self):
-        limit, band = richardson_extrapolate(1.0, 1.75, 1.9375)
-        assert limit == pytest.approx(2.0, rel=1e-12)
-        assert band == pytest.approx(3 * 0.1875, rel=1e-12)
+        limits, bands = richardson_ladder(Spectrum((1.75,)), Spectrum((1.9375,)), 1)
+        assert limits[0] == pytest.approx(2.0, rel=1e-12)
+        assert bands[0] == pytest.approx(3 * 0.1875, rel=1e-12)
 
 
 class TestGrid:
