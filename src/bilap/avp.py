@@ -6,11 +6,10 @@ Two trial families are built: the quartic bump supported in the inscribed
 ball (closed-form norms) and the mollified inner-collar indicator
 phi_h = 1_{h/2} * eta_{h/2} (grid convolution norms with a recorded
 Richardson error estimate).  On a rectangle the collar indicator is the
-tensor product of two interval indicators, so each sampled convolution is
-two small matrix products.  Grid lines whose convolution windows see the
-same indicator values form one row class, so each field is held once per
-pair of classes (about 200 x 200 values) rather than once per grid point,
-and the trapezoid norms carry each class's summed weights.  Every bound
+tensor product of two interval indicators, so each sampled field is the
+convolution Ta @ K @ Tb.T of a small kernel K with their windows, and each
+trapezoid norm of it is a quadratic form in the two 1D Gram matrices of the
+windows (about 97 x 97); no field over the grid is formed.  Every bound
 below is an assertable inequality against an exact 1D or finite-difference
 2D spectrum.
 
@@ -31,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import semiclassical
 from .core import (
@@ -172,32 +170,36 @@ def _kernel_samples(h2: float, dx: float, dy: float) -> tuple[np.ndarray, np.nda
     return eta, gx, gy, lap
 
 
-def _shift_matrix(a: np.ndarray, half: int) -> np.ndarray:
-    """Banded T with T[x, i] = a[x - i + half] (zero out of range), so that
-    the centred "same" convolution of outer(a, b) with a (2 half_x + 1) x
-    (2 half_y + 1) kernel K is T_a @ K @ T_b.T."""
-    padded = np.pad(a, half)
-    return np.ascontiguousarray(sliding_window_view(padded, 2 * half + 1)[:, ::-1])
+def _window_gram(inside: np.ndarray, half: int, step: float, stride: int) -> np.ndarray:
+    """T.T @ diag(w) @ T for the windows T[x, i] = inside[x - i + half] (zero
+    out of range) of the points x = 0, stride, 2 stride, ... and their
+    trapezoid weights w at spacing stride * step.
+
+    ``inside`` is one run of ones [first, last], so the points whose window
+    holds ones at both i and j are x in [first + max(i, j) - half,
+    last + min(i, j) - half].  Their weights are summed as integers in units
+    of stride * step / 2, so each entry is rounded once.
+    """
+    first, last = np.flatnonzero(inside)[[0, -1]]
+    points = (len(inside) - 1) // stride + 1
+    units = np.full(points, 2)
+    units[0] -= 1
+    units[-1] -= 1
+    cum = np.concatenate(([0], np.cumsum(units)))
+    i = np.arange(2 * half + 1)
+    lo = np.clip(-((half - first - np.maximum.outer(i, i)) // stride), 0, points)
+    hi = np.clip((last - half + np.minimum.outer(i, i)) // stride + 1, 0, points)
+    return np.maximum(cum[hi] - cum[lo], 0) * (0.5 * stride * step)
 
 
-def _row_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, inverse): the distinct rows of the 0/1 matrix ``t`` and the
-    class of each of its rows, so that t == rows[inverse].  Rows are keyed
-    by their packed bits, a few bytes each, rather than by their doubles."""
-    bits = np.packbits(t.astype(bool), axis=1)
-    keys = bits.view(f"V{bits.shape[1]}").ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return t[first], inverse
-
-
-def _trapezoid_weights(inverse: np.ndarray, classes: int, step: float) -> np.ndarray:
-    """Composite-trapezoid weights of the grid lines summed per class: integer
-    counts, minus 1/2 for each end point, times the step (all exact but the
-    last product)."""
-    counts = np.bincount(inverse, minlength=classes).astype(float)
-    counts[inverse[0]] -= 0.5
-    counts[inverse[-1]] -= 0.5
-    return counts * step
+def _centre_line(a: np.ndarray, b: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """phi = T_a K T_b.T on the grid line through the middle point of the
+    axis of ``a``: that point's window of ``a`` collapses K to a 1D kernel,
+    which is convolved with ``b``."""
+    half_a, half_b = kernel.shape[0] // 2, kernel.shape[1] // 2
+    mid = len(a) // 2
+    window = np.pad(a, half_a)[mid:mid + 2 * half_a + 1][::-1]
+    return np.convolve(b, window @ kernel)[half_b:half_b + len(b)]
 
 
 def mollified_indicator_profile(dom: DomainSpec, h: float,
@@ -206,17 +208,17 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
 
     The collar indicator {dist > h/2} is outer(a, b) with a, b the indicators
     of min(x, lx - x) > h/2 and min(y, ly - y) > h/2, so phi and its sampled
-    derivatives are Tx @ K @ Ty.T for each kernel K (``_shift_matrix``).
-    Away from the collar edges every row of Tx is the same all-ones or
-    all-zeros window, so the grid lines fall into few row classes (about
-    four kernel half-widths per axis, some 194 at the default ``grid_res``)
-    and each field is formed once per class pair, Ux @ K @ Uy.T with Ux, Uy
-    the distinct rows.  The grid resolves h with ``grid_res`` points; norms are
-    composite trapezoid sums wx @ F @ wy, where wx, wy are each class's
-    summed trapezoid weights (multiplicities), once for the grid and once
-    for the half-resolution subgrid that gives the Richardson error
-    estimate.  Construction verifies 0 <= phi <= 1 on every class pair and
-    phi = 1 on the classes of grid lines away from the collar.
+    derivatives are F = Ta @ K @ Tb.T for each kernel K, with Ta, Tb the
+    convolution windows of a, b.  A trapezoid norm sum w_x w_y F^2 is then
+    sum(Ga * (K @ Gb @ K.T)) in the windows' Gram matrices (``_window_gram``),
+    taken on the grid, which resolves h with ``grid_res`` points, and on its
+    [::2, ::2] subgrid for the Richardson error estimate.
+
+    Construction verifies eta >= 0, so 0 <= phi <= 1 once eta has unit mass.
+    Each window sum of the symmetric, radially decreasing eta falls as the
+    window leaves the middle of the run, so phi peaks on the two centre lines
+    (``_centre_line``): sup phi is read there, and phi = 1 is verified at
+    their points away from the collar (dist > h), hence on every such pair.
     """
     if dom.shape != "rectangle":
         raise ValueError("mollified profiles are built on rectangles only")
@@ -237,30 +239,29 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
 
     h2 = h / 2.0
     eta, gx_k, gy_k, lap_k = _kernel_samples(h2, dx, dy)
+    if eta.min() < 0.0:
+        raise AssertionError(f"phi range outside [0, 1]: sampled eta dips to {eta.min()}")
     cell = dx * dy
     mass = eta.sum() * cell
     scale = cell / mass  # renormalise the sampled kernel to unit mass
+    ax, ay = distx > h2, disty > h2
+    kx, ky = eta.shape[0] // 2, eta.shape[1] // 2
 
-    ux, cx = _row_classes(_shift_matrix((distx > h2).astype(float), eta.shape[0] // 2))
-    uy, cy = _row_classes(_shift_matrix((disty > h2).astype(float), eta.shape[1] // 2))
-    phi, gx, gy, lap = ((ux @ (k * scale)) @ uy.T for k in (eta, gx_k, gy_k, lap_k))
-
-    if phi.min() < -1e-10 or phi.max() > 1.0 + 1e-10:
-        raise AssertionError(f"phi range [{phi.min()}, {phi.max()}] outside [0, 1]")
-    inner = phi[np.ix_(np.unique(cx[distx > h]), np.unique(cy[disty > h]))]
+    unit_eta = eta * scale
+    lines = (_centre_line(ax, ay, unit_eta), _centre_line(ay, ax, unit_eta.T))
+    inner = np.concatenate((lines[0][disty > h], lines[1][distx > h]))
     if inner.size and abs(inner - 1.0).max() > 1e-10:
         raise AssertionError("phi != 1 on the inner region away from the collar")
 
-    nx, ny = len(ux), len(uy)
-    fine = (_trapezoid_weights(cx, nx, dx), _trapezoid_weights(cy, ny, dy))
-    coarse = (_trapezoid_weights(cx[::2], nx, 2.0 * dx),
-              _trapezoid_weights(cy[::2], ny, 2.0 * dy))
-    grad_sq = gx * gx + gy * gy
+    # the grid (stride 1) and its [::2, ::2] subgrid
+    grams = [(_window_gram(ax, kx, dx, s), _window_gram(ay, ky, dy, s)) for s in (1, 2)]
     norms = {}
     errs = {}
-    for name, arr in (("l2", phi * phi), ("grad", grad_sq), ("lap", lap * lap)):
-        norms[name] = value = float(fine[0] @ arr @ fine[1])
-        rough = float(coarse[0] @ arr @ coarse[1])
+    for name, kernels in (("l2", (eta,)), ("grad", (gx_k, gy_k)), ("lap", (lap_k,))):
+        scaled = [k * scale for k in kernels]
+        value, rough = (sum(float(np.sum(ga * (k @ gb @ k.T))) for k in scaled)
+                        for ga, gb in grams)
+        norms[name] = value
         errs[name] = abs(value - rough) / (3.0 * abs(value)) if value != 0.0 else 0.0
     est = max(errs.values())
     if est > MAX_QUADRATURE_REL_ERR:
@@ -271,7 +272,7 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
     return TestFunctionProfile(
         kind="mollified_indicator", dom=dom,
         l2_sq=norms["l2"], grad_l2_sq=norms["grad"], lap_l2_sq=norms["lap"],
-        sup_sq=float(phi.max()) ** 2, est_rel_err=est,
+        sup_sq=float(max(line.max() for line in lines)) ** 2, est_rel_err=est,
     )
 
 
@@ -370,8 +371,8 @@ def explicit_sum_threshold(dom: DomainSpec, eps: float = EPSILON_DEFAULT) -> flo
 def step_average_bound(dom: DomainSpec, k: int, h: float) -> float:
     """Certified average upper bound at collar width h with the exact |w_h|.
 
-    Branches on the dimension exactly as the derivation does: the d = 2, 3
-    route replaces the Bernoulli step by the factored density estimate.
+    ``DomainSpec`` makes d = 1 or 2, where the derivation replaces the
+    Bernoulli step (its d >= 4 route) by the factored density estimate.
     """
     if not (0.0 < h <= dom.inradius):
         raise ValueError(f"h={h} outside (0, inradius]")
@@ -384,11 +385,8 @@ def step_average_bound(dom: DomainSpec, k: int, h: float) -> float:
         return math.inf
     kv = k / vol
     main = semiclassical.predict_average_leading(dom, k)
-    if d >= 4:
-        t1 = 4.0 / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d) * (w / rem_vol)
-    else:
-        t1 = (2.0 / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d)
-              * (2.0 * vol / rem_vol) * (w / rem_vol))
+    t1 = (2.0 / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d)
+          * (2.0 * vol / rem_vol) * (w / rem_vol))
     t2 = (2.0 * dc.grad_sup ** 2 * w / (h * h * rem_vol)
           * dc.classical * kv ** (2.0 / d) * (vol / rem_vol) ** (2.0 / d))
     t3 = dc.lap_sup ** 2 * w / (h ** 4 * rem_vol)

@@ -39,15 +39,16 @@ from typing import Optional, Sequence
 # The variables OpenBLAS reads its thread count from, once, when it loads.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# Every BLAS call behind the reports is small: 194 x 97 GEMM chains for the
-# collar profiles, dense eigh on parity blocks of at most 600 unknowns,
+# Every BLAS call behind the reports is small: 97 x 97 matrix products for
+# the collar profiles, dense eigh on parity blocks of at most 600 unknowns,
 # SuperLU and ARPACK on blocks of at most 4,096.  On a 2-core machine a
 # second OpenBLAS thread buys no wall time there but spins: one thread cut
 # the benchmark's rect_sweep CPU time from 3.14 s to 1.60 s (medians of ten
 # pairs) at the same wall time, 1.59 s against 1.61 s.  The spinning thread
 # also makes small calls slow in some fresh processes: a first 256^2 eigh
-# took 0.92 s in 1 of 16, and four profile-shaped GEMM chains 0.06-0.10 s in
-# 6 of 16, against at most 0.019 s and 0.002 s in all 16 on one thread.
+# took 0.92 s in 1 of 16, and four 194 x 97 GEMM chains (the profile's
+# former shape) 0.06-0.10 s in 6 of 16, against at most 0.019 s and 0.002 s
+# in all 16 on one thread.
 # numpy's and scipy's bundled OpenBLAS read the variable when they load, so
 # this works only before numpy is imported; a caller's own setting is kept.
 if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):

@@ -34,8 +34,6 @@ _LOG2 = math.log(2.0)
 # asymptotic tail r_n = 2 exp(-pi (n+1/2)).
 EXACT_ROOT_CAP = 700.0
 
-DEFAULT_TOL = 1e-13
-
 
 def log_cosh(x: float) -> float:
     """log(cosh(x)) without overflow for any double x."""
@@ -52,12 +50,11 @@ def _sign(n: int) -> int:
 
 @dataclass(frozen=True)
 class GammaRoot:
-    """One root gamma_n with its defect, bracket and relative residual."""
+    """One root gamma_n with its defect and relative residual."""
 
     n: int
     gamma: float
     r: float
-    bracket: tuple[float, float]
     residual: float  # |cos(g) cosh(g) - 1| / cosh(g), evaluated in stable form
     method: str      # "exact" (n=0), "bisection", "asymptotic"
 
@@ -75,19 +72,16 @@ def _relative_residual(n: int, r: float) -> float:
     return abs(math.sin(r) - math.exp(-log_cosh(gamma)))
 
 
-def solve_gamma(n: int, tol: float = DEFAULT_TOL) -> GammaRoot:
+def solve_gamma(n: int) -> GammaRoot:
     """Bracket and bisect the n-th root; n=0 returns the conventional gamma_0=0.
 
     The returned root matches the sign pattern (-1)^(n+1): above pi(n+1/2)
-    for odd n, below for even n.  The gamma bracket always lies inside
-    [pi(n+1/2) - pi/2, pi(n+1/2) + pi/2].
+    for odd n, below for even n, by a defect r_n in (0, pi/2).
     """
     if n < 0:
         raise ValueError("root index must be >= 0")
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError(f"tol={tol} outside (0, 1e-6]")
     if n == 0:
-        return GammaRoot(0, 0.0, 0.0, (0.0, 0.0), 0.0, "exact")
+        return GammaRoot(0, 0.0, 0.0, 0.0, "exact")
 
     a = math.pi * (n + 0.5)
     s = _sign(n)
@@ -95,7 +89,7 @@ def solve_gamma(n: int, tol: float = DEFAULT_TOL) -> GammaRoot:
     if a >= EXACT_ROOT_CAP:
         r = 2.0 * math.exp(-a)  # may underflow gradually; harmless
         gamma = a + s * r
-        return GammaRoot(n, gamma, r, (gamma, gamma), 0.0, "asymptotic")
+        return GammaRoot(n, gamma, r, 0.0, "asymptotic")
 
     # Bisect u = log(r).  At u_lo the product sin(r) cosh(...) is < 1 by
     # construction; at r = pi/2 it is >= cosh(pi n) > 1.
@@ -106,28 +100,26 @@ def solve_gamma(n: int, tol: float = DEFAULT_TOL) -> GammaRoot:
     if not (f_lo < 0.0 < f_hi):
         raise RuntimeError(f"root bracket failed sign change at n={n}")
 
-    # u-width 1e-15 gives ~16 significant digits on r; the gamma bracket is
-    # then far tighter than any admissible tol.
+    # u-width 1e-15 gives ~16 significant digits on r; as r < pi/2 the
+    # r-width is then below 2e-15.
     for _ in range(200):
         u_mid = 0.5 * (u_lo + u_hi)
         if _log_residual(n, math.exp(u_mid)) < 0.0:
             u_lo = u_mid
         else:
             u_hi = u_mid
-        r_lo, r_hi = math.exp(u_lo), math.exp(u_hi)
-        if u_hi - u_lo <= 1e-15 and r_hi - r_lo <= tol:
+        if u_hi - u_lo <= 1e-15:
             break
 
-    r = 0.5 * (r_lo + r_hi)
+    r = 0.5 * (math.exp(u_lo) + math.exp(u_hi))
     gamma = a + s * r
-    bracket = (a + s * r_hi, a + s * r_lo) if s < 0 else (a + s * r_lo, a + s * r_hi)
-    return GammaRoot(n, gamma, r, bracket, _relative_residual(n, r), "bisection")
+    return GammaRoot(n, gamma, r, _relative_residual(n, r), "bisection")
 
 
 @lru_cache(maxsize=None)
 def gamma_root(n: int) -> GammaRoot:
-    """Cached root at the default tolerance; shared by all 1D spectra."""
-    return solve_gamma(n, DEFAULT_TOL)
+    """Cached root; shared by all 1D spectra."""
+    return solve_gamma(n)
 
 
 def gamma_value(n: int) -> float:

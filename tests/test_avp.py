@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 import bilap
@@ -23,7 +24,7 @@ from bilap.avp import (
     TestFunctionProfile,
     ThresholdError,
     _kernel_samples,
-    _shift_matrix,
+    _window_gram,
     avg_upper_bound,
     collar_width_for_k,
     explicit_sum_bound,
@@ -48,6 +49,29 @@ from bilap.spectra1d import spectrum_1d
 def trapz2(arr: np.ndarray, dx: float, dy: float) -> float:
     """Composite trapezoid rule on a grid of spacing dx along axis 0, dy along axis 1."""
     return float(np.trapezoid(np.trapezoid(arr, dx=dy, axis=1), dx=dx))
+
+
+def window_matrix(a: np.ndarray, half: int) -> np.ndarray:
+    """Banded T with T[x, i] = a[x - i + half] (zero out of range), so that
+    the centred "same" convolution of outer(a, b) with a (2 half_x + 1) x
+    (2 half_y + 1) kernel K is T_a @ K @ T_b.T."""
+    return sliding_window_view(np.pad(a, half), 2 * half + 1)[:, ::-1]
+
+
+def run_indicator(n: int, lo: int, hi: int) -> np.ndarray:
+    """The 0/1 array of length n with ones on [lo, hi)."""
+    a = np.zeros(n)
+    a[lo:hi] = 1.0
+    return a
+
+
+def quadratic_norm(a: np.ndarray, b: np.ndarray, kernel: np.ndarray,
+                   dx: float, dy: float, stride: int) -> float:
+    """The trapezoid norm of T_a K T_b.T on the [::stride, ::stride] points as
+    the profile forms it: sum(Ga * (K @ Gb @ K.T)) in the window Gram matrices."""
+    ga = _window_gram(a > 0.0, kernel.shape[0] // 2, dx, stride)
+    gb = _window_gram(b > 0.0, kernel.shape[1] // 2, dy, stride)
+    return float(np.sum(ga * (kernel @ gb @ kernel.T)))
 
 
 class TestInscribedBallProfile:
@@ -80,8 +104,8 @@ class TestInscribedBallProfile:
 class TestMollifiedProfile:
     def test_lemma_sup_bounds(self, unit_square):
         """The sampled sups of |grad phi| and |Delta phi| over the profile's
-        grid, formed per row class (every grid line has one), stay below
-        A_d / h and Atilde_d / h^2."""
+        grid, formed once per distinct window row, stay below A_d / h and
+        Atilde_d / h^2."""
         dc = dimensional_constants(2)
         side = unit_square.lengths[0]
         for h in (0.1, 0.05):
@@ -89,7 +113,7 @@ class TestMollifiedProfile:
             x = np.linspace(0.0, side, m + 1)
             eta, gx_k, gy_k, lap_k = _kernel_samples(h / 2.0, side / m, side / m)
             indicator = (np.minimum(x, side - x) > h / 2.0).astype(float)
-            u, _ = avp._row_classes(_shift_matrix(indicator, eta.shape[0] // 2))
+            u = np.unique(window_matrix(indicator, eta.shape[0] // 2), axis=0)
             gx, gy, lap = (u @ (k / eta.sum()) @ u.T for k in (gx_k, gy_k, lap_k))
             assert np.sqrt((gx * gx + gy * gy).max()) <= dc.grad_sup / h
             assert np.abs(lap).max() <= dc.lap_sup / h ** 2
@@ -118,43 +142,53 @@ class TestMollifiedProfile:
         with pytest.raises(ResolutionError):  # estimate 1.5e-4 at h = inradius
             mollified_indicator_profile(unit_square, 0.5, 64)
 
-    def test_interior_check_sees_every_row_class(self, unit_square, monkeypatch):
-        # one grid line away from the collar misses its own cell of the
-        # indicator, so phi < 1 there while staying inside [0, 1]
-        shift = avp._shift_matrix
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_interior_check_sees_the_centre_lines(self, unit_square, monkeypatch, which):
+        # one point away from the collar on either centre line dips below 1
+        # while staying inside [0, 1]
+        line = avp._centre_line
+        calls = []
 
-        def holed(a, half):
-            t = shift(a, half)
-            t[len(t) // 3, half] = 0.0
-            return t
+        def dipped(a, b, kernel):
+            out = line(a, b, kernel)
+            if len(calls) == which:
+                out[len(out) // 3] = 0.5
+            calls.append(None)
+            return out
 
-        monkeypatch.setattr(avp, "_shift_matrix", holed)
+        monkeypatch.setattr(avp, "_centre_line", dipped)
         with pytest.raises(AssertionError, match="phi != 1"):
             mollified_indicator_profile(unit_square, 0.1, MOLLIFIER_RES)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("shape, kernel", [((97, 131), (13, 13)), ((100, 64), (13, 15)),
                                                ((8, 9), (11, 3))])
     def test_convolution_matches_scipy_signal(self, shape, kernel):
-        """The separable route on random outer(a, b) and a random odd kernel,
-        including one wider than the array, against scipy.signal."""
+        """The quadratic form on outer(a, b) of two random runs and a random
+        odd kernel, including one wider than the array, against the
+        trapezoid norm of the scipy.signal convolution, on the grid and on
+        its [::2, ::2] subgrid."""
         rng = np.random.default_rng(0)
-        a, b, k = rng.random(shape[0]), rng.random(shape[1]), rng.random(kernel)
-        ref = fftconvolve(np.outer(a, b), k, mode="same")
-        got = _shift_matrix(a, kernel[0] // 2) @ k @ _shift_matrix(b, kernel[1] // 2).T
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        a, b = (run_indicator(n, *sorted(rng.choice(n + 1, 2, replace=False)))
+                for n in shape)
+        k = rng.random(kernel)
+        dx, dy = 0.3, 0.7
+        field = fftconvolve(np.outer(a, b), k, mode="same")
+        for stride in (1, 2):
+            ref = trapz2(field[::stride, ::stride] ** 2, stride * dx, stride * dy)
+            got = quadratic_norm(a, b, k, dx, dy, stride)
+            assert abs(got - ref) <= 1e-13 * ref
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_separable_convolution_matches_scipy_signal(self, data):
-        """T_a @ K @ T_b.T is the centred "same" convolution of outer(a, b)."""
+        """sum(Ga * (K @ Gb @ K.T)) is the trapezoid norm of the centred
+        "same" convolution of outer(a, b) with K."""
         def interval_indicator(n):
             # [lo, hi) may touch either end of the array or miss both
-            lo = data.draw(st.integers(0, n))
-            hi = data.draw(st.integers(lo, n))
-            a = np.zeros(n)
-            a[lo:hi] = 1.0
-            return a
+            lo = data.draw(st.integers(0, n - 1))
+            hi = data.draw(st.integers(lo + 1, n))
+            return run_indicator(n, lo, hi)
 
         a = interval_indicator(data.draw(st.integers(1, 40), label="nx"))
         b = interval_indicator(data.draw(st.integers(1, 40), label="ny"))
@@ -164,11 +198,37 @@ class TestMollifiedProfile:
         dx = h2 / data.draw(st.floats(0.6, 8.0), label="cells_x")
         dy = h2 / data.draw(st.floats(0.6, 8.0), label="cells_y")
         kernel = _kernel_samples(h2, dx, dy)[data.draw(st.integers(0, 3), label="which")]
-        kx, ky = kernel.shape[0] // 2, kernel.shape[1] // 2
-        ref = fftconvolve(np.outer(a, b), kernel, mode="same")
-        got = _shift_matrix(a, kx) @ kernel @ _shift_matrix(b, ky).T
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        stride = data.draw(st.sampled_from([1, 2]), label="stride")
+        field = fftconvolve(np.outer(a, b), kernel, mode="same")
+        ref = trapz2(field[::stride, ::stride] ** 2, stride * dx, stride * dy)
+        got = quadratic_norm(a, b, kernel, dx, dy, stride)
+        # where the subgrid misses every nonzero value, fftconvolve leaves
+        # round-off of about 1e-16 of the field's peak rather than zeros
+        floor = np.abs(field).max() ** 2 * len(a) * dx * len(b) * dy
+        assert abs(got - ref) <= 1e-13 * (ref + floor)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_window_gram_matches_the_explicit_product(self, data):
+        """The interval sums of ``_window_gram`` against T.T @ diag(w) @ T
+        formed from the window matrix and the trapezoid weights, each entry
+        summed exactly by ``math.fsum`` (a float GEMM rounds at every step
+        and drifts up to about 1.2e-15 on these sizes)."""
+        n = data.draw(st.integers(1, 60), label="n")
+        # the run touches either end of the array or neither
+        lo = data.draw(st.integers(0, n - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, n), label="hi")
+        half = data.draw(st.integers(0, 12), label="half")
+        stride = data.draw(st.sampled_from([1, 2]), label="stride")
+        step = data.draw(st.floats(1e-3, 10.0), label="step")
+        t = window_matrix(run_indicator(n, lo, hi), half)[::stride]
+        w = np.full(len(t), stride * step)
+        w[0] -= 0.5 * stride * step
+        w[-1] -= 0.5 * stride * step
+        cols = range(t.shape[1])
+        ref = np.array([[math.fsum(w * t[:, i] * t[:, j]) for j in cols] for i in cols])
+        got = _window_gram(run_indicator(n, lo, hi) > 0.0, half, step, stride)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_norms_match_a_2d_fft_convolution(self, unit_square, mollified_profiles):
         """The profile against the same sampled kernels convolved with the
@@ -199,9 +259,9 @@ class TestMollifiedProfile:
     @settings(max_examples=25, deadline=None)
     @given(lx=st.floats(0.5, 1.0), ly=st.floats(0.5, 1.0),
            frac=st.floats(0.3, 1.0, exclude_min=True), grid_res=st.integers(64, 80))
-    def test_row_classes_match_the_full_grid(self, lx, ly, frac, grid_res):
-        """The class-pair profile against the fields formed at every grid
-        point, Tx @ K @ Ty.T, and summed by ``trapz2``."""
+    def test_norms_match_the_full_grid(self, lx, ly, frac, grid_res):
+        """The profile against the fields formed at every grid point,
+        Tx @ K @ Ty.T, and summed by ``trapz2``."""
         dom = DomainSpec.rectangle(lx, ly)
         h = frac * dom.inradius
         target, h2 = h / grid_res, h / 2.0
@@ -209,8 +269,8 @@ class TestMollifiedProfile:
         x, y = np.linspace(0.0, lx, mx + 1), np.linspace(0.0, ly, my + 1)
         dx, dy = lx / mx, ly / my
         eta, gx_k, gy_k, lap_k = _kernel_samples(h2, dx, dy)
-        tx = _shift_matrix((np.minimum(x, lx - x) > h2).astype(float), eta.shape[0] // 2)
-        ty = _shift_matrix((np.minimum(y, ly - y) > h2).astype(float), eta.shape[1] // 2)
+        tx = window_matrix((np.minimum(x, lx - x) > h2).astype(float), eta.shape[0] // 2)
+        ty = window_matrix((np.minimum(y, ly - y) > h2).astype(float), eta.shape[1] // 2)
         scale = 1.0 / eta.sum()
         phi, gx, gy, lap = (tx @ (k * scale) @ ty.T for k in (eta, gx_k, gy_k, lap_k))
         grad_sq = gx * gx + gy * gy
