@@ -41,7 +41,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 # Every BLAS call behind the reports is small: 97 x 97 matrix products for
 # the collar profiles, dense eigh on parity blocks of at most 600 unknowns,
-# SuperLU and ARPACK on blocks of at most 4,096.  On a 2-core machine a
+# and ARPACK on blocks of at most 4,096 through products with sine bases of
+# at most 64 x 64.  On a 2-core machine a
 # second OpenBLAS thread buys no wall time there but spins: one thread cut
 # the benchmark's rect_sweep CPU time from 3.14 s to 1.60 s (medians of ten
 # pairs) at the same wall time, 1.59 s against 1.61 s.  The spinning thread
@@ -615,8 +616,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2
     # any other ValueError, numpy's LinAlgError included, or ArithmeticError
-    # (an overflow) comes from a computation; ResolutionError and _certify
-    # failures are RuntimeErrors
+    # (an overflow) comes from a computation; ResolutionError and the
+    # eigensolve's certificate failures (eig2d._certify: a residual above
+    # RESIDUAL_TOL, an inertia count that disagrees, an inertia shift on a
+    # diagonal entry of a block's sine form) are RuntimeErrors
     except (ArithmeticError, AssertionError, RuntimeError, ValueError) as exc:
         print(f"bilap: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

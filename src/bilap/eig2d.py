@@ -20,13 +20,19 @@ block solved short of its dimension must prove that none of its unreturned
 eigenvalues lies at or below the merged k-th value.  The merged values
 agree with a solve of the full operator, which the tests keep as the
 oracle, to 1e-10 relative.
+
+A parity block is also known in closed form (``SineForm``): in the sine
+eigenbasis of its folded factors it is a diagonal plus a correction of rank
+m_x + m_y, its side lengths.  Block solves invert that form by the Woodbury
+identity and count eigenvalues by Haynsworth inertia additivity, so no block
+is ever factorised; SuperLU serves only operators without such a form.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +46,7 @@ from .spectra1d import spectrum_1d
 __all__ = [
     "Grid2D",
     "DiscreteOperator",
+    "SineForm",
     "DENSE_LIMIT",
     "laplacian_spectrum_exact",
     "navier1_spectrum_exact",
@@ -95,11 +102,13 @@ class Grid2D:
 @dataclass(frozen=True)
 class DiscreteOperator:
     """A symmetric matrix on ``grid``: the full operator, or with ``parity``
-    = (px, py) its block of vectors with mirror parity px in x, py in y."""
+    = (px, py) its block of vectors with mirror parity px in x, py in y.
+    ``form``, when set, is the closed-form structure of ``matrix``."""
 
     grid: Grid2D
     matrix: sp.csr_matrix
     parity: tuple[int, int] | None = None
+    form: SineForm | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -205,6 +214,98 @@ def _second_difference(n: int, h: float,
     return sp.diags([main * ih2, off * ih2, off * ih2], [0, 1, -1]), edge
 
 
+def _sine_factor(n: int, h: float, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs (basis, theta) of the folded factor
+    ``_second_difference(n, h, parity)``: column c of ``basis`` is the unit
+    eigenvector of value theta_c = 4/h^2 sin^2(pi k / 2(n+1)).
+
+    They are the Dirichlet sine modes sin(pi k (i+1)/(n+1)), which are even
+    under the mirror for odd k and odd for even k, written in the folded
+    basis: entry i is 2 sin(pi k (i+1)/(n+1)) / sqrt(n+1), except the centre
+    row of the even factor of odd n, which holds a single point and so lacks
+    the sqrt(2) of a mirror pair.
+    """
+    k = np.arange(1 if parity > 0 else 2, n + 1, 2)
+    rows = np.arange(1, len(k) + 1)
+    basis = 2.0 * np.sin(np.pi * np.outer(rows, k) / (n + 1)) / math.sqrt(n + 1)
+    if parity > 0 and n % 2:
+        basis[-1] /= math.sqrt(2.0)
+    theta = 4.0 / h ** 2 * np.sin(np.pi * k / (2 * (n + 1))) ** 2
+    return basis, theta
+
+
+@dataclass(frozen=True)
+class SineForm:
+    """A clamped parity block in the sine eigenbasis Q = Sx (x) Sy of its
+    folded factors (``_sine_factor``): Q^T A Q = D + U C U^T with
+
+    - D = diag((theta_x_i + theta_y_j)^2), the square of the block Laplacian,
+      stored as the m_x x m_y array ``diag``;
+    - U = [u_x (x) I, I (x) u_y], u the first row of each basis: the folded
+      ghost correction sits on the first row of each factor only;
+    - C = diag(c_x I, c_y I), c = 2/h^4.
+
+    This is the exact operator; the assembled float matrix differs from it
+    by rounding.  On the low eigenvalues the two differ by up to 6.3e-10
+    relative (measured on lambda_1 of the 128^2 grid's even-even block over
+    the square and 1 x 1.3..1.65 rectangles; at most 1.1e-10 on grids up to
+    96^2), a difference that grows about as ||A|| / lambda_1, like n^4.
+    """
+
+    basis_x: np.ndarray
+    basis_y: np.ndarray
+    diag: np.ndarray
+    c_x: float
+    c_y: float
+
+    @classmethod
+    def of(cls, grid: Grid2D, parity: tuple[int, int]) -> "SineForm":
+        sx, theta_x = _sine_factor(grid.nx, grid.hx, parity[0])
+        sy, theta_y = _sine_factor(grid.ny, grid.hy, parity[1])
+        return cls(sx, sy, (theta_x[:, None] + theta_y[None, :]) ** 2,
+                   2.0 / grid.hx ** 4, 2.0 / grid.hy ** 4)
+
+    def capacitance(self, sigma: float) -> np.ndarray:
+        """T(sigma) = C^-1 + U^T (D - sigma)^-1 U, of size m_y + m_x (the
+        u_x (x) I columns first).  ``RuntimeError`` if sigma equals an entry
+        of D, where T is undefined."""
+        if np.any(self.diag == sigma):
+            raise RuntimeError(f"inertia shift {sigma!r} coincides with a diagonal "
+                               "entry of the sine form")
+        w = 1.0 / (self.diag - sigma)
+        u_x, u_y = self.basis_x[0], self.basis_y[0]
+        cross = u_x[:, None] * w * u_y[None, :]
+        return np.block([[np.diag(u_x ** 2 @ w + 1.0 / self.c_x), cross.T],
+                         [cross, np.diag(w @ u_y ** 2 + 1.0 / self.c_y)]])
+
+    def count_below(self, sigma: float) -> int:
+        """Number of eigenvalues below sigma, by Haynsworth inertia additivity
+        on [[D - sigma, U], [U^T, -C^-1]]: its Schur complements give
+        neg(A - sigma) = #{D < sigma} + #{eigenvalues of T(sigma) > 0} - (m_x + m_y).
+        A sigma equal to an entry of D is not stepped around: it raises
+        ``RuntimeError`` (see ``capacitance``)."""
+        t = self.capacitance(sigma)
+        return (int(np.count_nonzero(self.diag < sigma))
+                + int(np.count_nonzero(np.linalg.eigvalsh(t) > 0.0)) - t.shape[0])
+
+    def inverse(self) -> spla.LinearOperator:
+        """A^-1 by the Woodbury identity: Q (D^-1 - D^-1 U T(0)^-1 U^T D^-1) Q^T,
+        four products with the m x m sine bases and one solve of size
+        m_x + m_y per vector."""
+        sx, sy, d = self.basis_x, self.basis_y, self.diag
+        u_x, u_y = sx[0], sy[0]
+        m_x, m_y = d.shape
+        chol = scipy.linalg.cho_factor(self.capacitance(0.0))
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            z = sx.T @ b.reshape(m_x, m_y) @ sy / d
+            s = scipy.linalg.cho_solve(chol, np.concatenate([u_x @ z, z @ u_y]))
+            z -= (np.outer(u_x, s[:m_y]) + np.outer(s[m_y:], u_y)) / d
+            return (sx @ z @ sy.T).ravel()
+
+        return spla.LinearOperator((d.size, d.size), matvec=solve, dtype=float)
+
+
 def assemble_dirichlet_laplacian(grid: Grid2D) -> DiscreteOperator:
     """Standard 5-point stencil with zero boundary values."""
     dx, _ = _second_difference(grid.nx, grid.hx)
@@ -224,7 +325,7 @@ def assemble_clamped_bilaplacian(grid: Grid2D,
     in x and py in y, built the same way from the folded factors of
     ``_second_difference``: L_b = kronsum(Dy_b, Dx_b) is the block of L, and
     the block of the square is L_b @ L_b because L maps each parity class
-    into itself.
+    into itself.  A block also carries its closed form, ``SineForm``.
     """
     px, py = parity if parity is not None else (None, None)
     dx, ex = _second_difference(grid.nx, grid.hx, px)
@@ -233,7 +334,8 @@ def assemble_clamped_bilaplacian(grid: Grid2D,
     mat = (lap @ lap + sp.diags((ex[:, None] + ey[None, :]).ravel())).tocsr()
     # squared-sparse products can carry eps-size asymmetry; symmetrise exactly
     mat = ((mat + mat.T) * 0.5).tocsr()
-    return DiscreteOperator(grid, mat, parity)
+    form = SineForm.of(grid, parity) if parity is not None else None
+    return DiscreteOperator(grid, mat, parity, form)
 
 
 def discrete_laplacian_eigenvalues(grid: Grid2D) -> np.ndarray:
@@ -254,10 +356,16 @@ def smallest_eigs(op: DiscreteOperator, k: int,
 
     Up to ``dense_limit`` unknowns, or when 3 k > dim, this is a dense LAPACK
     subset solve; otherwise a deterministic shift-invert Lanczos (fixed start
-    vector).  Either result must pass ``_certify`` (residual bound and
-    inertia count) or ``RuntimeError`` is raised.  Values ascend; vectors are
-    orthonormal, each with the sign the solver returned.  The inertia
-    count proves that every eigenvalue not returned lies at or above
+    vector).  The Lanczos path applies the Woodbury inverse of ``op.form``
+    when the operator has one, and else lets ARPACK factorise the matrix
+    with SuperLU.  The Woodbury inverse is that of the exact operator, whose
+    values differ from those of the assembled float matrix (``SineForm``:
+    up to 6.3e-10 relative on 128^2), so each value is then replaced by the Rayleigh quotient of its
+    vector on ``op.matrix``, summed in extended precision
+    (``_rayleigh_quotients``).  Either result must pass ``_certify``
+    (residual bound and inertia count) or ``RuntimeError`` is raised.
+    Values ascend; vectors are orthonormal, each with the sign the solver
+    returned.  The inertia count proves that every eigenvalue not returned lies at or above
     ``_inertia_floor(op, values[-1])``.  ``clamped_spectrum_fd`` solves each
     parity block of the clamped matrix here and reads that floor as its
     coverage certificate: no block may hide an eigenvalue at or below the
@@ -275,12 +383,27 @@ def smallest_eigs(op: DiscreteOperator, k: int,
         values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
     else:
         v0 = np.full(op.dim, 1.0 / math.sqrt(op.dim))
-        values, vectors = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0.0,
-                                     which="LM", v0=v0, tol=0.0)
+        if op.form is None:
+            values, vectors = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0.0,
+                                         which="LM", v0=v0, tol=0.0)
+        else:
+            _, vectors = spla.eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0,
+                                    tol=0.0, OPinv=op.form.inverse())
+            values = _rayleigh_quotients(op, vectors)
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], vectors[:, order]
     _certify(op, values, vectors)
     return values, vectors
+
+
+def _rayleigh_quotients(op: DiscreteOperator, vectors: np.ndarray) -> np.ndarray:
+    """v^T A v / v^T v of each column on the assembled matrix, in
+    ``np.longdouble``: the quotient cancels terms of size ||A|| down to the
+    smallest eigenvalues, which float64 sums leave up to 1.2e-11 relative off
+    (measured on the 96^2 and 128^2 blocks)."""
+    wide = vectors.astype(np.longdouble)
+    quotients = (wide * (op.matrix.astype(np.longdouble) @ wide)).sum(axis=0)
+    return (quotients / (wide * wide).sum(axis=0)).astype(float)
 
 
 def _inertia_shift(top: float, residual: float) -> float:
@@ -300,12 +423,19 @@ def _inertia_floor(op: DiscreteOperator, top: float) -> float:
 def _certify(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> None:
     """Raise ``RuntimeError`` unless the ascending eigenpairs are the smallest.
 
-    Each residual ||A v - lambda v||_2 must stay within RESIDUAL_TOL ||A||_inf;
-    for symmetric A a true eigenvalue then lies within it of each value.  A
-    Sylvester inertia count (Parlett, The Symmetric Eigenvalue Problem) at
-    sigma = ``_inertia_shift`` of lambda_k must find exactly as many
-    eigenvalues of A below sigma as were returned: a copy of a multiple
-    eigenvalue that Lanczos dropped shows as one count too many.
+    Each residual ||A v - lambda v||_2 on the assembled matrix must stay
+    within RESIDUAL_TOL ||A||_inf; for symmetric A a true eigenvalue then lies
+    within it of each value.  An inertia count at sigma = ``_inertia_shift``
+    of lambda_k must find exactly as many eigenvalues of A below sigma as
+    were returned: a copy of a multiple eigenvalue that Lanczos dropped shows
+    as one count too many.  With ``op.form`` the count is by Haynsworth
+    inertia additivity (``SineForm.count_below``) and is that of the exact
+    operator, whose low eigenvalues lie within 6.3e-10 relative (measured on
+    128^2 grids) of the assembled matrix's, inside sigma's 1e-8 offset below
+    lambda_k; were the offset ever crossed, on far finer grids, the counts
+    would disagree and raise, not pass;
+    otherwise it is a Sylvester count on the SuperLU LDL^T factorisation of
+    A - sigma I (Parlett, The Symmetric Eigenvalue Problem).
     """
     residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
     bound = RESIDUAL_TOL * op.norm_inf()
@@ -314,16 +444,24 @@ def _certify(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> N
         raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.3e} "
                            f"above {bound:.3e} on the {op.label}")
     sigma = _inertia_shift(values[-1], residuals[-1])
+    below = _count_below(op, sigma)
+    returned = int(np.count_nonzero(values < sigma))
+    if below != returned:
+        raise RuntimeError(f"{below} eigenvalues lie below {sigma:.6e} but the solve "
+                           f"returned {returned} on the {op.label}")
+
+
+def _count_below(op: DiscreteOperator, sigma: float) -> int:
+    """Number of eigenvalues of ``op`` below sigma: from its sine form, or
+    the negative pivots of a symmetric SuperLU LDL^T of A - sigma I."""
+    if op.form is not None:
+        return op.form.count_below(sigma)
     shifted = (op.matrix - sigma * sp.identity(op.dim, format="csr")).tocsc()
     lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("inertia count needs a symmetric permutation")
-    below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-    returned = int(np.count_nonzero(values < sigma))
-    if below != returned:
-        raise RuntimeError(f"{below} eigenvalues lie below {sigma:.6e} but the solve "
-                           f"returned {returned} on the {op.label}")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 # ----------------------------------------------------------------------------
@@ -346,14 +484,17 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
     its spectrum is the union of those of the four parity blocks of
     ``assemble_clamped_bilaplacian(grid, parity)``, each of at most
     ceil(n/2)^2 unknowns.  Each block goes through ``smallest_eigs`` (residual
-    bound and inertia count); the values are merged and the smallest k kept.
+    bound and inertia count, both through the block's ``SineForm``: a
+    Woodbury inverse for the Lanczos path and a Haynsworth count of the
+    exact operator, so nothing is factorised); the values are merged and
+    the smallest k kept.
     Coverage is certified, not assumed: a block solved short of its
     dimension must have its inertia floor strictly above the merged k-th
     value, so that none of its unreturned eigenvalues lies at or below it;
     otherwise the block is solved again at twice the modes.
 
     The values agree with a solve of the full operator to 1e-10 relative
-    (measured: at most 3.2e-11 over squares and 1 x 1.45 rectangles, n = 7..128
+    (measured: at most 5.8e-11 over squares and 1 x 1.45 rectangles, n = 7..128
     and k up to 400), and the first values of a larger solve agree with a
     k-mode solve to the same tolerance, so callers may slice one solve; the
     spectrum cache, which keeps the values bit for bit, is keyed on the

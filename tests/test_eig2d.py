@@ -1,6 +1,7 @@
 """Finite-difference operators, solvers, and the comparison chain."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +211,50 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="residual"):
             smallest_eigs(op, 6)
 
+    @staticmethod
+    def _block(unit_square) -> DiscreteOperator:
+        op = assemble_clamped_bilaplacian(Grid2D(32, 32, unit_square), (1, -1))
+        assert op.form is not None
+        return op
+
+    def test_dropped_eigenvalue_of_a_block_raises(self, unit_square, monkeypatch):
+        # the block path inverts the sine form and counts by Haynsworth
+        # inertia: return lambda_1 and lambda_3..lambda_7
+        def drop_second(values, vectors, k):
+            keep = np.delete(np.argsort(values), 1)
+            return values[keep], vectors[:, keep]
+
+        self._patched_eigsh(monkeypatch, drop_second)
+        with pytest.raises(RuntimeError, match="eigenvalues lie below"):
+            smallest_eigs(self._block(unit_square), 6, dense_limit=0)
+
+    def test_inaccurate_vector_of_a_block_raises(self, unit_square, monkeypatch):
+        # block values are the Rayleigh quotients of the returned vectors, so
+        # an inaccurate pair must come from its vector
+        def perturb(values, vectors, k):
+            vectors = vectors[:, :k].copy()
+            vectors[:, 0] += 1e-6 * vectors[:, 1]
+            vectors[:, 0] /= np.linalg.norm(vectors[:, 0])
+            return values[:k], vectors
+
+        self._patched_eigsh(monkeypatch, perturb)
+        with pytest.raises(RuntimeError, match="residual"):
+            smallest_eigs(self._block(unit_square), 6, dense_limit=0)
+
+    def test_block_eigenvalue_to_extended_precision(self):
+        # lambda_1 of the even-even block of the 96^2 grid on 1 x 1.65: a
+        # 40-digit Rayleigh quotient on the assembled matrix gives the reference
+        dom = DomainSpec.rectangle(1.0, 1.65)
+        op = assemble_clamped_bilaplacian(Grid2D(96, 96, dom), (1, 1))
+        values, _ = smallest_eigs(op, 15)
+        reference = 674.3956736688158628
+        assert abs(values[0] - reference) <= 1e-13 * reference
+
+    def test_longdouble_is_extended_precision(self):
+        assert np.finfo(np.longdouble).eps <= 2.0 ** -63, (
+            "the Rayleigh-quotient step of block solves (eig2d._rayleigh_quotients) "
+            "needs an extended-precision np.longdouble")
+
     def test_non_symmetric_rejected(self, unit_square):
         grid = Grid2D(3, 3, unit_square)
         mat = sp.csr_matrix(np.triu(np.ones((9, 9))))
@@ -312,10 +357,68 @@ class TestParityBlocks:
         assert len(calls) >= 4
         assert max(dim for dim, _ in calls) <= math.ceil(n / 2) ** 2
 
+    @pytest.mark.parametrize("n", sorted(checks.FD_SOLVE_MODES))
+    def test_sweep_grids_never_reach_superlu(self, monkeypatch, unit_square, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SuperLU factorisation")
+
+        monkeypatch.setattr(eig2d.spla, "splu", refuse)
+        # ARPACK's shift-invert mode factorises through its own splu binding
+        monkeypatch.setattr(sys.modules[eig2d.spla.eigsh.__module__], "splu", refuse)
+        values = clamped_spectrum_fd(unit_square, n, checks.FD_SOLVE_MODES[n]).values
+        assert len(values) == checks.FD_SOLVE_MODES[n]
+
     def test_mode_count_validation(self, unit_square):
         for k in (0, 17):
             with pytest.raises(ValueError, match="outside"):
                 clamped_spectrum_fd(unit_square, 4, k)
+
+
+class TestSineForm:
+    @pytest.mark.parametrize("n", range(2, 41))
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_closed_form_pairs_diagonalise_the_folded_factor(self, n, parity):
+        h = 1.0 / (n + 1)
+        factor = eig2d._second_difference(n, h, parity)[0].toarray()
+        basis, theta = eig2d._sine_factor(n, h, parity)
+        scale = np.abs(factor).max()
+        assert basis.shape == factor.shape
+        assert np.abs(basis.T @ basis - np.eye(len(theta))).max() <= 1e-14
+        assert np.abs(basis @ np.diag(theta) @ basis.T - factor).max() <= 1e-14 * scale
+        assert np.abs(factor @ basis - basis * theta).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [7, 8, 33])
+    @pytest.mark.parametrize("parity", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_woodbury_inverse_inverts_the_assembled_block(self, n, parity):
+        grid = Grid2D(n, n + 3, DomainSpec.rectangle(1.0, 1.37))
+        op = assemble_clamped_bilaplacian(grid, parity)
+        inverse = op.form.inverse()
+        b = np.random.default_rng(n).standard_normal(op.dim)
+        assert np.linalg.norm(op.matrix @ inverse.matvec(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 31), aspect=st.sampled_from([1.0, 1.37]),
+           px=st.sampled_from([1, -1]), py=st.sampled_from([1, -1]), data=st.data())
+    def test_inertia_count_matches_a_dense_count(self, n, aspect, px, py, data):
+        """Haynsworth count against an eigvalsh count of the assembled block at
+        drawn shifts and at +-1e-8 relative of the ten lowest eigenvalues; a
+        shift equal to an entry of D raises RuntimeError, it is not stepped."""
+        op = assemble_clamped_bilaplacian(Grid2D(n, n, DomainSpec.rectangle(1.0, aspect)),
+                                          (px, py))
+        values = np.linalg.eigvalsh(op.matrix.toarray())
+        near = [v * (1.0 + s * 1e-8) for v in values[:10] for s in (-1, 1)]
+        drawn = data.draw(st.lists(st.floats(0.0, 1.1), min_size=1, max_size=10), label="u")
+        for sigma in near + [u * values[-1] for u in drawn]:
+            assert op.form.count_below(sigma) == np.count_nonzero(values < sigma)
+        entry = float(data.draw(st.sampled_from(sorted(op.form.diag.ravel())), label="entry"))
+        with pytest.raises(RuntimeError, match="coincides"):
+            op.form.count_below(entry)
+
+    def test_only_parity_blocks_carry_a_form(self, unit_square):
+        grid = Grid2D(6, 5, unit_square)
+        assert assemble_clamped_bilaplacian(grid).form is None
+        assert assemble_dirichlet_laplacian(grid).form is None
+        assert assemble_clamped_bilaplacian(grid, (-1, 1)).form.diag.shape == (3, 3)
 
 
 class TestComparisonReport:
