@@ -25,6 +25,8 @@ header line.  Importing this module first runs BLAS on one thread
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import math
@@ -40,9 +42,10 @@ from typing import Optional, Sequence
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # Every BLAS call behind the reports is small: 97 x 97 matrix products for
-# the collar profiles, dense eigh on parity blocks of at most 600 unknowns,
-# and ARPACK on blocks of at most 4,096 through products with sine bases of
-# at most 64 x 64.  On a 2-core machine a
+# the collar profiles, dense eigh only on parity blocks asked for more than a
+# third of their spectrum (at most 144 unknowns in the benchmark's
+# commands), and ARPACK on blocks of at most 4,096 through products with
+# sine bases of at most 64 x 64.  On a 2-core machine a
 # second OpenBLAS thread buys no wall time there but spins: one thread cut
 # the benchmark's rect_sweep CPU time from 3.14 s to 1.60 s (medians of ten
 # pairs) at the same wall time, 1.59 s against 1.61 s.  The spinning thread
@@ -203,10 +206,6 @@ def _param_columns(report: BoundReport) -> tuple[str, str]:
     return first, rest
 
 
-def _float_repr(x: float) -> str:
-    return repr(float(x))
-
-
 def _run_meta(command: str) -> dict:
     """What a JSON report records about the run: the subcommand, the Python,
     numpy and scipy versions, and whichever BLAS thread variables are set."""
@@ -219,33 +218,61 @@ def _run_meta(command: str) -> dict:
     }
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it: NaN and the infinities by name."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_report(r: BoundReport) -> str:
+    """One report of the JSON list, its keys sorted, at nesting depth 2."""
+    params = sorted(dict(r.params).items())
+    if params:
+        fields = ",\n".join(f"        {_json_str(k)}: {_json_str(v)}" for k, v in params)
+        params_text = f"{{\n{fields}\n      }}"
+    else:
+        params_text = "{}"
+    return (f'    {{\n      "asserted": {_BOOL_TEXT[r.asserted]},\n'
+            f'      "check": {_json_str(r.check)},\n'
+            f'      "holds": {_BOOL_TEXT[r.holds]},\n'
+            f'      "lhs": {_json_float(r.lhs)},\n'
+            f'      "margin": {_json_float(r.margin)},\n'
+            f'      "paper_ref": {_json_str(r.paper_ref)},\n'
+            f'      "params": {params_text},\n'
+            f'      "rhs": {_json_float(r.rhs)}\n    }}')
+
+
 def write_report(reports: Sequence[BoundReport], path: Optional[Path],
                  fmt: str, meta: dict | None = None) -> None:
+    """Write the rows as CSV, or as the JSON ``json.dumps(payload, indent=2,
+    sort_keys=True)`` would give for {"meta", "reports", "timestamp"}, byte
+    for byte, laid out here one report at a time because that call runs
+    json's pure-Python encoder."""
     stamp = datetime.now(timezone.utc).isoformat()
     if fmt == "csv":
-        lines = [f"# generated {stamp}", ",".join(CSV_COLUMNS)]
-        for r in reports:
-            p1, p2 = _param_columns(r)
-            row = (r.check, p1, p2, _float_repr(r.lhs), _float_repr(r.rhs),
-                   _float_repr(r.margin), str(r.holds).lower(), r.paper_ref)
-            lines.append(",".join(_csv_quote(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.write(f"# generated {stamp}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows((r.check, *_param_columns(r), float(r.lhs), float(r.rhs),
+                          float(r.margin), _BOOL_TEXT[r.holds], r.paper_ref)
+                         for r in reports)
+        text = buf.getvalue()
     elif fmt == "json":
-        payload = {
-            "timestamp": stamp,
-            "meta": meta or {},
-            "reports": [
-                {
-                    "check": r.check,
-                    "params": {k: v for k, v in r.params},
-                    "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
-                    "holds": r.holds, "paper_ref": r.paper_ref,
-                    "asserted": r.asserted,
-                }
-                for r in reports
-            ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        meta_text = json.dumps(meta or {}, indent=2, sort_keys=True).replace("\n", "\n  ")
+        rows = ",\n".join(_json_report(r) for r in reports)
+        text = (f'{{\n  "meta": {meta_text},\n'
+                + (f'  "reports": [\n{rows}\n  ],\n' if rows else '  "reports": [],\n')
+                + f'  "timestamp": {_json_str(stamp)}\n}}\n')
     else:
         raise ConfigError(f"unknown format {fmt!r}")
 
@@ -255,12 +282,6 @@ def write_report(reports: Sequence[BoundReport], path: Optional[Path],
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-
-
-def _csv_quote(value: str) -> str:
-    if any(ch in value for ch in ",\"\n"):
-        return '"' + value.replace('"', '""') + '"'
-    return value
 
 
 def exit_code(reports: Sequence[BoundReport]) -> int:

@@ -25,7 +25,9 @@ A parity block is also known in closed form (``SineForm``): in the sine
 eigenbasis of its folded factors it is a diagonal plus a correction of rank
 m_x + m_y, its side lengths.  Block solves invert that form by the Woodbury
 identity and count eigenvalues by Haynsworth inertia additivity, so no block
-is ever factorised; SuperLU serves only operators without such a form.
+is ever factorised; dense LAPACK takes a block only when more than a third
+of its spectrum is asked for, and SuperLU serves only operators without
+such a form.
 """
 
 from __future__ import annotations
@@ -59,9 +61,10 @@ __all__ = [
     "comparison_report",
 ]
 
-# Dense symmetric solves serve operators up to this many unknowns, and any
-# solve asking for more than a third of the spectrum (3 k > dim), where
-# ARPACK needs nearly the whole space; every other solve goes through the
+# Dense symmetric solves serve any solve asking for more than a third of the
+# spectrum (3 k > dim), where ARPACK needs nearly the whole space, and
+# operators without a sine form up to this many unknowns; only the tests
+# build those.  Every other solve, of any size, goes through the
 # deterministic shift-invert Lanczos path.  Both paths are certified.
 DENSE_LIMIT = 600
 # Each eigenpair must satisfy ||A v - lambda v||_2 <= RESIDUAL_TOL ||A||_inf
@@ -354,18 +357,22 @@ def smallest_eigs(op: DiscreteOperator, k: int,
                   dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of the symmetric operator, certified.
 
-    Up to ``dense_limit`` unknowns, or when 3 k > dim, this is a dense LAPACK
-    subset solve; otherwise a deterministic shift-invert Lanczos (fixed start
-    vector).  The Lanczos path applies the Woodbury inverse of ``op.form``
-    when the operator has one, and else lets ARPACK factorise the matrix
-    with SuperLU.  The Woodbury inverse is that of the exact operator, whose
-    values differ from those of the assembled float matrix (``SineForm``:
-    up to 6.3e-10 relative on 128^2), so each value is then replaced by the Rayleigh quotient of its
-    vector on ``op.matrix``, summed in extended precision
-    (``_rayleigh_quotients``).  Either result must pass ``_certify``
-    (residual bound and inertia count) or ``RuntimeError`` is raised.
-    Values ascend; vectors are orthonormal, each with the sign the solver
-    returned.  The inertia count proves that every eigenvalue not returned lies at or above
+    When 3 k > dim, or for an operator without a sine form of at most
+    ``dense_limit`` unknowns, this is a dense LAPACK subset solve; otherwise
+    a deterministic shift-invert Lanczos (fixed start vector).  The Lanczos
+    path applies the Woodbury inverse of ``op.form`` when the operator has
+    one, and else lets ARPACK factorise the matrix with SuperLU.  On an
+    operator with a form, either path's values are then replaced by the
+    Rayleigh quotients of their vectors on ``op.matrix``, summed in extended
+    precision (``_rayleigh_quotients``): the Woodbury inverse is that of the
+    exact operator, whose values differ from those of the assembled float
+    matrix (``SineForm``: up to 6.3e-10 relative on 128^2), and dense
+    ``eigh`` values sit up to 1.8e-11 off the quotients of their own
+    vectors, with bits that depend on the BLAS thread count.  Either result
+    must pass ``_certify`` (residual bound and inertia count) or
+    ``RuntimeError`` is raised.  Values ascend; vectors are orthonormal,
+    each with the sign the solver returned.  The inertia count proves that
+    every eigenvalue not returned lies at or above
     ``_inertia_floor(op, values[-1])``.  ``clamped_spectrum_fd`` solves each
     parity block of the clamped matrix here and reads that floor as its
     coverage certificate: no block may hide an eigenvalue at or below the
@@ -378,7 +385,7 @@ def smallest_eigs(op: DiscreteOperator, k: int,
     if defect > 1e-12 * max(1.0, op.norm_inf()):
         raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
 
-    if op.dim <= dense_limit or 3 * k > op.dim:
+    if 3 * k > op.dim or (op.form is None and op.dim <= dense_limit):
         dense = op.matrix.toarray()
         values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
     else:
@@ -387,9 +394,10 @@ def smallest_eigs(op: DiscreteOperator, k: int,
             values, vectors = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0.0,
                                          which="LM", v0=v0, tol=0.0)
         else:
-            _, vectors = spla.eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0,
-                                    tol=0.0, OPinv=op.form.inverse())
-            values = _rayleigh_quotients(op, vectors)
+            values, vectors = spla.eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0,
+                                         tol=0.0, OPinv=op.form.inverse())
+    if op.form is not None:
+        values = _rayleigh_quotients(op, vectors)
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], vectors[:, order]
     _certify(op, values, vectors)

@@ -1,7 +1,9 @@
 """CLI: parsing, report schema, reproducibility, caching, exit codes."""
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilap import avp, checks, cli, eig2d
@@ -121,6 +123,27 @@ class TestParserProperties:
                 parse_int_range(spec + tail)
 
 
+# Report text: quotes, backslashes, control and line characters, non-ASCII.
+_report_text = st.text(st.sampled_from('",\\\n\r\t\x00\x1f =;a\u00e9\u2028\U0001f600')
+                       | st.characters(), max_size=6)
+_report_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | st.floats()
+_report_lists = st.lists(st.builds(
+    BoundReport, _report_text, st.lists(st.tuples(_report_text, _report_text), max_size=3)
+    .map(tuple), _report_floats, _report_floats, _report_floats, st.booleans(),
+    _report_text, st.booleans()), max_size=4)
+_metas = st.none() | st.dictionaries(
+    _report_text, _report_text | st.dictionaries(_report_text, _report_text, max_size=2),
+    max_size=3)
+
+
+def _written(reports, fmt: str, meta: dict | None = None) -> str:
+    """What ``write_report`` writes to standard output."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write_report(reports, None, fmt, meta)
+    return buf.getvalue()
+
+
 class TestReports:
     def test_csv_schema(self, tmp_path):
         rows = [BoundReport.less_equal("a-check", 1.0, 2.0, "ref", params={"n": 1})]
@@ -145,6 +168,44 @@ class TestReports:
         payload = json.loads(out.read_text())
         assert payload["meta"]["command"] == "x"
         assert payload["reports"][0]["holds"] is True
+
+    @settings(deadline=None)
+    @given(reports=_report_lists, meta=_metas)
+    @example(reports=[], meta=None)
+    @example(reports=[BoundReport("c", (), math.nan, math.inf, -0.0, False, "", False),
+                      BoundReport('q"\\\n\x00\u00e9', (("b", "1"), ("a", "\t"), ("b", "2")),
+                                  -math.inf, 0.0, 1e300, True, "\u2028")],
+             meta={"m": {"x": "\u00fc"}, "": ""})
+    def test_json_equals_the_json_module_layout(self, reports, meta):
+        text = _written(reports, "json", meta)
+        payload = {
+            "timestamp": json.loads(text)["timestamp"],
+            "meta": meta or {},
+            "reports": [
+                {"check": r.check, "params": {k: v for k, v in r.params},
+                 "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "holds": r.holds,
+                 "paper_ref": r.paper_ref, "asserted": r.asserted}
+                for r in reports
+            ],
+        }
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @settings(deadline=None)
+    @given(reports=_report_lists)
+    def test_csv_rows_equal_the_quoted_join(self, reports):
+        def quote(value: str) -> str:
+            if any(ch in value for ch in ",\"\n"):
+                return '"' + value.replace('"', '""') + '"'
+            return value
+
+        lines = [",".join(CSV_COLUMNS)]
+        for r in reports:
+            row = (r.check, *cli._param_columns(r), repr(r.lhs), repr(r.rhs),
+                   repr(r.margin), str(r.holds).lower(), r.paper_ref)
+            lines.append(",".join(quote(v) for v in row))
+        text = _written(reports, "csv")
+        assert text.startswith("# generated ")
+        assert text.split("\n", 1)[1] == "\n".join(lines) + "\n"
 
     def test_main_json_meta_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
         for var in BLAS_THREAD_VARS:

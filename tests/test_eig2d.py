@@ -1,15 +1,19 @@
 """Finite-difference operators, solvers, and the comparison chain."""
 
+import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilap import checks, eig2d
+from bilap import checks, cli, eig2d
 from bilap.core import DomainSpec, Spectrum
 from bilap.eig2d import (
     DiscreteOperator,
@@ -368,6 +372,55 @@ class TestParityBlocks:
         values = clamped_spectrum_fd(unit_square, n, checks.FD_SOLVE_MODES[n]).values
         assert len(values) == checks.FD_SOLVE_MODES[n]
 
+    @pytest.mark.parametrize("k", [100, 10])
+    def test_blocks_with_a_form_skip_dense_lapack(self, monkeypatch, k):
+        # the 48^2 blocks have 576 unknowns, under DENSE_LIMIT, but a sine form
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh")
+
+        monkeypatch.setattr(eig2d.scipy.linalg, "eigh", refuse)
+        values = clamped_spectrum_fd(DomainSpec.rectangle(1.0, 1.65), 48, k).values
+        assert len(values) == k
+
+    @pytest.mark.parametrize("n, k", [(16, 200), (24, 400)])
+    def test_blocks_asked_for_a_third_go_dense_and_are_polished(self, monkeypatch, n, k):
+        dense = []
+        eigh = eig2d.scipy.linalg.eigh
+
+        def counted(matrix, **kwargs):
+            dense.append(matrix.shape[0])
+            return eigh(matrix, **kwargs)
+
+        solved = []
+        solve = eig2d.smallest_eigs
+
+        def recorded(op, k):
+            values, vectors = solve(op, k)
+            solved.append((op, values, vectors))
+            return values, vectors
+
+        monkeypatch.setattr(eig2d.scipy.linalg, "eigh", counted)
+        monkeypatch.setattr(eig2d, "smallest_eigs", recorded)
+        clamped_spectrum_fd(DomainSpec.rectangle(1.0, 1.65), n, k)
+        assert len(dense) == len(solved) >= 4
+        for op, values, vectors in solved:
+            assert 3 * len(values) > op.dim
+            np.testing.assert_array_equal(values, eig2d._rayleigh_quotients(op, vectors))
+
+    @pytest.mark.parametrize("n, k, rtol", [(48, 100, 0.0), (24, 400, 1e-15)])
+    def test_block_values_barely_depend_on_the_blas_thread_count(self, n, k, rtol):
+        # 48^2 blocks take the Lanczos path, 24^2 blocks at k = 400 the dense one
+        code = ("import json; from bilap.core import DomainSpec; "
+                "from bilap.eig2d import clamped_spectrum_fd; "
+                "print(json.dumps(clamped_spectrum_fd(DomainSpec.rectangle(1.0, 1.6), "
+                f"{n}, {k}).values))")
+        base = {v: e for v, e in os.environ.items() if v not in cli.BLAS_THREAD_VARS}
+        base["PYTHONPATH"] = str(Path(eig2d.__file__).parents[1])
+        runs = [np.array(json.loads(subprocess.run(
+            [sys.executable, "-c", code], env={**base, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True).stdout)) for threads in ("1", "2")]
+        assert (np.abs(runs[0] - runs[1]) <= rtol * runs[0]).all()
+
     def test_mode_count_validation(self, unit_square):
         for k in (0, 17):
             with pytest.raises(ValueError, match="outside"):
@@ -398,21 +451,33 @@ class TestSineForm:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(5, 31), aspect=st.sampled_from([1.0, 1.37]),
-           px=st.sampled_from([1, -1]), py=st.sampled_from([1, -1]), data=st.data())
-    def test_inertia_count_matches_a_dense_count(self, n, aspect, px, py, data):
+           px=st.sampled_from([1, -1]), py=st.sampled_from([1, -1]),
+           drawn=st.lists(st.floats(0.0, 1.1), min_size=1, max_size=10),
+           entry_index=st.integers(0, 10 ** 6))
+    # sigma = lambda_max of the even-even 6^2 block: the exact operator counts
+    # 9 eigenvalues below it and eigvalsh 8, so the shift is dropped
+    @example(n=6, aspect=1.0, px=1, py=1, drawn=[1.0], entry_index=0)
+    def test_inertia_count_matches_a_dense_count(self, n, aspect, px, py, drawn,
+                                                 entry_index):
         """Haynsworth count against an eigvalsh count of the assembled block at
         drawn shifts and at +-1e-8 relative of the ten lowest eigenvalues; a
-        shift equal to an entry of D raises RuntimeError, it is not stepped."""
+        shift equal to an entry of D raises RuntimeError, it is not stepped.
+
+        A drawn shift within 1e-8 relative of an eigenvalue is dropped: the
+        count is that of the exact operator, whose eigenvalues may sit on the
+        other side of such a shift from the assembled matrix's, which is why
+        ``_inertia_shift`` keeps that margin below the largest returned value."""
         op = assemble_clamped_bilaplacian(Grid2D(n, n, DomainSpec.rectangle(1.0, aspect)),
                                           (px, py))
         values = np.linalg.eigvalsh(op.matrix.toarray())
         near = [v * (1.0 + s * 1e-8) for v in values[:10] for s in (-1, 1)]
-        drawn = data.draw(st.lists(st.floats(0.0, 1.1), min_size=1, max_size=10), label="u")
-        for sigma in near + [u * values[-1] for u in drawn]:
+        clear = [sigma for sigma in (u * values[-1] for u in drawn)
+                 if np.all(np.abs(values - sigma) > 1e-8 * values)]
+        for sigma in near + clear:
             assert op.form.count_below(sigma) == np.count_nonzero(values < sigma)
-        entry = float(data.draw(st.sampled_from(sorted(op.form.diag.ravel())), label="entry"))
+        diag = np.sort(op.form.diag.ravel())
         with pytest.raises(RuntimeError, match="coincides"):
-            op.form.count_below(entry)
+            op.form.count_below(float(diag[entry_index % diag.size]))
 
     def test_only_parity_blocks_carry_a_form(self, unit_square):
         grid = Grid2D(6, 5, unit_square)
