@@ -44,8 +44,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 # Every BLAS call behind the reports is small: 97 x 97 matrix products for
 # the collar profiles, dense eigh only on parity blocks asked for more than a
 # third of their spectrum (at most 144 unknowns in the benchmark's
-# commands), and ARPACK on blocks of at most 4,096 through products with
-# sine bases of at most 64 x 64.  On a 2-core machine a
+# commands), and the block Lanczos on blocks of at most 4,096 unknowns,
+# whose products are of its basis with two vectors at a time and of sine
+# bases of at most 64 x 64.  On a 2-core machine a
 # second OpenBLAS thread buys no wall time there but spins: one thread cut
 # the benchmark's rect_sweep CPU time from 3.14 s to 1.60 s (medians of ten
 # pairs) at the same wall time, 1.59 s against 1.61 s.  The spinning thread
@@ -208,12 +209,15 @@ def _param_columns(report: BoundReport) -> tuple[str, str]:
 
 def _run_meta(command: str) -> dict:
     """What a JSON report records about the run: the subcommand, the Python,
-    numpy and scipy versions, and whichever BLAS thread variables are set."""
+    numpy and scipy versions, the BLAS library numpy was built with (name
+    and version) and whichever BLAS thread variables are set."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "command": command,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": {v: os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ},
     }
 

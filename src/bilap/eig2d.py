@@ -1,33 +1,35 @@
 """Finite-difference eigensolvers on rectangles.
 
-The Dirichlet Laplacian uses the 5-point stencil; the clamped fourth-order
-operator is its 13-point square plus the ghost-reflection correction
-u_{-1} = u_{1} that encodes a vanishing normal derivative.  The correction
-only touches diagonal entries (+2/hx^4 per adjacent edge in x, +2/hy^4 in
-y), so the clamped matrix is exactly the squared Laplacian plus a
-nonnegative diagonal; entrywise domination of the squared spectrum is
-therefore an identity on every grid.
+The clamped fourth-order operator is the 13-point square of the 5-point
+Dirichlet Laplacian plus the ghost-reflection correction u_{-1} = u_{1}
+that encodes a vanishing normal derivative.  The correction only touches
+diagonal entries (+2/hx^4 per adjacent edge in x, +2/hy^4 in y), so the
+clamped matrix is exactly the squared Laplacian plus a nonnegative
+diagonal; entrywise domination of the squared spectrum is therefore an
+identity on every grid.
 
-Both matrices commute with the mirror reflections i -> nx-1-i and
-j -> ny-1-j, so the clamped matrix splits into four parity blocks, even or
-odd in x times even or odd in y, of about a quarter of the unknowns each.
-Every matrix, full or block, is assembled from the same folded 1D
-second-difference factors (``assemble_clamped_bilaplacian``).
-``clamped_spectrum_fd`` solves the blocks in place of the full operator and
-merges their values; each block solve carries the residual and inertia
-certificates of ``smallest_eigs``, and coverage is certified as well: a
-block solved short of its dimension must prove that none of its unreturned
-eigenvalues lies at or below the merged k-th value.  The merged values
-agree with a solve of the full operator, which the tests keep as the
-oracle, to 1e-10 relative.
+The matrix commutes with the mirror reflections i -> nx-1-i and
+j -> ny-1-j, so it splits into four parity blocks, even or odd in x times
+even or odd in y, of about a quarter of the unknowns each, and only the
+blocks are ever built.  A block is held as the coefficient arrays of its
+13-point stencil (``assemble_clamped_bilaplacian``), formed from folded 1D
+second-difference factors with exactly the float operations of the sparse
+product L @ L, so its entries are those of the squared Laplacian block bit
+for bit.  ``clamped_spectrum_fd`` solves the blocks and merges their
+values; each block solve carries the residual and inertia certificates of
+``smallest_eigs``, and coverage is certified as well: a block solved short
+of its dimension must prove that none of its unreturned eigenvalues lies at
+or below the merged k-th value.  The merged values agree with a solve of
+the full operator, which the tests assemble with scipy as the oracle, to
+1e-10 relative.
 
 A parity block is also known in closed form (``SineForm``): in the sine
 eigenbasis of its folded factors it is a diagonal plus a correction of rank
-m_x + m_y, its side lengths.  Block solves invert that form by the Woodbury
-identity and count eigenvalues by Haynsworth inertia additivity, so no block
-is ever factorised; dense LAPACK takes a block only when more than a third
-of its spectrum is asked for, and SuperLU serves only operators without
-such a form.
+m_x + m_y, its side lengths.  Block solves run a block Lanczos on its
+Woodbury inverse in those sine coordinates and count eigenvalues by
+Haynsworth inertia additivity, so no block is ever factorised; a dense
+``numpy.linalg.eigh`` takes a block only when more than a third of its
+spectrum is asked for.  Everything here is numpy: no solve imports scipy.
 """
 
 from __future__ import annotations
@@ -35,12 +37,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import BoundReport, DomainSpec, Spectrum
 from .spectra1d import spectrum_1d
@@ -53,7 +52,6 @@ __all__ = [
     "laplacian_spectrum_exact",
     "navier1_spectrum_exact",
     "neumann_laplacian_spectrum_exact",
-    "assemble_dirichlet_laplacian",
     "assemble_clamped_bilaplacian",
     "smallest_eigs",
     "discrete_laplacian_eigenvalues",
@@ -61,17 +59,19 @@ __all__ = [
     "comparison_report",
 ]
 
-# Dense symmetric solves serve any solve asking for more than a third of the
-# spectrum (3 k > dim), where ARPACK needs nearly the whole space, and
-# operators without a sine form up to this many unknowns; only the tests
-# build those.  Every other solve, of any size, goes through the
-# deterministic shift-invert Lanczos path.  Both paths are certified.
+# The ``dense_limit`` default of ``smallest_eigs``.  No block solve reads
+# it: a block goes dense exactly when more than a third of its spectrum is
+# asked for (3 k > dim), and every other solve, of any size, goes through
+# the deterministic block Lanczos.  Both paths are certified.
 DENSE_LIMIT = 600
 # Each eigenpair must satisfy ||A v - lambda v||_2 <= RESIDUAL_TOL ||A||_inf
 # (a backward error; measured at most 6e-15 on the clamped grids 32^2..128^2).
 RESIDUAL_TOL = 1e-12
 # The exact 1D comparison chain runs over modes j = 1..COMPARISON_1D_MODES.
 COMPARISON_1D_MODES = 50
+# A Lanczos Ritz pair (theta, y) of the inverse is converged once its
+# residual ||A^-1 y - theta y|| estimate is at most LANCZOS_TOL theta.
+LANCZOS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -104,33 +104,65 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """A symmetric matrix on ``grid``: the full operator, or with ``parity``
-    = (px, py) its block of vectors with mirror parity px in x, py in y.
-    ``form``, when set, is the closed-form structure of ``matrix``."""
+    """The block of the clamped matrix on ``grid`` of the vectors with mirror
+    parity ``parity`` = (px, py), px in x and py in y, as its 13-point
+    stencil.  Unknowns are ordered x-major on the m_x x m_y block grid,
+    index = i*m_y + j; ``centre`` is the diagonal, and ``couplings`` holds
+    for each upper stencil offset the pair (s, c) of its index shift and
+    entries: entry (p, p + s), and its mirror (p + s, p), is c[p], zero
+    where the offset leaves the grid.  In each row the nonzero entries of
+    the offsets come in ascending column order.  ``form`` is the closed
+    form of the same block."""
 
     grid: Grid2D
-    matrix: sp.csr_matrix
-    parity: tuple[int, int] | None = None
-    form: SineForm | None = field(default=None, compare=False, repr=False)
+    parity: tuple[int, int]
+    centre: np.ndarray = field(compare=False, repr=False)
+    couplings: tuple[tuple[int, np.ndarray], ...] = field(compare=False, repr=False)
+    form: SineForm = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.centre.size
 
     @property
     def label(self) -> str:
-        grid = f"{self.grid.nx}x{self.grid.ny} grid"
-        if self.parity is None:
-            return grid
         name = {1: "even", -1: "odd"}
-        return f"{grid}, {name[self.parity[0]]}-{name[self.parity[1]]} block"
+        return (f"{self.grid.nx}x{self.grid.ny} grid, "
+                f"{name[self.parity[0]]}-{name[self.parity[1]]} block")
 
-    def symmetry_defect(self) -> float:
-        diff = self.matrix - self.matrix.T
-        return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x for the columns of x (dim x b), in x's dtype, float64 or
+        ``np.longdouble``.  Each row sums its terms from zero in ascending
+        column order, as a sparse matrix-vector product does, so the result
+        equals that of the sparse block bit for bit."""
+        rows = np.ascontiguousarray(x.T)
+        out = np.zeros_like(rows)
+        for s, coef in reversed(self.couplings):
+            out[:, s:] += coef * rows[:, :-s]
+        out += self.centre * rows
+        for s, coef in self.couplings:
+            out[:, :-s] += coef * rows[:, s:]
+        return out.T
+
+    def toarray(self) -> np.ndarray:
+        dense = np.diag(self.centre)
+        for s, coef in self.couplings:
+            index = np.arange(len(coef))
+            dense[index, index + s] += coef
+            dense[index + s, index] += coef
+        return dense
 
     def norm_inf(self) -> float:
-        return float(np.abs(self.matrix).sum(axis=1).max())
+        rows = np.abs(self.centre)
+        for s, coef in self.couplings:
+            rows[:-s] += np.abs(coef)
+            rows[s:] += np.abs(coef)
+        return float(rows.max())
+
+    def count_below(self, sigma: float) -> int:
+        """Number of eigenvalues below sigma: the Haynsworth count of
+        ``form`` (``SineForm.count_below``)."""
+        return self.form.count_below(sigma)
 
 
 # ----------------------------------------------------------------------------
@@ -188,33 +220,32 @@ def navier1_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
 # ----------------------------------------------------------------------------
 
 def _second_difference(n: int, h: float,
-                       parity: int | None = None) -> tuple[sp.dia_matrix, np.ndarray]:
-    """1D factor of the assembly on n interior points of spacing h: the
-    Dirichlet second difference (2, -1)/h^2 and the diagonal of the clamped
-    ghost correction, 2/h^4 on each edge row.
+                       parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Folded 1D factor of the assembly on n interior points of spacing h:
+    (main, off, edge), the diagonal and off-diagonal of the Dirichlet second
+    difference (2, -1)/h^2 and the diagonal of the clamped ghost correction,
+    2/h^4 on the edge row, restricted to the vectors that are even
+    (``parity`` = +1) or odd (-1) under i -> n-1-i.
 
-    With ``parity`` = +1 or -1 both are restricted to the vectors that are
-    even or odd under i -> n-1-i, in the orthonormal basis
-    (e_i + parity e_{n-1-i})/sqrt(2), i < n//2, and for even vectors of odd
-    n also e_centre.  Folding changes only the last row: for even n the
-    mirror neighbour v_{n/2} = parity v_{n/2-1} makes the last diagonal
-    entry 2 - parity; for odd n the even block couples the centre line with
-    -sqrt(2), and the odd block, which vanishes there, is the plain
-    Dirichlet factor of n//2 points.
+    The basis is the orthonormal (e_i + parity e_{n-1-i})/sqrt(2), i < n//2,
+    and for even vectors of odd n also e_centre.  Folding changes only the
+    last row: for even n the mirror neighbour v_{n/2} = parity v_{n/2-1}
+    makes the last diagonal entry 2 - parity; for odd n the even block
+    couples the centre line with -sqrt(2), and the odd block, which vanishes
+    there, is the plain Dirichlet factor of n//2 points.  The far edge's
+    ghost correction folds onto the same first row, which holds it once.
     """
-    size = n if parity is None else (n + 1) // 2 if parity > 0 else n // 2
+    size = (n + 1) // 2 if parity > 0 else n // 2
     main = np.full(size, 2.0)
     off = np.full(size - 1, -1.0)
     edge = np.zeros(size)
     edge[0] = 2.0 / h ** 4
-    if parity is None:
-        edge[-1] = 2.0 / h ** 4
-    elif n % 2 == 0:
+    if n % 2 == 0:
         main[-1] -= parity
     elif parity > 0:
         off[-1] = -math.sqrt(2.0)
     ih2 = 1.0 / h ** 2
-    return sp.diags([main * ih2, off * ih2, off * ih2], [0, 1, -1]), edge
+    return main * ih2, off * ih2, edge
 
 
 def _sine_factor(n: int, h: float, parity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,11 +279,13 @@ class SineForm:
       ghost correction sits on the first row of each factor only;
     - C = diag(c_x I, c_y I), c = 2/h^4.
 
-    This is the exact operator; the assembled float matrix differs from it
-    by rounding.  On the low eigenvalues the two differ by up to 6.3e-10
-    relative (measured on lambda_1 of the 128^2 grid's even-even block over
-    the square and 1 x 1.3..1.65 rectangles; at most 1.1e-10 on grids up to
-    96^2), a difference that grows about as ||A|| / lambda_1, like n^4.
+    Sine coordinates are m_x x m_y arrays, or stacks of them, indexed like
+    ``diag``.  This is the exact operator; the assembled float matrix differs
+    from it by rounding.  On the low eigenvalues the two differ by up to
+    6.3e-10 relative (measured on lambda_1 of the 128^2 grid's even-even
+    block over the square and 1 x 1.3..1.65 rectangles; at most 1.1e-10 on
+    grids up to 96^2), a difference that grows about as ||A|| / lambda_1,
+    like n^4.
     """
 
     basis_x: np.ndarray
@@ -291,54 +324,92 @@ class SineForm:
         return (int(np.count_nonzero(self.diag < sigma))
                 + int(np.count_nonzero(np.linalg.eigvalsh(t) > 0.0)) - t.shape[0])
 
-    def inverse(self) -> spla.LinearOperator:
-        """A^-1 by the Woodbury identity: Q (D^-1 - D^-1 U T(0)^-1 U^T D^-1) Q^T,
-        four products with the m x m sine bases and one solve of size
-        m_x + m_y per vector."""
-        sx, sy, d = self.basis_x, self.basis_y, self.diag
-        u_x, u_y = sx[0], sy[0]
-        m_x, m_y = d.shape
-        chol = scipy.linalg.cho_factor(self.capacitance(0.0))
+    def inverse(self) -> Callable[[np.ndarray], np.ndarray]:
+        """A^-1 in sine coordinates, by the Woodbury identity
+        D^-1 - D^-1 U T(0)^-1 U^T D^-1: a function of a stack of b sine
+        coordinate arrays (b x m_x x m_y) that costs two contractions with
+        u_x and u_y and one product with T(0)^-1, whose Cholesky factor is
+        inverted once here; T(0) is positive definite."""
+        d = self.diag
+        u_x, u_y = self.basis_x[0], self.basis_y[0]
+        m_y = d.shape[1]
+        factor_inv = np.linalg.inv(np.linalg.cholesky(self.capacitance(0.0)))
+        t_inv = factor_inv.T @ factor_inv
 
-        def solve(b: np.ndarray) -> np.ndarray:
-            z = sx.T @ b.reshape(m_x, m_y) @ sy / d
-            s = scipy.linalg.cho_solve(chol, np.concatenate([u_x @ z, z @ u_y]))
-            z -= (np.outer(u_x, s[:m_y]) + np.outer(s[m_y:], u_y)) / d
-            return (sx @ z @ sy.T).ravel()
+        def solve(z: np.ndarray) -> np.ndarray:
+            w = z / d
+            s = np.concatenate([u_x @ w, w @ u_y], axis=-1) @ t_inv
+            w -= (u_x[:, None] * s[:, None, :m_y] + s[:, m_y:, None] * u_y) / d
+            return w
 
-        return spla.LinearOperator((d.size, d.size), matvec=solve, dtype=float)
+        return solve
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """(D + U C U^T) z for a stack of b sine coordinate arrays."""
+        u_x, u_y = self.basis_x[0], self.basis_y[0]
+        s_y, s_x = self.c_x * (u_x @ z), self.c_y * (z @ u_y)
+        return self.diag * z + u_x[:, None] * s_y[:, None, :] + s_x[:, :, None] * u_y
+
+    def to_grid(self, z: np.ndarray) -> np.ndarray:
+        """The grid vectors Q z of a stack of b sine coordinate arrays, as
+        the columns of a dim x b array."""
+        grid = self.basis_x @ z @ self.basis_y.T
+        return grid.reshape(len(z), -1).T
 
 
-def assemble_dirichlet_laplacian(grid: Grid2D) -> DiscreteOperator:
-    """Standard 5-point stencil with zero boundary values."""
-    dx, _ = _second_difference(grid.nx, grid.hx)
-    dy, _ = _second_difference(grid.ny, grid.hy)
-    mat = sp.kronsum(dy, dx).tocsr()  # rows ordered x-major: index = i*ny + j
-    return DiscreteOperator(grid, mat)
+def assemble_clamped_bilaplacian(grid: Grid2D, parity: tuple[int, int]) -> DiscreteOperator:
+    """The parity block (px, py) of the 13-point squared-Laplacian stencil
+    with ghost reflection u_{-1} = u_1, each parity +1 or -1.
 
-
-def assemble_clamped_bilaplacian(grid: Grid2D,
-                                 parity: tuple[int, int] | None = None) -> DiscreteOperator:
-    """13-point squared-Laplacian stencil with ghost reflection u_{-1} = u_1.
-
-    Equals L @ L plus a diagonal correction of +2/hx^4 on columns adjacent
-    to a vertical edge and +2/hy^4 adjacent to a horizontal edge; symmetric
-    positive semidefinite by construction.  With ``parity`` = (px, py), each
-    +1 or -1, this is the block Q^T A Q on the vectors of mirror parity px
-    in x and py in y, built the same way from the folded factors of
-    ``_second_difference``: L_b = kronsum(Dy_b, Dx_b) is the block of L, and
-    the block of the square is L_b @ L_b because L maps each parity class
-    into itself.  A block also carries its closed form, ``SineForm``.
+    The full matrix is L @ L plus a diagonal correction of +2/hx^4 on
+    columns adjacent to a vertical edge and +2/hy^4 adjacent to a horizontal
+    edge, symmetric positive semidefinite by construction.  L maps each
+    parity class into itself, so the block is L_b @ L_b plus the folded
+    correction, L_b = kron(Dx_b, I) + kron(I, Dy_b) the block of L built from
+    the folded factors of ``_second_difference``.  With a = Dx_b + Dy_b on
+    the diagonal of L_b and b_x, b_y its off-diagonals, the entries of the
+    square are the sums of products that a sparse L_b @ L_b forms, in its
+    order: the diagonal sums b_x^2, b_y^2, a^2, b_y^2, b_x^2 over the
+    neighbours in ascending column order, each nearest-neighbour entry
+    a b + b a', the diagonal neighbours b_x b_y + b_y b_x = 2 b_x b_y and the
+    second neighbours one product.  So the entries equal those of the sparse
+    product bit for bit, which the tests check.  A block also carries its
+    closed form, ``SineForm``.
     """
-    px, py = parity if parity is not None else (None, None)
-    dx, ex = _second_difference(grid.nx, grid.hx, px)
-    dy, ey = _second_difference(grid.ny, grid.hy, py)
-    lap = sp.kronsum(dy, dx).tocsr()
-    mat = (lap @ lap + sp.diags((ex[:, None] + ey[None, :]).ravel())).tocsr()
-    # squared-sparse products can carry eps-size asymmetry; symmetrise exactly
-    mat = ((mat + mat.T) * 0.5).tocsr()
-    form = SineForm.of(grid, parity) if parity is not None else None
-    return DiscreteOperator(grid, mat, parity, form)
+    ax, bx, ex = _second_difference(grid.nx, grid.hx, parity[0])
+    ay, by, ey = _second_difference(grid.ny, grid.hy, parity[1])
+    m_x, m_y = len(ax), len(ay)
+    a = ax[:, None] + ay[None, :]
+    bx2 = np.zeros((m_x + 1, m_y))
+    bx2[1:-1] = (bx * bx)[:, None]
+    by2 = np.zeros((m_x, m_y + 1))
+    by2[:, 1:-1] = by * by
+    centre = bx2[:-1] + by2[:, :-1]
+    centre = centre + a * a
+    centre = centre + by2[:, 1:]
+    centre = centre + bx2[1:]
+    centre = centre + (ex[:, None] + ey[None, :])
+    diagonal = 2.0 * (bx[:, None] * by[None, :])
+    # (di, dj, entry coupling (i, j) with (i + di, j + dj)), in the order in
+    # which a row meets them, by ascending column
+    stencil = (
+        (0, 1, a[:, :-1] * by + by * a[:, 1:]),
+        (0, 2, by[:-1] * by[1:] + np.zeros((m_x, 1))),
+        (1, -1, diagonal),
+        (1, 0, a[:-1] * bx[:, None] + bx[:, None] * a[1:]),
+        (1, 1, diagonal),
+        (2, 0, (bx[:-1] * bx[1:])[:, None] + np.zeros(m_y)),
+    )
+    dim = m_x * m_y
+    couplings = []
+    for di, dj, coef in stencil:
+        shift = di * m_y + dj
+        if 0 < shift < dim:
+            padded = np.zeros((m_x, m_y))
+            padded[:m_x - di, max(0, -dj):m_y - max(0, dj)] = coef
+            couplings.append((shift, padded.ravel()[:dim - shift]))
+    return DiscreteOperator(grid, parity, centre.ravel(), tuple(couplings),
+                            SineForm.of(grid, parity))
 
 
 def discrete_laplacian_eigenvalues(grid: Grid2D) -> np.ndarray:
@@ -355,24 +426,22 @@ def discrete_laplacian_eigenvalues(grid: Grid2D) -> np.ndarray:
 
 def smallest_eigs(op: DiscreteOperator, k: int,
                   dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of the symmetric operator, certified.
+    """k smallest eigenpairs of a parity block, certified.
 
-    When 3 k > dim, or for an operator without a sine form of at most
-    ``dense_limit`` unknowns, this is a dense LAPACK subset solve; otherwise
-    a deterministic shift-invert Lanczos (fixed start vector).  The Lanczos
-    path applies the Woodbury inverse of ``op.form`` when the operator has
-    one, and else lets ARPACK factorise the matrix with SuperLU.  On an
-    operator with a form, either path's values are then replaced by the
-    Rayleigh quotients of their vectors on ``op.matrix``, summed in extended
-    precision (``_rayleigh_quotients``): the Woodbury inverse is that of the
-    exact operator, whose values differ from those of the assembled float
-    matrix (``SineForm``: up to 6.3e-10 relative on 128^2), and dense
-    ``eigh`` values sit up to 1.8e-11 off the quotients of their own
-    vectors, with bits that depend on the BLAS thread count.  Either result
-    must pass ``_certify`` (residual bound and inertia count) or
-    ``RuntimeError`` is raised.  Values ascend; vectors are orthonormal,
-    each with the sign the solver returned.  The inertia count proves that
-    every eigenvalue not returned lies at or above
+    When 3 k > dim this is a dense ``numpy.linalg.eigh`` of ``op.toarray()``;
+    otherwise a deterministic block Lanczos on the Woodbury inverse of
+    ``op.form`` (``_lanczos``).  ``dense_limit`` is not read; it stays in the
+    signature for callers that bind it by name.  Either path's values are
+    then replaced by the Rayleigh quotients of their vectors on the
+    assembled stencil, summed in extended precision (``_rayleigh_quotients``):
+    the Woodbury inverse is that of the exact operator, whose values differ
+    from those of the assembled float matrix (``SineForm``: up to 6.3e-10
+    relative on 128^2), and dense ``eigh`` values sit up to 1.8e-11 off the
+    quotients of their own vectors, with bits that depend on the BLAS thread
+    count.  The result must pass ``_certify`` (residual bound and inertia
+    count) or ``RuntimeError`` is raised.  Values ascend; vectors are
+    orthonormal, each with the sign the solver returned.  The inertia count
+    proves that every eigenvalue not returned lies at or above
     ``_inertia_floor(op, values[-1])``.  ``clamped_spectrum_fd`` solves each
     parity block of the clamped matrix here and reads that floor as its
     coverage certificate: no block may hide an eigenvalue at or below the
@@ -381,37 +450,100 @@ def smallest_eigs(op: DiscreteOperator, k: int,
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k={k} outside 1..{op.dim}")
-    defect = op.symmetry_defect()
-    if defect > 1e-12 * max(1.0, op.norm_inf()):
-        raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
-
-    if 3 * k > op.dim or (op.form is None and op.dim <= dense_limit):
-        dense = op.matrix.toarray()
-        values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
+    if 3 * k > op.dim:
+        vectors = np.linalg.eigh(op.toarray())[1][:, :k]
     else:
-        v0 = np.full(op.dim, 1.0 / math.sqrt(op.dim))
-        if op.form is None:
-            values, vectors = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0.0,
-                                         which="LM", v0=v0, tol=0.0)
-        else:
-            values, vectors = spla.eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0,
-                                         tol=0.0, OPinv=op.form.inverse())
-    if op.form is not None:
-        values = _rayleigh_quotients(op, vectors)
+        vectors = _lanczos(op.form, k)
+    values = _rayleigh_quotients(op, vectors)
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], vectors[:, order]
     _certify(op, values, vectors)
     return values, vectors
 
 
+def _lanczos(form: SineForm, k: int) -> np.ndarray:
+    """Ritz vectors (dim x k) of the k largest eigenvalues of A^-1, that is
+    of the k smallest of A, by a block Lanczos of block size 2 with full
+    reorthogonalisation, run in sine coordinates on ``form.inverse()``.
+
+    The start block is closed form: two additive-recurrence (Weyl)
+    sequences frac(i phi) - 1/2, phi the golden ratio, which have no
+    symmetry that could hide an eigenvector, smoothed by one inverse so
+    that every Krylov vector lies in the range of A^-1.  Each step
+    orthogonalises A^-1 of the newest block twice against the whole basis
+    (Gram-Schmidt twice) and takes the next block and the coupling B from
+    its QR factorisation; the projection of A^-1 is then block tridiagonal,
+    with the diagonal blocks V_j^T A^-1 V_j and the couplings B.  Its
+    eigenpairs (theta, s) give the Ritz pairs, and the Lanczos relation
+    bounds each residual ||A^-1 y - theta y|| by ||B s_last||; the solve
+    stops when each of the top k is at most LANCZOS_TOL theta, or when the
+    basis spans the block.
+
+    The vectors returned are those of a Rayleigh-Ritz step with A itself
+    (``form.apply``) on the whole Krylov basis.  The Ritz vectors of A^-1
+    carry errors of order eps/lambda_1 from its rounding, which A magnifies
+    by lambda_k/lambda_1 in the residual, past the RESIDUAL_TOL bound when
+    k is near a third of the dimension of the 39^2 to 63^2 blocks of the
+    square; the vectors of the A step meet it.
+    """
+    solve = form.inverse()
+    shape = form.diag.shape
+    dim = form.diag.size
+    weyl = (np.arange(1, 2 * dim + 1) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0 - 0.5
+    start = solve(weyl.reshape(2, *shape)).reshape(2, dim)
+    basis = np.empty((min(dim, 4 * k + 8), dim))
+    basis[:2] = np.linalg.qr(start.T)[0].T
+    size, done = 2, 0
+    steps: list[tuple[int, np.ndarray, np.ndarray]] = []
+    check = 3 * k
+    while True:
+        block = basis[done:size]
+        w = solve(block.reshape(-1, *shape)).reshape(len(block), dim)
+        alpha = block @ w.T
+        for _ in range(2):
+            w -= (w @ basis[:size].T) @ basis[:size]
+        grow = min(len(block), dim - size)
+        q, beta = np.linalg.qr(w.T)
+        if size + grow > len(basis):
+            basis = np.concatenate([basis, np.empty((min(len(basis), dim - len(basis)), dim))])
+        basis[size:size + grow] = q.T[:grow]
+        steps.append((done, (alpha + alpha.T) / 2.0, beta[:grow]))
+        done, size = size, size + grow
+        if grow and done < check:
+            continue
+        projected = np.zeros((done, done))
+        for start_row, alpha, beta in steps:
+            stop = start_row + len(alpha)
+            projected[start_row:stop, start_row:stop] = alpha
+            if stop < done:
+                projected[stop:stop + len(beta), start_row:stop] = beta
+                projected[start_row:stop, stop:stop + len(beta)] = beta.T
+        theta, s = np.linalg.eigh(projected)
+        theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+        last, _, beta = steps[-1]
+        residual = np.linalg.norm(beta @ s[last:], axis=0)
+        if not grow or (residual <= LANCZOS_TOL * theta).all():
+            krylov = basis[:done]
+            image = form.apply(krylov.reshape(done, *shape)).reshape(done, dim)
+            # two rows at a time, like the products of the Lanczos steps: a
+            # square product's bits depend on the BLAS thread count
+            gram = np.concatenate([image[i:i + 2] @ krylov.T for i in range(0, done, 2)])
+            rotation = np.linalg.eigh((gram + gram.T) / 2.0)[1][:, :k]
+            return form.to_grid((rotation.T @ krylov).reshape(k, *shape))
+        check = done + max(2, done // 8)
+
+
 def _rayleigh_quotients(op: DiscreteOperator, vectors: np.ndarray) -> np.ndarray:
-    """v^T A v / v^T v of each column on the assembled matrix, in
+    """v^T A v / v^T v of each column on the assembled stencil, in
     ``np.longdouble``: the quotient cancels terms of size ||A|| down to the
     smallest eigenvalues, which float64 sums leave up to 1.2e-11 relative off
-    (measured on the 96^2 and 128^2 blocks)."""
-    wide = vectors.astype(np.longdouble)
-    quotients = (wide * (op.matrix.astype(np.longdouble) @ wide)).sum(axis=0)
-    return (quotients / (wide * wide).sum(axis=0)).astype(float)
+    (measured on the 96^2 and 128^2 blocks).  The sums run along contiguous
+    rows, so their order, and the bits, do not depend on the layout of
+    ``vectors``."""
+    wide = np.ascontiguousarray(vectors.T, dtype=np.longdouble)
+    image = op.matvec(wide.T).T
+    quotients = np.ascontiguousarray(wide * image).sum(axis=1)
+    return (quotients / (wide * wide).sum(axis=1)).astype(float)
 
 
 def _inertia_shift(top: float, residual: float) -> float:
@@ -434,42 +566,27 @@ def _certify(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> N
     Each residual ||A v - lambda v||_2 on the assembled matrix must stay
     within RESIDUAL_TOL ||A||_inf; for symmetric A a true eigenvalue then lies
     within it of each value.  An inertia count at sigma = ``_inertia_shift``
-    of lambda_k must find exactly as many eigenvalues of A below sigma as
-    were returned: a copy of a multiple eigenvalue that Lanczos dropped shows
-    as one count too many.  With ``op.form`` the count is by Haynsworth
-    inertia additivity (``SineForm.count_below``) and is that of the exact
+    of lambda_k (``op.count_below``) must find exactly as many eigenvalues
+    of A below sigma as were returned: a copy of a multiple eigenvalue that
+    Lanczos dropped shows as one count too many.  A block counts by
+    Haynsworth inertia additivity on its sine form, the count of the exact
     operator, whose low eigenvalues lie within 6.3e-10 relative (measured on
     128^2 grids) of the assembled matrix's, inside sigma's 1e-8 offset below
     lambda_k; were the offset ever crossed, on far finer grids, the counts
-    would disagree and raise, not pass;
-    otherwise it is a Sylvester count on the SuperLU LDL^T factorisation of
-    A - sigma I (Parlett, The Symmetric Eigenvalue Problem).
+    would disagree and raise, not pass.
     """
-    residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
+    residuals = np.linalg.norm(op.matvec(vectors) - vectors * values, axis=0)
     bound = RESIDUAL_TOL * op.norm_inf()
     if residuals.max() > bound:
         j = int(residuals.argmax())
         raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.3e} "
                            f"above {bound:.3e} on the {op.label}")
     sigma = _inertia_shift(values[-1], residuals[-1])
-    below = _count_below(op, sigma)
+    below = op.count_below(sigma)
     returned = int(np.count_nonzero(values < sigma))
     if below != returned:
         raise RuntimeError(f"{below} eigenvalues lie below {sigma:.6e} but the solve "
                            f"returned {returned} on the {op.label}")
-
-
-def _count_below(op: DiscreteOperator, sigma: float) -> int:
-    """Number of eigenvalues of ``op`` below sigma: from its sine form, or
-    the negative pivots of a symmetric SuperLU LDL^T of A - sigma I."""
-    if op.form is not None:
-        return op.form.count_below(sigma)
-    shifted = (op.matrix - sigma * sp.identity(op.dim, format="csr")).tocsc()
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError("inertia count needs a symmetric permutation")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 # ----------------------------------------------------------------------------

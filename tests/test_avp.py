@@ -307,6 +307,27 @@ class TestMollifiedProfile:
         env = {**os.environ, "PYTHONPATH": str(Path(bilap.__file__).parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_cli_runs_leave_scipy_solvers_and_numpy_random_out(self, tmp_path):
+        # the FD layer is numpy alone: `all` (the Lanczos path), `eig2d` at
+        # 24^2 and k = 400 (the dense path) and `compare`; the Lanczos start
+        # block is closed form, so numpy.random stays out too
+        code = "\n".join([
+            "import sys",
+            "from bilap.cli import main",
+            "runs = [['all'],",
+            "        ['eig2d', '--domain', 'rect:1x1.65', '--grids', '24', '--k', '400'],",
+            "        ['compare', '--domain', 'rect:1x1.65', '--grids', '24,48,96', '--k', '10']]",
+            f"codes = [main([*argv, '--out', {str(tmp_path / 'report')!r}]) for argv in runs]",
+            "loaded = [m for m in sys.modules",
+            "          if m.startswith(('scipy.linalg', 'scipy.sparse', 'numpy.random'))]",
+            "print(codes, loaded)",
+            "sys.exit(codes != [0, 0, 0] or bool(loaded))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(bilap.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
+
     def test_pessimistic_adjustment_directions(self, mollified_profiles):
         p = mollified_profiles[0.1]
         q = p.pessimistic()

@@ -213,11 +213,13 @@ class TestReports:
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         out = tmp_path / "c.json"
         assert main(["constants", "--dims", "2", "--format", "json", "--out", str(out)]) == 0
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert json.loads(out.read_text())["meta"] == {
             "command": "constants",
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
             "blas_threads": {"OMP_NUM_THREADS": "3"},
         }
 
