@@ -60,7 +60,6 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_V
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
 from . import avp, checks, eig2d, riesz, semiclassical, spectra1d  # noqa: E402
 from .core import (  # noqa: E402
@@ -210,7 +209,10 @@ def _param_columns(report: BoundReport) -> tuple[str, str]:
 def _run_meta(command: str) -> dict:
     """What a JSON report records about the run: the subcommand, the Python,
     numpy and scipy versions, the BLAS library numpy was built with (name
-    and version) and whichever BLAS thread variables are set."""
+    and version) and whichever BLAS thread variables are set.  scipy is
+    imported here, for its version alone, so a CSV report loads none of it."""
+    import scipy
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "command": command,
@@ -636,7 +638,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = build_parser(load_config(known.config) if known.config else None)
         args = parser.parse_args(argv)
         reports = _COMMANDS[args.command](args)
-        write_report(reports, args.out, args.format, meta=_run_meta(args.command))
+        meta = _run_meta(args.command) if args.format == "json" else None
+        write_report(reports, args.out, args.format, meta)
     except (ConfigError, OSError) as exc:  # load_config raises JSON errors as ConfigError
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2

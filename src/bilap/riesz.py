@@ -124,29 +124,33 @@ def lemma_onedim_bounds(
     ``mid`` is the brute-force sum minus its main term:
       integers:      sum (R^4 - n^4)_+        - (4/5) R^5 + (1/2) R^4
       half_integers: sum (R^4 - (n+1/2)^4)_+  - (4/5) R^5 + R^4
+
+    The positive terms are summed left to right from n = 1 (``np.cumsum``
+    accumulates in order; ``np.sum`` would pair them).  n^4 = (n^2)^2 and
+    (n+1/2)^4 = ((n+1/2)^2)^2 are squares of exact doubles, so each is the
+    correctly rounded power, exact while (2n+1)^4 < 2^53 (R below 4,870).
     """
     if not (0.0 <= R < math.inf):
         raise ValueError(f"R={R} outside [0, inf)")
     if variant == "integers":
-        total = 0.0
-        n = 1
-        while n < R:
-            total += R ** 4 - n ** 4
-            n += 1
-        mid = total - 0.8 * R ** 5 + 0.5 * R ** 4
+        offset, main = 0.0, 0.5
         lhs = -R ** 3 / 3.0
         rhs = R ** 3 / 6.0 + R ** 2 / 12.0
     elif variant == "half_integers":
-        total = 0.0
-        n = 1
-        while n + 0.5 < R:
-            total += R ** 4 - (n + 0.5) ** 4
-            n += 1
-        mid = total - 0.8 * R ** 5 + R ** 4
+        offset, main = 0.5, 1.0
         lhs = -11.0 / 6.0 * R ** 3 - 1.5 * R ** 2 - 127.0 / 240.0 * R
         rhs = R ** 3 / 6.0 + 1.5 * R ** 2 + R / 30.0 + 0.125
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    # the lattice points n + offset < R, n >= 1; R - offset is exact here
+    count = max(math.ceil(R - offset) - 1, 0)
+    total = 0.0
+    if count:
+        nodes = np.arange(1, count + 1, dtype=np.float64) + offset
+        nodes *= nodes
+        nodes *= nodes
+        total = float(np.cumsum(R ** 4 - nodes)[-1])
+    mid = total - 0.8 * R ** 5 + main * R ** 4
     return lhs, mid, rhs
 
 

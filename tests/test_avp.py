@@ -310,18 +310,24 @@ class TestMollifiedProfile:
     def test_cli_runs_leave_scipy_solvers_and_numpy_random_out(self, tmp_path):
         # the FD layer is numpy alone: `all` (the Lanczos path), `eig2d` at
         # 24^2 and k = 400 (the dense path) and `compare`; the Lanczos start
-        # block is closed form, so numpy.random stays out too
+        # block is closed form, so numpy.random stays out too.  CSV reports
+        # load no scipy module at all; a JSON report imports scipy for the
+        # version in its meta
+        report = tmp_path / "report"
         code = "\n".join([
-            "import sys",
+            "import json, sys",
             "from bilap.cli import main",
             "runs = [['all'],",
             "        ['eig2d', '--domain', 'rect:1x1.65', '--grids', '24', '--k', '400'],",
             "        ['compare', '--domain', 'rect:1x1.65', '--grids', '24,48,96', '--k', '10']]",
-            f"codes = [main([*argv, '--out', {str(tmp_path / 'report')!r}]) for argv in runs]",
+            f"codes = [main([*argv, '--out', {str(report)!r}]) for argv in runs]",
             "loaded = [m for m in sys.modules",
-            "          if m.startswith(('scipy.linalg', 'scipy.sparse', 'numpy.random'))]",
-            "print(codes, loaded)",
-            "sys.exit(codes != [0, 0, 0] or bool(loaded))",
+            "          if m == 'scipy' or m.startswith(('scipy.', 'numpy.random'))]",
+            f"codes.append(main(['constants', '--format', 'json', '--out', {str(report)!r}]))",
+            f"meta = json.loads(open({str(report)!r}).read())['meta']",
+            "print(codes, loaded, meta)",
+            "sys.exit(codes != [0, 0, 0, 0] or bool(loaded)",
+            "         or meta['scipy'] != sys.modules['scipy'].__version__)",
         ])
         env = {**os.environ, "PYTHONPATH": str(Path(bilap.__file__).parents[1])}
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

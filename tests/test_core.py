@@ -58,6 +58,11 @@ class TestDimensionalConstants:
         with pytest.raises(ValueError):
             dimensional_constants(-3)
 
+    def test_cached_value_is_never_handed_to_a_float(self):
+        assert dimensional_constants(2) is dimensional_constants(2)
+        with pytest.raises(ValueError):
+            dimensional_constants(2.0)
+
 
 class TestDomainSpec:
     def test_rectangle_geometry(self):
@@ -200,6 +205,12 @@ class TestBoundReport:
     def test_value_row_never_asserted(self):
         r = BoundReport.value_row("v", 1.5, "ref")
         assert not r.asserted and r.holds
+
+    def test_fields_cannot_be_assigned(self):
+        r = BoundReport.less_equal("t", 2.0, 1.0, "ref")
+        with pytest.raises(AttributeError):
+            r.holds = True
+        assert r == ("t", (), 2.0, 1.0, -1.0, False, "ref", True)
 
 
 @pytest.mark.parametrize(

@@ -161,7 +161,44 @@ class TestTheoremBounds:
                 assert lower <= r1 <= upper, (pair, z)
 
 
+def lattice_oracle(R: float, variant: str) -> tuple[float, float, float]:
+    """The lattice sums as a scalar loop adding one term at a time, from
+    n = 1, with Python's float powers."""
+    total = 0.0
+    n = 1
+    if variant == "integers":
+        while n < R:
+            total += R ** 4 - n ** 4
+            n += 1
+        return (-R ** 3 / 3.0, total - 0.8 * R ** 5 + 0.5 * R ** 4,
+                R ** 3 / 6.0 + R ** 2 / 12.0)
+    while n + 0.5 < R:
+        total += R ** 4 - (n + 0.5) ** 4
+        n += 1
+    return (-11.0 / 6.0 * R ** 3 - 1.5 * R ** 2 - 127.0 / 240.0 * R,
+            total - 0.8 * R ** 5 + R ** 4,
+            R ** 3 / 6.0 + 1.5 * R ** 2 + R / 30.0 + 0.125)
+
+
+_lattice_radii = (st.floats(0.0, 200.0)
+                  | st.integers(0, 200).map(float)
+                  | st.integers(0, 399).map(lambda m: m + 0.5)
+                  | st.sampled_from([float(R) for R in LATTICE_R]))
+
+
 class TestLatticeSumLemma:
+    @given(R=_lattice_radii, variant=st.sampled_from(["integers", "half_integers"]))
+    def test_equals_the_scalar_loop(self, R, variant):
+        got = lemma_onedim_bounds(R, variant)
+        assert all(type(v) is float for v in got)
+        assert got == lattice_oracle(R, variant)
+
+    def test_every_criterion_radius_equals_the_scalar_loop(self):
+        for R in LATTICE_R:
+            for variant in ("integers", "half_integers"):
+                assert lemma_onedim_bounds(float(R), variant) == \
+                    lattice_oracle(float(R), variant), (R, variant)
+
     def test_r0_trivial(self):
         assert lemma_onedim_bounds(0.0, "integers") == (0.0, 0.0, 0.0)
 
@@ -187,7 +224,7 @@ class TestLatticeSumLemma:
     def test_invalid_variant_and_range(self):
         with pytest.raises(ValueError):
             lemma_onedim_bounds(1.0, "thirds")
-        for R in (-1.0, math.nan, math.inf):  # inf would never finish the sum
+        for R in (-1.0, math.nan, math.inf):  # inf has no finite lattice sum
             with pytest.raises(ValueError):
                 lemma_onedim_bounds(R, "integers")
 

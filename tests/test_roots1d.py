@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bilap import roots1d
 from bilap.roots1d import (
     EXACT_ROOT_CAP,
+    GammaRoot,
     gamma_root,
     gamma_value,
     log_cosh,
@@ -29,6 +31,28 @@ def oracle_bisect(lo: float, hi: float, iters: int = 200) -> float:
             lo = mid
     return 0.5 * (lo + hi)
 
+
+def full_bisection(n: int) -> tuple[GammaRoot, tuple[float, float]]:
+    """The root bisection in u = log r run for all 200 steps, stopping early
+    only at a u-width of 1e-15, with its final bracket."""
+    a = math.pi * (n + 0.5)
+    s = 1 if n % 2 == 1 else -1
+    u_lo, u_hi = -(a + 1.0), math.log(math.pi / 2.0)
+    for _ in range(200):
+        u_mid = 0.5 * (u_lo + u_hi)
+        if roots1d._log_residual(n, math.exp(u_mid)) < 0.0:
+            u_lo = u_mid
+        else:
+            u_hi = u_mid
+        if u_hi - u_lo <= 1e-15:
+            break
+    r = 0.5 * (math.exp(u_lo) + math.exp(u_hi))
+    root = GammaRoot(n, a + s * r, r, roots1d._relative_residual(n, r), "bisection")
+    return root, (u_lo, u_hi)
+
+
+# Every root index that is bisected rather than taken from the asymptotic tail.
+BISECTED = range(1, math.ceil(EXACT_ROOT_CAP / math.pi - 0.5))
 
 # First root from the oracle over [3 pi/2, 2 pi]; frozen reference value.
 GAMMA_1 = 4.730040744862704
@@ -68,6 +92,28 @@ class TestSolveGamma:
             assert math.pi * root.n < root.gamma < math.pi * (root.n + 1)
         assert 0.0 < hi.r < lo.r
         assert lo.method == ("bisection" if n <= 222 else "asymptotic")
+
+    def test_bisection_equals_the_full_200_steps(self):
+        assert BISECTED[-1] == 222
+        for n in BISECTED:
+            root, (u_lo, u_hi) = full_bisection(n)
+            assert solve_gamma(n) == root, n
+            assert u_hi - u_lo <= 1e-15 or math.nextafter(u_lo, math.inf) == u_hi, n
+
+    def test_bisection_stops_when_the_bracket_is_exhausted(self, monkeypatch):
+        # 12,119 calls; the full loop makes 44,550, 200 steps for every n >= 3
+        calls = 0
+        residual = roots1d._log_residual
+
+        def counted(n, r):
+            nonlocal calls
+            calls += 1
+            return residual(n, r)
+
+        monkeypatch.setattr(roots1d, "_log_residual", counted)
+        for n in BISECTED:
+            solve_gamma(n)
+        assert calls < 13_000
 
     def test_asymptotic_fallback_beyond_cap(self):
         n = int(EXACT_ROOT_CAP / math.pi) + 5
