@@ -475,42 +475,44 @@ class KroegerLaptevPoint:
     interval: Optional[tuple[float, float]]
 
 
-def kroeger_laptev_refined(spec: Spectrum, dom: DomainSpec, k: int) -> KroegerLaptevPoint:
-    """Evaluate the refined average bound at index k, in the dimension of ``dom``.
-
-    m_k = C_d^2 (k/|O|)^(4/d);  S_k = ((d+4)/d) (avg of first k) / m_k;
-    when S_k <= 1 the next eigenvalue lies in m_k (1 -/+ sqrt(1-S_k))^2.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(spec.values) < k + 1:
-        raise ValueError(f"need at least {k + 1} eigenvalues, have {len(spec.values)}")
+def _kroeger_laptev_points(spec: Spectrum, dom: DomainSpec, k_max: int):
+    """Refined average bounds for k = 1..k_max in the dimension of ``dom``, from a
+    running sum: m_k = C_d^2 (k/|O|)^(4/d), S_k = ((d+4)/d) (avg of first k) / m_k,
+    and when S_k <= 1 the next eigenvalue lies in m_k (1 -/+ sqrt(1-S_k))^2."""
+    if not 1 <= k_max < len(spec.values):
+        raise ValueError(f"k={k_max} needs k >= 1 and k + 1 eigenvalues, have {len(spec.values)}")
     d = dom.dimension
-    dc = dimensional_constants(d)
-    m_k = dc.classical ** 2 * (k / dom.volume) ** (4.0 / d)
-    avg = sum(spec.values[:k]) / k
-    s_k = (d + 4.0) / d * avg / m_k
-    if s_k > 1.0:
-        return KroegerLaptevPoint(k, m_k, s_k, None)
-    root = math.sqrt(1.0 - s_k)
-    return KroegerLaptevPoint(k, m_k, s_k, (m_k * (1.0 - root) ** 2, m_k * (1.0 + root) ** 2))
+    c2 = dimensional_constants(d).classical ** 2
+    total = 0.0
+    for k, value in enumerate(spec.values[:k_max], start=1):
+        total += value
+        m_k = c2 * (k / dom.volume) ** (4.0 / d)
+        s_k = (d + 4.0) / d * (total / k) / m_k
+        root = None if s_k > 1.0 else math.sqrt(1.0 - s_k)
+        interval = None if root is None else (m_k * (1.0 - root) ** 2, m_k * (1.0 + root) ** 2)
+        yield KroegerLaptevPoint(k, m_k, s_k, interval)
+
+
+def kroeger_laptev_refined(spec: Spectrum, dom: DomainSpec, k: int) -> KroegerLaptevPoint:
+    """The refined average bound at index k (``_kroeger_laptev_points``)."""
+    *_, point = _kroeger_laptev_points(spec, dom, k)
+    return point
 
 
 def kroeger_laptev_report(spec: Spectrum, dom: DomainSpec, k_max: int) -> list[BoundReport]:
     """Reports: S_k <= 1, interval containment of omega_{k+1}, and the
     quadratic form m_k (1 - S_k) >= (sqrt(omega_{k+1}) - sqrt(m_k))^2,
-    labelled with the dimension of ``dom``."""
+    labelled with the dimension of ``dom``, for k = 1..k_max."""
     label = f"kroeger-laptev-extrapolated-d{dom.dimension}"
     out: list[BoundReport] = []
-    for k in range(1, k_max + 1):
-        pt = kroeger_laptev_refined(spec, dom, k)
-        params = {"k": k}
+    for pt in _kroeger_laptev_points(spec, dom, k_max):
+        params = {"k": pt.k}
         out.append(BoundReport.less_equal(
             f"{label}-sk", pt.s_k, 1.0, "technical_lemma", params=params))
-        nxt = spec.value(k + 1)
+        nxt = spec.value(pt.k + 1)
         if pt.interval is None:
             out.append(BoundReport(
-                f"{label}-interval", (("k", str(k)),), math.nan, math.nan,
+                f"{label}-interval", (("k", str(pt.k)),), math.nan, math.nan,
                 math.nan, False, "technical_lemma", asserted=False))
             continue
         lo, hi = pt.interval

@@ -2,12 +2,13 @@
 
 Reports are schema-stable rows
     check,param1,param2,lhs,rhs,margin,holds,paper_ref
-with one file per subcommand.  ``bilap all`` runs the criteria registry of
-``bilap.checks``, the same definitions the acceptance suite asserts; the
-other subcommands expose single layers with their own grids.  ``compare``
-and ``all`` share ``eig2d.richardson_ladder``, which extrapolates from two
-FD grids, n and 2n; only ``eig2d`` has ``--cache``, keyed on the exact
-domain, grid and mode count.  Exit codes:
+with one file per subcommand, or as JSON objects beside a ``meta`` record of
+the run (``write_report``); bilap needs numpy alone.  ``bilap all`` runs the
+criteria registry of ``bilap.checks``, the same definitions the acceptance
+suite asserts; the other subcommands expose single layers with their own
+grids.  ``compare`` and ``all`` share ``eig2d.richardson_ladder``, which
+extrapolates from two FD grids, n and 2n; only ``eig2d`` has ``--cache``,
+keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
 2 configuration error (``ConfigError`` from parsing or validating flags and
 config keys and values, or an ``OSError``), 3 internal error: any other
@@ -54,7 +55,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 # took 0.92 s in 1 of 16, and four 194 x 97 GEMM chains (the profile's
 # former shape) 0.06-0.10 s in 6 of 16, against at most 0.019 s and 0.002 s
 # in all 16 on one thread.
-# numpy's and scipy's bundled OpenBLAS read the variable when they load, so
+# numpy's bundled OpenBLAS reads the variable when it loads, so
 # this works only before numpy is imported; a caller's own setting is kept.
 if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -70,7 +71,7 @@ from .core import (  # noqa: E402
     Spectrum,
     dimensional_constants,
 )
-from .roots1d import gamma_root, proposition_bound_report  # noqa: E402
+from .roots1d import LAST_NORMAL_DEFECT_N, gamma_root, proposition_bound_report  # noqa: E402
 
 log = logging.getLogger("bilap")
 
@@ -207,62 +208,27 @@ def _param_columns(report: BoundReport) -> tuple[str, str]:
 
 
 def _run_meta(command: str) -> dict:
-    """What a JSON report records about the run: the subcommand, the Python,
-    numpy and scipy versions, the BLAS library numpy was built with (name
-    and version) and whichever BLAS thread variables are set.  scipy is
-    imported here, for its version alone, so a CSV report loads none of it."""
-    import scipy
-
+    """What a JSON report records about the run: the subcommand, the Python
+    and numpy versions, the BLAS library numpy was built with (name and
+    version) and whichever BLAS thread variables are set."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "command": command,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": {v: os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ},
     }
 
 
-_json_str = json.encoder.encode_basestring_ascii
 _BOOL_TEXT = {True: "true", False: "false"}
-
-
-def _json_float(x: float) -> str:
-    """A float as json writes it: NaN and the infinities by name."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_report(r: BoundReport) -> str:
-    """One report of the JSON list, its keys sorted, at nesting depth 2."""
-    params = sorted(dict(r.params).items())
-    if params:
-        fields = ",\n".join(f"        {_json_str(k)}: {_json_str(v)}" for k, v in params)
-        params_text = f"{{\n{fields}\n      }}"
-    else:
-        params_text = "{}"
-    return (f'    {{\n      "asserted": {_BOOL_TEXT[r.asserted]},\n'
-            f'      "check": {_json_str(r.check)},\n'
-            f'      "holds": {_BOOL_TEXT[r.holds]},\n'
-            f'      "lhs": {_json_float(r.lhs)},\n'
-            f'      "margin": {_json_float(r.margin)},\n'
-            f'      "paper_ref": {_json_str(r.paper_ref)},\n'
-            f'      "params": {params_text},\n'
-            f'      "rhs": {_json_float(r.rhs)}\n    }}')
 
 
 def write_report(reports: Sequence[BoundReport], path: Optional[Path],
                  fmt: str, meta: dict | None = None) -> None:
-    """Write the rows as CSV, or as the JSON ``json.dumps(payload, indent=2,
-    sort_keys=True)`` would give for {"meta", "reports", "timestamp"}, byte
-    for byte, laid out here one report at a time because that call runs
-    json's pure-Python encoder."""
+    """Write the rows as CSV, or as one JSON object {"meta", "reports",
+    "timestamp"} with sorted keys and a line break after every comma
+    between members and elements, written by json's C encoder."""
     stamp = datetime.now(timezone.utc).isoformat()
     if fmt == "csv":
         buf = io.StringIO()
@@ -274,11 +240,9 @@ def write_report(reports: Sequence[BoundReport], path: Optional[Path],
                          for r in reports)
         text = buf.getvalue()
     elif fmt == "json":
-        meta_text = json.dumps(meta or {}, indent=2, sort_keys=True).replace("\n", "\n  ")
-        rows = ",\n".join(_json_report(r) for r in reports)
-        text = (f'{{\n  "meta": {meta_text},\n'
-                + (f'  "reports": [\n{rows}\n  ],\n' if rows else '  "reports": [],\n')
-                + f'  "timestamp": {_json_str(stamp)}\n}}\n')
+        payload = {"meta": meta or {}, "timestamp": stamp,
+                   "reports": [dict(zip(r._fields, r), params=dict(r.params)) for r in reports]}
+        text = json.dumps(payload, sort_keys=True, separators=(",\n", ": ")) + "\n"
     else:
         raise ConfigError(f"unknown format {fmt!r}")
 
@@ -336,7 +300,7 @@ def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
 # ----------------------------------------------------------------------------
 
 def cmd_roots(args) -> list[BoundReport]:
-    _require(args.n >= 1, "--n must be >= 1")
+    _require(1 <= args.n <= LAST_NORMAL_DEFECT_N, f"--n must lie in 1..{LAST_NORMAL_DEFECT_N}")
     reports = []
     for n in range(1, args.n + 1):
         root = gamma_root(n)
@@ -638,8 +602,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = build_parser(load_config(known.config) if known.config else None)
         args = parser.parse_args(argv)
         reports = _COMMANDS[args.command](args)
-        meta = _run_meta(args.command) if args.format == "json" else None
-        write_report(reports, args.out, args.format, meta)
+        write_report(reports, args.out, args.format, _run_meta(args.command))
     except (ConfigError, OSError) as exc:  # load_config raises JSON errors as ConfigError
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2

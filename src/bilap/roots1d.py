@@ -14,6 +14,7 @@ cosh.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ __all__ = [
     "proposition_bound_report",
     "log_cosh",
     "EXACT_ROOT_CAP",
+    "LAST_NORMAL_DEFECT_N",
 ]
 
 _LOG2 = math.log(2.0)
@@ -35,6 +37,9 @@ _LOG2 = math.log(2.0)
 # range for every intermediate); beyond that the defect is handed over to the
 # asymptotic tail r_n = 2 exp(-pi (n+1/2)).
 EXACT_ROOT_CAP = 700.0
+
+# The last n whose defect r_n ~ 2 exp(-pi (n+1/2)) is a normal double: 225.
+LAST_NORMAL_DEFECT_N = math.floor(math.log(2.0 / sys.float_info.min) / math.pi - 0.5)
 
 
 def log_cosh(x: float) -> float:

@@ -1,6 +1,8 @@
 """Trial-function profiles and every averaged-variational bound."""
 
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -41,7 +43,7 @@ from bilap.avp import (
     young_refined,
 )
 from bilap.checks import AVERAGE_K, INDIVIDUAL_K, MOLLIFIER_RES
-from bilap.core import DomainSpec, Spectrum, dimensional_constants
+from bilap.core import BoundReport, DomainSpec, Spectrum, dimensional_constants
 from bilap.semiclassical import adaptive_gauss_legendre, predict_average_leading
 from bilap.spectra1d import spectrum_1d
 
@@ -310,9 +312,9 @@ class TestMollifiedProfile:
     def test_cli_runs_leave_scipy_solvers_and_numpy_random_out(self, tmp_path):
         # the FD layer is numpy alone: `all` (the Lanczos path), `eig2d` at
         # 24^2 and k = 400 (the dense path) and `compare`; the Lanczos start
-        # block is closed form, so numpy.random stays out too.  CSV reports
-        # load no scipy module at all; a JSON report imports scipy for the
-        # version in its meta
+        # block is closed form, so numpy.random stays out too.  Neither a
+        # CSV nor a JSON report loads any scipy module, and a JSON meta
+        # records no scipy version
         report = tmp_path / "report"
         code = "\n".join([
             "import json, sys",
@@ -321,13 +323,14 @@ class TestMollifiedProfile:
             "        ['eig2d', '--domain', 'rect:1x1.65', '--grids', '24', '--k', '400'],",
             "        ['compare', '--domain', 'rect:1x1.65', '--grids', '24,48,96', '--k', '10']]",
             f"codes = [main([*argv, '--out', {str(report)!r}]) for argv in runs]",
+            "metas = []",
+            "for argv in (runs[0], runs[1], ['constants']):",
+            f"    codes.append(main([*argv, '--format', 'json', '--out', {str(report)!r}]))",
+            f"    metas.append(json.loads(open({str(report)!r}).read())['meta'])",
             "loaded = [m for m in sys.modules",
             "          if m == 'scipy' or m.startswith(('scipy.', 'numpy.random'))]",
-            f"codes.append(main(['constants', '--format', 'json', '--out', {str(report)!r}]))",
-            f"meta = json.loads(open({str(report)!r}).read())['meta']",
-            "print(codes, loaded, meta)",
-            "sys.exit(codes != [0, 0, 0, 0] or bool(loaded)",
-            "         or meta['scipy'] != sys.modules['scipy'].__version__)",
+            "print(codes, loaded, metas)",
+            "sys.exit(codes != [0] * 6 or bool(loaded) or any('scipy' in m for m in metas))",
         ])
         env = {**os.environ, "PYTHONPATH": str(Path(bilap.__file__).parents[1])}
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -629,6 +632,35 @@ class TestKroegerLaptev:
         spec = Spectrum((big, big))
         pt = kroeger_laptev_refined(spec, dom, 1)
         assert pt.s_k > 1.0 and pt.interval is None
+
+    def test_report_equals_the_per_k_sum(self):
+        # the running sum adds the values left to right, as sum() does for
+        # floats before Python 3.12, so every row keeps its bits
+        k_max = 2000
+        spec = spectrum_1d((2, 3), k_max + 1)
+        dom = DomainSpec.interval(1.0)
+        m = dimensional_constants(1).classical ** 2
+        oracle = []
+        for k in range(1, k_max + 1):
+            total = functools.reduce(operator.add, spec.values[:k])
+            m_k = m * k ** 4.0
+            s_k = 5.0 * (total / k) / m_k
+            nxt, root = spec.value(k + 1), math.sqrt(1.0 - s_k)
+            params = {"k": k}
+            oracle += [
+                BoundReport.less_equal("kroeger-laptev-extrapolated-d1-sk", s_k, 1.0,
+                                       "technical_lemma", params=params),
+                BoundReport.less_equal("kroeger-laptev-extrapolated-d1-interval-lower",
+                                       m_k * (1.0 - root) ** 2, nxt, "technical_lemma",
+                                       params=params),
+                BoundReport.less_equal("kroeger-laptev-extrapolated-d1-interval-upper",
+                                       nxt, m_k * (1.0 + root) ** 2, "technical_lemma",
+                                       params=params),
+                BoundReport.less_equal("kroeger-laptev-extrapolated-d1-quadratic",
+                                       (math.sqrt(nxt) - math.sqrt(m_k)) ** 2,
+                                       m_k * (1.0 - s_k), "technical_lemma", params=params,
+                                       tol=1e-12 * m_k)]
+        assert kroeger_laptev_report(spec, dom, k_max) == oracle
 
     def test_needs_k_plus_one_values(self):
         spec = spectrum_1d((2, 3), 5)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -176,19 +175,26 @@ class TestReports:
                       BoundReport('q"\\\n\x00\u00e9', (("b", "1"), ("a", "\t"), ("b", "2")),
                                   -math.inf, 0.0, 1e300, True, "\u2028")],
              meta={"m": {"x": "\u00fc"}, "": ""})
-    def test_json_equals_the_json_module_layout(self, reports, meta):
+    def test_json_round_trips_every_row(self, reports, meta):
         text = _written(reports, "json", meta)
-        payload = {
-            "timestamp": json.loads(text)["timestamp"],
-            "meta": meta or {},
-            "reports": [
-                {"check": r.check, "params": {k: v for k, v in r.params},
-                 "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "holds": r.holds,
-                 "paper_ref": r.paper_ref, "asserted": r.asserted}
-                for r in reports
-            ],
-        }
-        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = json.loads(text)
+        assert payload["meta"] == (meta or {})
+        assert len(payload["reports"]) == len(reports)
+        for row, r in zip(payload["reports"], reports):
+            assert list(row) == sorted(BoundReport._fields)
+            assert row["params"] == dict(r.params)
+            assert repr([row[f] for f in BoundReport._fields if f != "params"]) == repr(
+                [v for f, v in zip(BoundReport._fields, r) if f != "params"])
+
+        # a line break after each comma between members or elements, and
+        # nowhere else, so that no line holds two members of one object
+        def breaks(value) -> int:
+            items = list(value.values() if isinstance(value, dict) else value)
+            return max(len(items) - 1, 0) + sum(breaks(v) for v in items
+                                                if isinstance(v, (dict, list)))
+
+        assert text.endswith("}\n") and text.count("\n") == 1 + breaks(payload)
+        assert text.count("\n") == text.count(",\n") + 1
 
     @settings(deadline=None)
     @given(reports=_report_lists)
@@ -218,7 +224,6 @@ class TestReports:
             "command": "constants",
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "blas": f"{blas['name']} {blas['version']}",
             "blas_threads": {"OMP_NUM_THREADS": "3"},
         }
@@ -434,6 +439,15 @@ class TestMain:
         rows = [l for l in lines if l.startswith("gamma-residual")]
         assert len(rows) == 20
         assert all(float(r.split(",")[3]) < 1e-9 for r in rows)
+
+    def test_roots_stop_at_the_last_normal_defect(self, tmp_path, capsys):
+        # past n = 225 the defect 2 exp(-pi (n+1/2)) is a subnormal double
+        out = tmp_path / "roots.csv"
+        assert main(["roots", "--n", "225", "--out", str(out)]) == 0
+        assert "defect-upper-bracket,n=225," in out.read_text()
+        assert main(["roots", "--n", "226", "--out", str(out / "none")]) == 2
+        assert "--n must lie in 1..225" in capsys.readouterr().err
+        assert not (out / "none").exists()
 
     def test_riesz1d_subcommand(self, tmp_path):
         out = tmp_path / "r.csv"
