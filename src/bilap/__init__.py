@@ -7,6 +7,7 @@ from .core import (
     BoundReport,
     DimensionalConstants,
     DomainSpec,
+    InputError,
     Spectrum,
     dimensional_constants,
     tube_volume,
@@ -20,6 +21,7 @@ __all__ = [
     "BoundReport",
     "DimensionalConstants",
     "DomainSpec",
+    "InputError",
     "Spectrum",
     "dimensional_constants",
     "tube_volume",

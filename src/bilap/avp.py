@@ -35,6 +35,7 @@ from . import semiclassical
 from .core import (
     BoundReport,
     DomainSpec,
+    InputError,
     Spectrum,
     dimensional_constants,
     tube_volume,
@@ -221,11 +222,11 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
     their points away from the collar (dist > h), hence on every such pair.
     """
     if dom.shape != "rectangle":
-        raise ValueError("mollified profiles are built on rectangles only")
+        raise InputError(f"mollified profiles are built on rectangles only, not {dom.label()}")
     if not (0.0 < h <= dom.inradius):
-        raise ValueError(f"h={h} outside (0, inradius={dom.inradius}]")
+        raise InputError(f"h={h} outside (0, inradius={dom.inradius}]")
     if grid_res < 64:
-        raise ValueError("grid_res must be >= 64 points per h")
+        raise InputError(f"grid_res={grid_res} must be >= 64 points per h")
 
     lx, ly = dom.lengths
     target = h / grid_res
@@ -290,7 +291,7 @@ def avg_upper_bound(profile: TestFunctionProfile, k: int) -> float:
     Navier and Kuttler-Sigillito averages as well.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError(f"k={k} must be >= 1")
     p = profile.pessimistic()
     rho = p.rho
     if not (rho < 1.0):
@@ -311,8 +312,8 @@ def riesz_lower_bound(profile: TestFunctionProfile, z: float) -> float:
       R_1(z) >= (4/(d+4)) (2 pi)^-d B_d ||phi||_2^2 (z - lap ratio)_+^(d/4+1)
                 - 2 (2 pi)^-d B_d ||grad phi||_2^2 (z - lap ratio)_+^(d/4+1/2).
     """
-    if not (z > 0.0):
-        raise ValueError("z must be positive")
+    if not (0.0 < z < math.inf):
+        raise InputError(f"z={z} must be positive and finite")
     p = profile.pessimistic()
     if p.sup_sq > 1.0 + 1e-12:
         raise ValueError("the R_1 corollary needs a profile with sup |phi| <= 1")
@@ -331,8 +332,8 @@ def partition_lower_bound(profile: TestFunctionProfile, t: float) -> tuple[float
     Riesz bound); ``unweighted`` bounds sum_j exp(-Lambda_j t) itself, so a
     truncated spectrum can only make the verified inequality easier.
     """
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
+    if not (0.0 < t < math.inf):
+        raise InputError(f"t={t} must be positive and finite")
     p = profile.pessimistic()
     d = p.d
     dc = dimensional_constants(d)
@@ -416,7 +417,7 @@ def explicit_sum_bound(dom: DomainSpec, k: int,
     Raises ThresholdError when h(k) would exceed the inradius.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError(f"k={k} must be >= 1")
     threshold = explicit_sum_threshold(dom, eps)
     if k < threshold:
         raise ThresholdError(
@@ -480,7 +481,7 @@ def _kroeger_laptev_points(spec: Spectrum, dom: DomainSpec, k_max: int):
     running sum: m_k = C_d^2 (k/|O|)^(4/d), S_k = ((d+4)/d) (avg of first k) / m_k,
     and when S_k <= 1 the next eigenvalue lies in m_k (1 -/+ sqrt(1-S_k))^2."""
     if not 1 <= k_max < len(spec.values):
-        raise ValueError(f"k={k_max} needs k >= 1 and k + 1 eigenvalues, have {len(spec.values)}")
+        raise InputError(f"k={k_max} needs k >= 1 and k + 1 eigenvalues, have {len(spec.values)}")
     d = dom.dimension
     c2 = dimensional_constants(d).classical ** 2
     total = 0.0

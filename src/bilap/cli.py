@@ -10,13 +10,13 @@ grids.  ``compare`` and ``all`` share ``eig2d.richardson_ladder``, which
 extrapolates from two FD grids, n and 2n; only ``eig2d`` has ``--cache``,
 keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
-2 configuration error (``ConfigError`` from parsing or validating flags and
-config keys and values, or an ``OSError``), 3 internal error: any other
-``ValueError`` raised by a computation (a violated precondition such as
-``avg_upper_bound``'s rho < 1, or a failed factorisation,
-``numpy.linalg.LinAlgError``), an ``ArithmeticError`` such as an overflow,
-or a failed self-check, such as the profile range check or the eigensolve
-certificate.
+2 configuration error: an ``InputError`` (a flag value outside the domain
+of the layer function it reaches), a ``ConfigError`` (a rule of the command
+line alone: flag syntax, config keys and values, the ``roots --n`` cap,
+``compare``'s grid pair, ``--a`` with Dirichlet) or an ``OSError``, found
+before any report is written, 3 internal error: any other exception.
+Each argument rule is stated once, by the function that receives the
+value; the subcommands pass flags on unchecked.
 Reported-only rows never affect the exit code.  Two runs with the same
 configuration produce byte-identical output apart from the timestamp
 header line.  Importing this module first runs BLAS on one thread
@@ -68,6 +68,7 @@ from .core import (  # noqa: E402
     BoundaryCondition,
     BoundReport,
     DomainSpec,
+    InputError,
     Spectrum,
     dimensional_constants,
 )
@@ -78,8 +79,8 @@ log = logging.getLogger("bilap")
 CSV_COLUMNS = ("check", "param1", "param2", "lhs", "rhs", "margin", "holds", "paper_ref")
 
 
-class ConfigError(ValueError):
-    """A flag or config value the command cannot run with (exit 2)."""
+class ConfigError(InputError):
+    """A flag or config value that breaks a rule of the command line (exit 2)."""
 
 
 def _require(ok: bool, message: str) -> None:
@@ -107,41 +108,47 @@ def parse_domain(text: str) -> DomainSpec:
 
 
 def parse_range(text: str) -> list[float]:
-    """Grid syntax: 'a:b:Nlog', 'a:b:Nlin', or a comma list."""
+    """Grid syntax: 'a:b:Nlog', 'a:b:Nlin', or a comma list; never empty."""
     try:
         if ":" in text:
             a, b, spec = text.split(":")
             if spec.endswith("log"):
                 n = int(spec[:-3])
-                return list(np.logspace(math.log10(float(a)), math.log10(float(b)), n))
-            if spec.endswith("lin"):
+                values = list(np.logspace(math.log10(float(a)), math.log10(float(b)), n))
+            elif spec.endswith("lin"):
                 n = int(spec[:-3])
-                return list(np.linspace(float(a), float(b), n))
-            raise ValueError("range spec must end in 'log' or 'lin'")
-        return [float(v) for v in text.split(",")]
+                values = list(np.linspace(float(a), float(b), n))
+            else:
+                raise ValueError("range spec must end in 'log' or 'lin'")
+        else:
+            values = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}: {exc}") from exc
+    _require(bool(values), f"range {text!r} is empty")
+    return values
 
 
 def parse_int_range(text: str) -> list[int]:
+    """Integer syntax: 'a..b' (both ends included) or a comma list; never empty."""
     try:
         if ".." in text:
             a, b = text.split("..")
-            return list(range(int(a), int(b) + 1))
-        return [int(v) for v in text.split(",")]
+            values = list(range(int(a), int(b) + 1))
+        else:
+            values = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad integer range {text!r}: {exc}") from exc
+    _require(bool(values), f"integer range {text!r} is empty")
+    return values
 
 
-def parse_pair(text: str) -> tuple[int, int]:
-    """Derivative pair 'i,j', one of ``spectra1d.ONE_D_PAIRS``."""
+def parse_pair(text: str) -> tuple[int, ...]:
+    """Derivative pair 'i,j'; ``spectra1d`` checks that it is one of
+    ``ONE_D_PAIRS``."""
     try:
-        pair = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad pair {text!r}: {exc}") from exc
-    _require(pair in spectra1d.ONE_D_PAIRS,
-             f"invalid pair {text!r}; expected one of {spectra1d.ONE_D_PAIRS}")
-    return pair
 
 
 def load_config(path: Path) -> dict[str, str]:
@@ -172,28 +179,7 @@ def parse_bc(name: str, a: float) -> BoundaryCondition:
         raise ConfigError(f"unknown boundary condition {name!r}") from exc
     _require(kind is not BCKind.DIRICHLET or a == 0.0,
              f"--a {a} given for dirichlet, which has no Poisson ratio")
-    try:
-        return BoundaryCondition(kind, poisson_ratio=a)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _check_admissible(bc: BoundaryCondition, d: int) -> None:
-    """``bc.check_admissible(d)``, its ``ValueError`` raised as a ``ConfigError``."""
-    try:
-        bc.check_admissible(d)
-    except ValueError as exc:
-        raise ConfigError(f"--a: {exc}") from exc
-
-
-def _fd_grids(dom: DomainSpec, grids: Sequence[int], k: int) -> Sequence[int]:
-    """``grids`` unchanged if each n x n grid of ``dom`` can carry k clamped
-    modes: a rectangle, n >= 2 and 1 <= k <= n^2."""
-    _require(dom.shape == "rectangle", "finite-difference grids need square:L or rect:LxW")
-    for n in grids:
-        _require(n >= 2 and 1 <= k <= n * n,
-                 f"grid {n} cannot carry k={k} modes (need n >= 2 and 1 <= k <= n^2)")
-    return grids
+    return BoundaryCondition(kind, poisson_ratio=a)
 
 
 # ----------------------------------------------------------------------------
@@ -314,8 +300,6 @@ def cmd_roots(args) -> list[BoundReport]:
 
 def cmd_spectrum1d(args) -> list[BoundReport]:
     pair = parse_pair(args.pair)
-    _require(args.count >= 1, "--count must be >= 1")
-    _require(0.0 < args.length < math.inf, "--length must be positive and finite")
     spec = spectra1d.spectrum_1d(pair, args.count, args.length)
     reports = [BoundReport.value_row(
         "eigenvalue", v, "riesz-1-d", params={"pair": pair, "n": n})
@@ -325,26 +309,16 @@ def cmd_spectrum1d(args) -> list[BoundReport]:
 
 
 def cmd_riesz1d(args) -> list[BoundReport]:
-    pair = parse_pair(args.pair)
-    zs = parse_range(args.z)
-    _require(all(math.isfinite(z) and z >= 0.0 for z in zs), "--z values must be finite and >= 0")
-    return checks.riesz_rows(pair, zs)
+    return checks.riesz_rows(parse_pair(args.pair), parse_range(args.z))
 
 
 def cmd_lemma_onedim(args) -> list[BoundReport]:
-    radii = parse_range(args.r_grid)
-    _require(all(0.0 <= r < math.inf for r in radii), "--r-grid values must be finite and >= 0")
-    return checks.lattice_rows(radii)
+    return checks.lattice_rows(parse_range(args.r_grid))
 
 
 def cmd_constants(args) -> list[BoundReport]:
-    dims = parse_int_range(args.dims)
-    _require(all(d >= 1 for d in dims), "--dims must be >= 1")
-    _require(-1.0 < args.a <= 1.0, "--a must lie in (-1, 1]")
-    if max(dims) >= 2:  # (-1/(d-1), 1] narrows as d grows
-        _check_admissible(parse_bc("navier", args.a), max(dims))
     reports = []
-    for d in dims:
+    for d in parse_int_range(args.dims):
         dc = dimensional_constants(d)
         for name, val, ref in (
             ("ball-volume", dc.ball_volume, "weyllaw"),
@@ -374,12 +348,8 @@ def cmd_constants(args) -> list[BoundReport]:
 def cmd_predict(args) -> list[BoundReport]:
     dom = parse_domain(args.domain)
     bc = parse_bc(args.bc, args.a)
-    ks = parse_int_range(args.k)
-    _require(dom.dimension >= 2, "predict needs square:L or rect:LxW")
-    _require(all(k >= 1 for k in ks), "--k must be >= 1")
-    _check_admissible(bc, dom.dimension)
     reports = []
-    for k in ks:
+    for k in parse_int_range(args.k):
         val = semiclassical.predict_eigenvalue(bc, dom, k)
         reports.append(BoundReport.value_row(
             "two-term-prediction", val, "weyl_dirichlet_biharmonic_single",
@@ -394,14 +364,8 @@ def cmd_predict(args) -> list[BoundReport]:
 def cmd_avp(args) -> list[BoundReport]:
     dom = parse_domain(args.domain)
     ks, zs, ts = parse_int_range(args.k), parse_range(args.z), parse_range(args.t)
-    _require(all(k >= 1 for k in ks), "--k must be >= 1")
-    _require(all(0.0 < v < math.inf for v in (*zs, *ts)),
-             "--z and --t values must be positive and finite")
-    ball = avp.inscribed_ball_profile(dom)
-    profiles = [ball]
+    profiles = [avp.inscribed_ball_profile(dom)]
     if dom.shape == "rectangle":
-        _require(0.0 < args.h <= dom.inradius, f"--h must lie in (0, {dom.inradius}]")
-        _require(args.grid_res >= 64, "--grid-res must be >= 64")
         profiles.append(avp.mollified_indicator_profile(dom, args.h, args.grid_res))
     reports = []
     for k in ks:
@@ -435,7 +399,6 @@ def cmd_avp(args) -> list[BoundReport]:
 
 
 def cmd_kroeger_laptev(args) -> list[BoundReport]:
-    _require(args.k >= 1, "--k must be >= 1")
     spec = spectra1d.spectrum_1d((2, 3), args.k + 1)
     return avp.kroeger_laptev_report(spec, DomainSpec.interval(1.0), args.k)
 
@@ -445,7 +408,7 @@ def cmd_eig2d(args) -> list[BoundReport]:
     given; the cache serves only a spectrum of the same grid and k."""
     dom = parse_domain(args.domain)
     reports = []
-    for n in _fd_grids(dom, parse_int_range(args.grids), args.k):
+    for n in parse_int_range(args.grids):
         key = spectrum_cache_key(dom, n, args.k)
         t0 = time.perf_counter()
         spec = load_spectrum(key, args.cache) if args.cache else None
@@ -468,7 +431,7 @@ def cmd_compare(args) -> list[BoundReport]:
     dom = parse_domain(args.domain)
     grids = sorted(set(parse_int_range(args.grids)))
     _require(len(grids) >= 2, f"compare needs at least two distinct grids, got {args.grids!r}")
-    mid, fine = _fd_grids(dom, grids[-2:], args.k)
+    mid, fine = grids[-2:]
     _require(fine == 2 * mid, f"the two finest grids {mid} and {fine} are not n and 2n, "
                               f"the ratio the Richardson limit assumes")
     limits, bands = eig2d.richardson_ladder(
@@ -603,15 +566,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         reports = _COMMANDS[args.command](args)
         write_report(reports, args.out, args.format, _run_meta(args.command))
-    except (ConfigError, OSError) as exc:  # load_config raises JSON errors as ConfigError
+    except (InputError, OSError) as exc:
         print(f"bilap: configuration error: {exc}", file=sys.stderr)
         return 2
-    # any other ValueError, numpy's LinAlgError included, or ArithmeticError
-    # (an overflow) comes from a computation; ResolutionError and the
-    # eigensolve's certificate failures (eig2d._certify: a residual above
-    # RESIDUAL_TOL, an inertia count that disagrees, an inertia shift on a
-    # diagonal entry of a block's sine form) are RuntimeErrors
-    except (ArithmeticError, AssertionError, RuntimeError, ValueError) as exc:
+    except Exception as exc:
         print(f"bilap: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     failed = sum(1 for r in reports if r.asserted and not r.holds)

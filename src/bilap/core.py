@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
+    "InputError",
     "BCKind",
     "BoundaryCondition",
     "DomainSpec",
@@ -24,6 +25,10 @@ __all__ = [
     "dimensional_constants",
     "tube_volume",
 ]
+
+
+class InputError(ValueError):
+    """An argument outside the domain of the function that received it."""
 
 
 class BCKind(Enum):
@@ -49,9 +54,9 @@ class BoundaryCondition:
     def __post_init__(self) -> None:
         a = self.poisson_ratio
         if not math.isfinite(a) or a > 1.0:
-            raise ValueError(f"Poisson ratio {a} out of range (must be <= 1)")
+            raise InputError(f"Poisson ratio {a} out of range (must be <= 1)")
         if a == 1.0 and self.kind in (BCKind.DIRICHLET, BCKind.NEUMANN):
-            raise ValueError(f"a = 1 is not admissible for {self.kind.value}")
+            raise InputError(f"a = 1 is not admissible for {self.kind.value}")
 
     @property
     def is_limit_case(self) -> bool:
@@ -61,9 +66,9 @@ class BoundaryCondition:
     def check_admissible(self, d: int) -> None:
         """Raise unless the Poisson ratio lies in (-1/(d-1), 1] for dimension d."""
         if d < 2:
-            raise ValueError("Poisson-ratio boundary conditions require d >= 2")
+            raise InputError(f"Poisson-ratio boundary conditions require d >= 2, got d={d}")
         if not (-1.0 / (d - 1) < self.poisson_ratio <= 1.0):
-            raise ValueError(
+            raise InputError(
                 f"Poisson ratio {self.poisson_ratio} outside (-1/{d - 1}, 1] for d={d}"
             )
 
@@ -83,14 +88,14 @@ class DomainSpec:
     def __post_init__(self) -> None:
         if self.shape == "interval":
             if len(self.lengths) != 1:
-                raise ValueError("interval takes one length")
+                raise InputError(f"interval takes one length, got {self.lengths}")
         elif self.shape == "rectangle":
             if len(self.lengths) != 2:
-                raise ValueError("rectangle takes two side lengths")
+                raise InputError(f"rectangle takes two side lengths, got {self.lengths}")
         else:
-            raise ValueError(f"unknown shape {self.shape!r}")
+            raise InputError(f"unknown shape {self.shape!r}")
         if any(not (0.0 < s < math.inf) for s in self.lengths):
-            raise ValueError("all lengths must be positive and finite")
+            raise InputError(f"lengths {self.lengths} must be positive and finite")
 
     @classmethod
     def interval(cls, length: float) -> "DomainSpec":
@@ -168,7 +173,7 @@ class DimensionalConstants:
 def dimensional_constants(d: int) -> DimensionalConstants:
     """Evaluate every dimensional constant at integer dimension d >= 1."""
     if not isinstance(d, int) or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
+        raise InputError(f"dimension must be an integer >= 1, got {d!r}")
     b_ball = math.pi ** (d / 2.0) / math.gamma(1.0 + d / 2.0)
     classical = (2.0 * math.pi) ** 2 * b_ball ** (-2.0 / d)
     grad_sup = math.sqrt(8.0 * d * (d + 2) * (d + 4) / (d + 6))

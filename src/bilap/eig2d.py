@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoundReport, DomainSpec, Spectrum
+from .core import BoundReport, DomainSpec, InputError, Spectrum
 from .spectra1d import spectrum_1d
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "DiscreteOperator",
     "SineForm",
     "DENSE_LIMIT",
+    "clamped_spectrum_fd",
     "laplacian_spectrum_exact",
     "navier1_spectrum_exact",
     "neumann_laplacian_spectrum_exact",
@@ -85,9 +86,10 @@ class Grid2D:
 
     def __post_init__(self) -> None:
         if self.dom.shape != "rectangle":
-            raise ValueError("grids are defined on rectangles")
+            raise InputError(f"grids are defined on rectangles, not {self.dom.label()}")
         if self.nx < 2 or self.ny < 2:
-            raise ValueError("need at least 2 interior points per direction")
+            raise InputError(f"need at least 2 interior points per direction, "
+                             f"got {self.nx}x{self.ny}")
 
     @property
     def hx(self) -> float:
@@ -625,7 +627,7 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
     spectrum cache, which keeps the values bit for bit, is keyed on the
     exact (domain, n, k) that was solved."""
     if not 1 <= k <= n * n:
-        raise ValueError(f"k={k} outside 1..{n * n}")
+        raise InputError(f"k={k} outside 1..{n * n}")
     grid = Grid2D(n, n, dom)
     blocks = [assemble_clamped_bilaplacian(grid, (px, py)) for px in (1, -1) for py in (1, -1)]
     values = [smallest_eigs(op, min(_initial_block_modes(k), op.dim))[0] for op in blocks]

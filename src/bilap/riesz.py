@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import Spectrum
+from .core import InputError, Spectrum
 from .spectra1d import _check_pair, count_reaching, spectrum_1d
 
 __all__ = [
@@ -47,7 +47,7 @@ def counting(spec: Spectrum, z: float) -> int:
     """N(z), the number of eigenvalues strictly below z; raises unless the
     spectrum reaches z, so that no eigenvalue below z can be missing."""
     if not (z >= 0.0):
-        raise ValueError(f"z={z} must be >= 0")
+        raise InputError(f"z={z} must be >= 0")
     values = spec.values
     if not (values and values[-1] >= z):
         raise InsufficientSpectrumError(
@@ -98,7 +98,7 @@ def theorem_bounds_1d(pair: tuple[int, int], z: float) -> tuple[float, float]:
     """
     pair = _check_pair(pair)
     if not (z > 0.0):
-        raise ValueError("z must be positive")
+        raise InputError(f"z={z} must be positive")
     lead = 4.0 / (5.0 * math.pi) * z ** 1.25
     z34, z12, z14 = z ** 0.75, z ** 0.5, z ** 0.25
     c = constant_c()
@@ -131,7 +131,7 @@ def lemma_onedim_bounds(
     correctly rounded power, exact while (2n+1)^4 < 2^53 (R below 4,870).
     """
     if not (0.0 <= R < math.inf):
-        raise ValueError(f"R={R} outside [0, inf)")
+        raise InputError(f"R={R} outside [0, inf)")
     if variant == "integers":
         offset, main = 0.0, 0.5
         lhs = -R ** 3 / 3.0
@@ -141,7 +141,7 @@ def lemma_onedim_bounds(
         lhs = -11.0 / 6.0 * R ** 3 - 1.5 * R ** 2 - 127.0 / 240.0 * R
         rhs = R ** 3 / 6.0 + 1.5 * R ** 2 + R / 30.0 + 0.125
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InputError(f"unknown variant {variant!r}")
     # the lattice points n + offset < R, n >= 1; R - offset is exact here
     count = max(math.ceil(R - offset) - 1, 0)
     total = 0.0

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BCKind, BoundaryCondition, DomainSpec, dimensional_constants
+from .core import BCKind, BoundaryCondition, DomainSpec, InputError, dimensional_constants
 
 __all__ = [
     "ExpansionCoefficients",
@@ -98,7 +98,7 @@ def f_neumann(a: float) -> float:
     0 as a -> 1-.
     """
     if not (-1.0 < a <= 1.0):
-        raise ValueError(f"a={a} outside (-1, 1]")
+        raise InputError(f"a={a} outside (-1, 1]")
     return 4.0 * a - 1.0 - 3.0 * a * a + 2.0 * (1.0 - a) * math.sqrt(2.0 * a * a - 2.0 * a + 1.0)
 
 
@@ -187,7 +187,7 @@ def expansion_coefficients(bc: BoundaryCondition, d: int,
                            neumann_form: str = "arctan_g") -> ExpansionCoefficients:
     """Counting-function coefficients (c0 per unit volume, c1 per unit boundary)."""
     if d < 2:
-        raise ValueError("two-term counting asymptotics need d >= 2")
+        raise InputError(f"two-term counting asymptotics need d >= 2, got d={d}")
     bc.check_admissible(d)
 
     dc = dimensional_constants(d)
@@ -204,9 +204,9 @@ def expansion_coefficients(bc: BoundaryCondition, d: int,
 
     # Neumann
     if bc.poisson_ratio == 1.0:
-        raise ValueError("a = 1 Neumann problem fails the complementing condition")
+        raise InputError("a = 1 Neumann problem fails the complementing condition")
     if neumann_form not in ("arctan_g", "arctan_inv_g"):
-        raise ValueError(f"unknown Neumann form {neumann_form!r}")
+        raise InputError(f"unknown Neumann form {neumann_form!r}")
     bracket, err = _neumann_bracket(bc.poisson_ratio, d,
                                     inverse=(neumann_form == "arctan_inv_g"))
     return ExpansionCoefficients(c0, base * bracket, quadrature_error=err)
@@ -223,7 +223,7 @@ def _two_terms(bc: BoundaryCondition, dom: DomainSpec, k: int) -> tuple[float, f
     s = s0 - c1 |dOmega| / (d c0 |Omega|), so lambda = s0^4 - 4 c1 |dOmega|
     s0^3 / (d c0 |Omega|)."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError(f"k={k} must be >= 1")
     d = dom.dimension
     co = expansion_coefficients(bc, d)
     s0 = (k / (co.c0 * dom.volume)) ** (1.0 / d)

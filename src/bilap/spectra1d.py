@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import BoundReport, Spectrum
+from .core import BoundReport, InputError, Spectrum
 from .roots1d import gamma_value
 
 __all__ = [
@@ -33,11 +33,11 @@ ONE_D_PAIRS = tuple(KERNEL_DIMS)
 
 
 def _check_pair(pair: Sequence[int]) -> tuple[int, int]:
-    """The pair as a tuple of two ints; ``ValueError`` unless the whole
+    """The pair as a tuple of two ints; ``InputError`` unless the whole
     sequence equals one of ONE_D_PAIRS."""
     pair = tuple(pair)
     if pair not in ONE_D_PAIRS:
-        raise ValueError(f"invalid pair {pair}; expected one of {ONE_D_PAIRS}")
+        raise InputError(f"invalid pair {pair}; expected one of {ONE_D_PAIRS}")
     return tuple(int(v) for v in pair)
 
 
@@ -51,9 +51,9 @@ def spectrum_1d(pair: tuple[int, int], count: int, length: float = 1.0) -> Spect
     """First ``count`` eigenvalues of the (i,j) problem on [0, L]."""
     pair = _check_pair(pair)
     if count < 1:
-        raise ValueError("count must be >= 1")
-    if not (length > 0.0):
-        raise ValueError("length must be positive")
+        raise InputError(f"count={count} must be >= 1")
+    if not (0.0 < length < math.inf):
+        raise InputError(f"length={length} must be positive and finite")
     scale = length ** -4
     values = []
     for n in range(1, count + 1):
@@ -80,9 +80,9 @@ def count_reaching(z: float, length: float = 1.0) -> int:
     (pair (0,1), whose n-th root lies below pi (n + 1/2) + 0.02).
     """
     if not (0.0 <= z < math.inf):
-        raise ValueError(f"z={z} must be finite and >= 0")
+        raise InputError(f"z={z} must be finite and >= 0")
     if not (length > 0.0):
-        raise ValueError("length must be positive")
+        raise InputError(f"length={length} must be positive")
     return math.ceil(length * z ** 0.25 / math.pi) + 2
 
 

@@ -109,7 +109,12 @@ class TestParserProperties:
         assert values[0] == pytest.approx(a, rel=1e-12)
         assert values[-1] == pytest.approx(b, rel=1e-12)
         assert parse_int_range(ints[1]) == ints[0]
-        assert parse_int_range(f"{span[0]}..{span[1]}") == list(range(span[0], span[1] + 1))
+        lo, hi = span
+        if lo <= hi:
+            assert parse_int_range(f"{lo}..{hi}") == list(range(lo, hi + 1))
+        else:  # an empty range would check nothing
+            with pytest.raises(ConfigError, match="is empty"):
+                parse_int_range(f"{lo}..{hi}")
 
     @given(floats=float_lists, grid=grid_specs, ints=int_lists, span=int_spans, tail=junk)
     def test_range_with_junk_is_a_config_error(self, floats, grid, ints, span, tail):
@@ -534,10 +539,34 @@ class TestMain:
         ["kroeger-laptev", "--k", "-5"],
         ["constants", "--dims", "2..3", "--a", "-0.6"],
         ["predict", "--bc", "dirichlet", "--a", "-5", "--k", "1"],
+        ["riesz1d", "--z", "0"],
+        # an empty range would check nothing
+        ["riesz1d", "--z", "1:2:0log"],
+        ["lemma-onedim", "--r-grid", "0:1:0lin"],
+        ["eig2d", "--grids", "5..3"],
+        ["predict", "--k", "5..1"],
+        ["constants", "--dims", "3..1"],
+        ["avp", "--k", "5..1"],
+        # the second grid fails after the first is solved, before any report
+        ["eig2d", "--grids", "8,3", "--k", "10"],
     ])
-    def test_invalid_flag_values_exit_2(self, argv, capsys):
-        assert main(argv) == 2
+    def test_invalid_flag_values_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main([*argv, "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [MemoryError("no room"), IndexError("off the end")])
+    def test_any_unexpected_exception_exits_3(self, exc, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(checks, "lattice_rows", broken)
+        out = tmp_path / "lattice.csv"
+        assert main(["lemma-onedim", "--r-grid", "1,2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"bilap: internal error: {type(exc).__name__}: {exc}"]
+        assert not out.exists()
 
     def test_overflow_exits_3(self, capsys):
         # the scale length ** -4 overflows a float

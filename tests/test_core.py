@@ -1,5 +1,6 @@
 """Core domain types, dimensional constants, and the package's exports."""
 
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -9,11 +10,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import bilap
+from bilap import avp, eig2d, riesz, semiclassical, spectra1d
 from bilap.core import (
     BCKind,
     BoundaryCondition,
     BoundReport,
     DomainSpec,
+    InputError,
     Spectrum,
     dimensional_constants,
     tube_volume,
@@ -219,3 +222,77 @@ def test_all_names_only_attributes_of_the_module(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names {missing}, which {name} does not define"
+
+
+SQUARE = DomainSpec.square(1.0)
+INTERVAL = DomainSpec.interval(1.0)
+
+
+def _ball() -> avp.TestFunctionProfile:
+    return avp.inscribed_ball_profile(SQUARE)
+
+
+def _dense_ball() -> avp.TestFunctionProfile:
+    """A profile whose density rho reaches 1, which no trial function has."""
+    prof = _ball()
+    return dataclasses.replace(prof, l2_sq=2.0 * SQUARE.volume * prof.sup_sq)
+
+
+def _neumann_a1() -> BoundaryCondition:
+    """The a = 1 Neumann tag, which the constructor refuses, built past it."""
+    bc = object.__new__(BoundaryCondition)
+    object.__setattr__(bc, "kind", BCKind.NEUMANN)
+    object.__setattr__(bc, "poisson_ratio", 1.0)
+    return bc
+
+
+def _block() -> eig2d.DiscreteOperator:
+    return eig2d.assemble_clamped_bilaplacian(eig2d.Grid2D(4, 4, SQUARE), (1, 1))
+
+
+_SPEC = Spectrum((1.0, 2.0, 3.0))
+
+
+# Each argument check that a flag's value can reach raises InputError, which
+# the CLI reports as a configuration error; an internal invariant raises a
+# plain ValueError, which it reports as an internal error.
+@pytest.mark.parametrize("call, input_error", [
+    (lambda: BoundaryCondition(BCKind.NAVIER, 2.0), True),
+    (lambda: BoundaryCondition(BCKind.NEUMANN, 1.0), True),
+    (lambda: BoundaryCondition(BCKind.NAVIER, -0.6).check_admissible(3), True),
+    (lambda: BoundaryCondition(BCKind.NAVIER).check_admissible(1), True),
+    (lambda: DomainSpec.square(0.0), True),
+    (lambda: DomainSpec("disk", (1.0,)), True),
+    (lambda: dimensional_constants(0), True),
+    (lambda: spectra1d.spectrum_1d((1, 0), 3), True),
+    (lambda: spectra1d.spectrum_1d((0, 1), 0), True),
+    (lambda: spectra1d.spectrum_1d((0, 1), 3, math.inf), True),
+    (lambda: spectra1d.count_reaching(math.nan), True),
+    (lambda: spectra1d.count_reaching(1.0, 0.0), True),
+    (lambda: riesz.counting(_SPEC, -1.0), True),
+    (lambda: riesz.theorem_bounds_1d((0, 1), 0.0), True),
+    (lambda: riesz.lemma_onedim_bounds(math.inf, "integers"), True),
+    (lambda: semiclassical.f_neumann(-1.0), True),
+    (lambda: semiclassical.expansion_coefficients(BoundaryCondition(BCKind.DIRICHLET), 1), True),
+    (lambda: semiclassical.expansion_coefficients(_neumann_a1(), 2), True),
+    (lambda: semiclassical.predict_eigenvalue(BoundaryCondition(BCKind.DIRICHLET), SQUARE, 0),
+     True),
+    (lambda: avp.mollified_indicator_profile(INTERVAL, 0.1), True),
+    (lambda: avp.mollified_indicator_profile(SQUARE, 0.6), True),
+    (lambda: avp.mollified_indicator_profile(SQUARE, 0.1, 10), True),
+    (lambda: avp.avg_upper_bound(_ball(), 0), True),
+    (lambda: avp.riesz_lower_bound(_ball(), math.inf), True),
+    (lambda: avp.partition_lower_bound(_ball(), 0.0), True),
+    (lambda: avp.explicit_sum_bound(SQUARE, 0), True),
+    (lambda: avp.kroeger_laptev_refined(_SPEC, INTERVAL, 0), True),
+    (lambda: avp.kroeger_laptev_refined(_SPEC, INTERVAL, 3), True),
+    (lambda: eig2d.Grid2D(1, 4, SQUARE), True),
+    (lambda: eig2d.Grid2D(4, 4, INTERVAL), True),
+    (lambda: eig2d.clamped_spectrum_fd(SQUARE, 3, 10), True),
+    (lambda: eig2d.smallest_eigs(_block(), _block().dim + 1), False),
+    (lambda: avp.avg_upper_bound(_dense_ball(), 1), False),
+])
+def test_argument_checks_raise_input_error(call, input_error):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert isinstance(info.value, InputError) is input_error
