@@ -265,8 +265,9 @@ def cache_spectrum(key: str, spec: Spectrum, directory: Path) -> Path:
 
 
 def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
-    """Round-trip-exact reload.  Corrupt entries, and entries that store a
-    different key, log a warning and return None."""
+    """Round-trip-exact reload.  Corrupt entries, entries that store a
+    different key and entries of another length than the key's k log a
+    warning and return None."""
     path = Path(directory) / (key + ".json")
     if not path.exists():
         return None
@@ -275,7 +276,13 @@ def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
         if payload["key"] != key:
             log.warning("spectrum cache %s holds %s; recomputing", path, payload["key"])
             return None
-        return Spectrum(tuple(float(v) for v in payload["values"]))
+        values = tuple(float(v) for v in payload["values"])
+        k = int(key.rpartition(",")[2])  # the last field of spectrum_cache_key
+        if len(values) != k:
+            log.warning("spectrum cache %s holds %d values, not %d; recomputing",
+                        path, len(values), k)
+            return None
+        return Spectrum(values)
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         log.warning("corrupt spectrum cache %s (%s); recomputing", path, exc)
         return None
@@ -405,10 +412,12 @@ def cmd_kroeger_laptev(args) -> list[BoundReport]:
 
 def cmd_eig2d(args) -> list[BoundReport]:
     """``--k`` clamped eigenvalues on each grid of ``--grids`` in the order
-    given; the cache serves only a spectrum of the same grid and k."""
+    given; the cache serves only a spectrum of the same grid and k, and only
+    for a grid and k that ``eig2d.clamped_spectrum_fd`` would solve."""
     dom = parse_domain(args.domain)
     reports = []
     for n in parse_int_range(args.grids):
+        eig2d.fd_grid(dom, n, args.k)
         key = spectrum_cache_key(dom, n, args.k)
         t0 = time.perf_counter()
         spec = load_spectrum(key, args.cache) if args.cache else None

@@ -50,6 +50,7 @@ __all__ = [
     "SineForm",
     "DENSE_LIMIT",
     "clamped_spectrum_fd",
+    "fd_grid",
     "laplacian_spectrum_exact",
     "navier1_spectrum_exact",
     "neumann_laplacian_spectrum_exact",
@@ -603,6 +604,14 @@ def _initial_block_modes(k: int) -> int:
     return k // 4 + math.isqrt(k) // 2 + 2
 
 
+def fd_grid(dom: DomainSpec, n: int, k: int) -> Grid2D:
+    """The n x n grid of a k-mode ``clamped_spectrum_fd`` solve on ``dom``;
+    ``InputError`` unless 1 <= k <= n^2 and ``Grid2D`` takes it."""
+    if not 1 <= k <= n * n:
+        raise InputError(f"k={k} outside 1..{n * n}")
+    return Grid2D(n, n, dom)
+
+
 def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
     """First k clamped eigenvalues on an n x n interior grid, solved and
     certified one parity block at a time.
@@ -626,9 +635,7 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
     k-mode solve to the same tolerance, so callers may slice one solve; the
     spectrum cache, which keeps the values bit for bit, is keyed on the
     exact (domain, n, k) that was solved."""
-    if not 1 <= k <= n * n:
-        raise InputError(f"k={k} outside 1..{n * n}")
-    grid = Grid2D(n, n, dom)
+    grid = fd_grid(dom, n, k)
     blocks = [assemble_clamped_bilaplacian(grid, (px, py)) for px in (1, -1) for py in (1, -1)]
     values = [smallest_eigs(op, min(_initial_block_modes(k), op.dim))[0] for op in blocks]
     while True:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bilap import checks
+from bilap import checks, eig2d
 from bilap.core import DomainSpec
 
 
@@ -30,9 +30,11 @@ def clamped_richardson(check_context) -> tuple[np.ndarray, np.ndarray]:
 
 
 @pytest.fixture(scope="session")
-def clamped_64_200(check_context) -> np.ndarray:
-    """200 clamped modes on the 64x64 grid (heat-trace truncation)."""
-    return np.array(check_context.fd(checks.HEAT_GRID, checks.HEAT_MODES).values)
+def clamped_64_200(unit_square) -> np.ndarray:
+    """200 clamped modes on the 64x64 grid (heat-trace truncation), solved
+    apart from the context, which solves that grid at FD_MODES only."""
+    return np.array(eig2d.clamped_spectrum_fd(
+        unit_square, checks.HEAT_GRID, checks.HEAT_MODES).values)
 
 
 @pytest.fixture(scope="session")

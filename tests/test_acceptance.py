@@ -8,6 +8,7 @@ assertions fire.  The registry is the one ``bilap all`` runs, and the shared
 inputs come from the session ``Context`` (see conftest.py).
 """
 
+import math
 import time
 
 import pytest
@@ -52,21 +53,57 @@ def test_registry_carries_criteria_1_to_12():
         assert {i for _, i in check.row_criteria} <= set(check.ids)
 
 
-def test_context_solves_each_grid_once(monkeypatch):
+def _stub_solver(monkeypatch, growth):
+    """Record each (grid, k) solve; the stub's j-th value is growth * j^2."""
     solved = []
 
     def solve(dom, n, k):
         solved.append((n, k))
-        return Spectrum(tuple(float(n + j) for j in range(k)))
+        return Spectrum(tuple(growth * j * j for j in range(1, k + 1)))
 
     monkeypatch.setattr(checks.eig2d, "clamped_spectrum_fd", solve)
+    return solved
+
+
+def _run_fd_checks(ctx):
+    """Rows of every registry check that reads FD spectra (criteria 7, 8, 9, 11)."""
+    return [row for check in checks.REGISTRY if {7, 8, 9, 11} & set(check.ids)
+            for row in check.run(ctx)]
+
+
+def test_context_solves_each_grid_once(monkeypatch):
+    # lambda_50 = 2.5e7: the heat trace's tail past mode 50 is certified
+    solved = _stub_solver(monkeypatch, 1e4)
     ctx = checks.Context()
-    fd = {n: ctx.fd(n, checks.FD_MODES) for n in checks.FD_GRIDS}
-    heat = ctx.fd(checks.HEAT_GRID, checks.HEAT_MODES)
-    assert ctx.fd(checks.HEAT_GRID, checks.FD_MODES) == fd[checks.HEAT_GRID]
-    assert solved == [(n, checks.FD_SOLVE_MODES[n]) for n in checks.FD_GRIDS]
-    assert fd[checks.HEAT_GRID].values == heat.values[:checks.FD_MODES]
-    assert len(heat) == checks.HEAT_MODES
+    _run_fd_checks(ctx)
+    heat = ctx.fd(checks.HEAT_GRID, checks.FD_MODES)
+    assert ctx.fd(checks.HEAT_GRID, 10).values == heat.values[:10]
+    assert solved == [(n, checks.FD_MODES) for n in checks.FD_GRIDS]
+
+
+def test_heat_trace_solves_all_modes_when_the_tail_may_count(monkeypatch):
+    # lambda_50 = 2.5e4: e^(-2.5) per left-out term at t = 1e-4, no certificate
+    growth = 10.0
+    solved = _stub_solver(monkeypatch, growth)
+    ctx = checks.Context()
+    rows = _run_fd_checks(ctx)
+    assert solved == [(n, checks.FD_MODES) for n in checks.FD_GRIDS] + [
+        (checks.HEAT_GRID, checks.HEAT_MODES)]
+    heat = [r for r in rows if r.check == "heat-trace-lower"]
+    assert len(heat) == len(checks.HEAT_T)
+    for row, t in zip(heat, checks.HEAT_T):
+        assert row.rhs == sum(math.exp(-growth * j * j * t)
+                              for j in range(1, checks.HEAT_MODES + 1))
+
+
+def test_heat_trace_tail_is_certified_on_the_heat_grid(clamped_64_200):
+    # modes 51..200 of a real 64^2 solve leave the float trace as it is
+    values = tuple(clamped_64_200)
+    for t in checks.HEAT_T:
+        full = sum(math.exp(-v * t) for v in values)
+        assert sum(math.exp(-v * t) for v in values[:checks.FD_MODES]) == full
+        assert checks._tail_certified_trace(
+            values[:checks.FD_MODES], t, checks.HEAT_MODES) == full
 
 
 def test_criterion_01_roots(check_runs):

@@ -549,6 +549,10 @@ class TestMain:
         ["avp", "--k", "5..1"],
         # the second grid fails after the first is solved, before any report
         ["eig2d", "--grids", "8,3", "--k", "10"],
+        # spectra longer than spectra1d.MAX_COUNT
+        ["riesz1d", "--z", "1e40"],
+        ["spectrum1d", "--count", "1000001"],
+        ["kroeger-laptev", "--k", "1000000"],
     ])
     def test_invalid_flag_values_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -645,6 +649,28 @@ class TestMain:
         assert "cache_hit=True" in reports["hit"][1]
         assert [r.replace("cache_hit=True", "cache_hit=False")
                 for r in reports["hit"]] == reports["fresh"]
+
+    @pytest.mark.parametrize("grids, k", [("3", 10), ("1", 1)])
+    def test_eig2d_cache_serves_no_spectrum_a_solve_refuses(self, grids, k, tmp_path, capsys):
+        dom = DomainSpec.rectangle(1.0, 1.5)
+        cache = tmp_path / "cache"
+        cache_spectrum(spectrum_cache_key(dom, int(grids), k), spectrum_1d((0, 1), k), cache)
+        out = tmp_path / "e.csv"
+        assert main(["eig2d", "--domain", "rect:1x1.5", "--grids", grids, "--k", str(k),
+                     "--cache", str(cache), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eig2d_cache_entry_of_another_length_is_recomputed(self, tmp_path, caplog):
+        cache = tmp_path / "cache"
+        cache_spectrum(spectrum_cache_key(SQUARE, 8, 10), spectrum_1d((0, 1), 5), cache)
+        out = tmp_path / "e.csv"
+        assert main(["eig2d", "--grids", "8", "--k", "10",
+                     "--cache", str(cache), "--out", str(out)]) == 0
+        rows = _rows(out)[1:]
+        assert len(rows) == 10
+        assert all("cache_hit=False" in r for r in rows)
+        assert "holds 5 values, not 10" in caplog.text
 
     def test_eig2d_solves_every_listed_grid(self, tmp_path):
         out = tmp_path / "e.csv"

@@ -8,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bilap.roots1d import gamma_value
-from bilap.spectra1d import KERNEL_DIMS, ONE_D_PAIRS, identity_check, spectrum_1d
+from bilap.core import InputError
+from bilap.spectra1d import (
+    KERNEL_DIMS,
+    MAX_COUNT,
+    ONE_D_PAIRS,
+    count_reaching,
+    identity_check,
+    spectrum_1d,
+)
 
 GAMMA_1_FOURTH = 500.5639017404325  # gamma_1^4 from the bisection oracle
 
@@ -50,6 +58,14 @@ class TestSpectrum1D:
             spectrum_1d((0, 1), 0)
         with pytest.raises(ValueError):
             spectrum_1d((0, 1), 5, length=0.0)
+
+    def test_counts_past_the_cap_are_input_errors(self):
+        # a count is refused before any value is built
+        assert count_reaching(9.7e25) <= MAX_COUNT
+        for build in (lambda: spectrum_1d((0, 1), MAX_COUNT + 1),
+                      lambda: count_reaching(1e26), lambda: count_reaching(1e40)):
+            with pytest.raises(InputError, match="exceeds MAX_COUNT=1000000"):
+                build()
 
     # short lists, float pairs, and valid pairs cut short or with a third entry
     @given(pair=st.lists(st.integers(-1, 4), min_size=1, max_size=3).map(tuple)
