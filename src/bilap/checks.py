@@ -240,9 +240,10 @@ def _tail_certified_trace(values: Sequence[float], t: float, modes: int) -> floa
 
 
 def _heat_trace(ctx: Context) -> list[BoundReport]:
+    head = ctx.fd(HEAT_GRID, FD_MODES).values
     rows = []
     for t in HEAT_T:
-        trace = _tail_certified_trace(ctx.fd(HEAT_GRID, FD_MODES).values, t, HEAT_MODES)
+        trace = _tail_certified_trace(head, t, HEAT_MODES)
         if trace is None:
             trace = sum(math.exp(-v * t) for v in ctx.fd(HEAT_GRID, HEAT_MODES).values)
         _, unweighted = avp.partition_lower_bound(ctx.mollified(MOLLIFIER_H), t)
