@@ -265,9 +265,8 @@ def cache_spectrum(key: str, spec: Spectrum, directory: Path) -> Path:
 
 
 def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
-    """Round-trip-exact reload.  Corrupt entries, entries that store a
-    different key and entries of another length than the key's k log a
-    warning and return None."""
+    """Round-trip-exact reload.  Corrupt entries, and entries that store a
+    different key, log a warning and return None."""
     path = Path(directory) / (key + ".json")
     if not path.exists():
         return None
@@ -276,13 +275,7 @@ def load_spectrum(key: str, directory: Path) -> Optional[Spectrum]:
         if payload["key"] != key:
             log.warning("spectrum cache %s holds %s; recomputing", path, payload["key"])
             return None
-        values = tuple(float(v) for v in payload["values"])
-        k = int(key.rpartition(",")[2])  # the last field of spectrum_cache_key
-        if len(values) != k:
-            log.warning("spectrum cache %s holds %d values, not %d; recomputing",
-                        path, len(values), k)
-            return None
-        return Spectrum(values)
+        return Spectrum(tuple(float(v) for v in payload["values"]))
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         log.warning("corrupt spectrum cache %s (%s); recomputing", path, exc)
         return None
@@ -421,6 +414,10 @@ def cmd_eig2d(args) -> list[BoundReport]:
         key = spectrum_cache_key(dom, n, args.k)
         t0 = time.perf_counter()
         spec = load_spectrum(key, args.cache) if args.cache else None
+        if spec is not None and len(spec) != args.k:
+            log.warning("spectrum cache entry %s holds %d values, not %d; recomputing",
+                        key, len(spec), args.k)
+            spec = None
         cache_hit = spec is not None
         if not cache_hit:
             spec = eig2d.clamped_spectrum_fd(dom, n, args.k)

@@ -53,57 +53,32 @@ def test_registry_carries_criteria_1_to_12():
         assert {i for _, i in check.row_criteria} <= set(check.ids)
 
 
-def _stub_solver(monkeypatch, growth):
-    """Record each (grid, k) solve; the stub's j-th value is growth * j^2."""
+def test_context_solves_each_grid_once(monkeypatch):
     solved = []
 
     def solve(dom, n, k):
         solved.append((n, k))
-        return Spectrum(tuple(growth * j * j for j in range(1, k + 1)))
+        return Spectrum(tuple(1e4 * j * j for j in range(1, k + 1)))
 
     monkeypatch.setattr(checks.eig2d, "clamped_spectrum_fd", solve)
-    return solved
-
-
-def _run_fd_checks(ctx):
-    """Rows of every registry check that reads FD spectra (criteria 7, 8, 9, 11)."""
-    return [row for check in checks.REGISTRY if {7, 8, 9, 11} & set(check.ids)
-            for row in check.run(ctx)]
-
-
-def test_context_solves_each_grid_once(monkeypatch):
-    # lambda_50 = 2.5e7: the heat trace's tail past mode 50 is certified
-    solved = _stub_solver(monkeypatch, 1e4)
     ctx = checks.Context()
-    _run_fd_checks(ctx)
+    for check in checks.REGISTRY:
+        if {7, 8, 9, 11} & set(check.ids):  # every check that reads FD spectra
+            check.run(ctx)
     heat = ctx.fd(checks.HEAT_GRID, checks.FD_MODES)
     assert ctx.fd(checks.HEAT_GRID, 10).values == heat.values[:10]
     assert solved == [(n, checks.FD_MODES) for n in checks.FD_GRIDS]
 
 
-def test_heat_trace_solves_all_modes_when_the_tail_may_count(monkeypatch):
-    # lambda_50 = 2.5e4: e^(-2.5) per left-out term at t = 1e-4, no certificate
-    growth = 10.0
-    solved = _stub_solver(monkeypatch, growth)
-    ctx = checks.Context()
-    rows = _run_fd_checks(ctx)
-    assert solved == [(n, checks.FD_MODES) for n in checks.FD_GRIDS] + [
-        (checks.HEAT_GRID, checks.HEAT_MODES)]
-    heat = [r for r in rows if r.check == "heat-trace-lower"]
-    assert len(heat) == len(checks.HEAT_T)
-    for row, t in zip(heat, checks.HEAT_T):
-        assert row.rhs == sum(math.exp(-growth * j * j * t)
-                              for j in range(1, checks.HEAT_MODES + 1))
-
-
-def test_heat_trace_tail_is_certified_on_the_heat_grid(clamped_64_200):
+def test_heat_trace_over_fd_modes_is_the_200_mode_trace(check_runs, clamped_64_200):
     # modes 51..200 of a real 64^2 solve leave the float trace as it is
+    (check,) = [c for c in checks.REGISTRY if 9 in c.ids]
+    rows, _ = check_runs(check)
     values = tuple(clamped_64_200)
-    for t in checks.HEAT_T:
+    for row, t in zip(rows, checks.HEAT_T, strict=True):
         full = sum(math.exp(-v * t) for v in values)
         assert sum(math.exp(-v * t) for v in values[:checks.FD_MODES]) == full
-        assert checks._tail_certified_trace(
-            values[:checks.FD_MODES], t, checks.HEAT_MODES) == full
+        assert row.rhs == pytest.approx(full, rel=1e-14)
 
 
 def test_criterion_01_roots(check_runs):

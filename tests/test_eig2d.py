@@ -34,10 +34,6 @@ from bilap.eig2d import (
 from bilap.roots1d import gamma_value
 
 PI2 = math.pi ** 2
-# The (grid, k) solves ``bilap all`` can run: each ladder grid at FD_MODES,
-# and the heat grid at HEAT_MODES should its tail certificate fail.
-SWEEP_SOLVES = [pytest.param(n, checks.FD_MODES, id=str(n)) for n in checks.FD_GRIDS] + [
-    pytest.param(checks.HEAT_GRID, checks.HEAT_MODES, id=f"{checks.HEAT_GRID}-heat")]
 
 
 class TestExactSpectra:
@@ -395,23 +391,23 @@ class TestParityBlocks:
         assert len(calls) > 4
         assert (np.abs(values - expected) / expected).max() <= 1e-10
 
-    @pytest.mark.parametrize("n, k", SWEEP_SOLVES)
-    def test_sweep_grids_factorise_only_blocks(self, monkeypatch, unit_square, n, k):
+    @pytest.mark.parametrize("n", checks.FD_GRIDS)
+    def test_sweep_grids_factorise_only_blocks(self, monkeypatch, unit_square, n):
         calls = self._counted_solves(monkeypatch)
-        clamped_spectrum_fd(unit_square, n, k)
+        clamped_spectrum_fd(unit_square, n, checks.FD_MODES)
         assert len(calls) >= 4
         assert max(dim for dim, _ in calls) <= math.ceil(n / 2) ** 2
 
-    @pytest.mark.parametrize("n, k", SWEEP_SOLVES)
-    def test_sweep_grids_never_reach_superlu(self, monkeypatch, unit_square, n, k):
+    @pytest.mark.parametrize("n", checks.FD_GRIDS)
+    def test_sweep_grids_never_reach_superlu(self, monkeypatch, unit_square, n):
         def refuse(*args, **kwargs):
             raise AssertionError("SuperLU factorisation")
 
         monkeypatch.setattr(spla, "splu", refuse)
         # ARPACK's shift-invert mode factorises through its own splu binding
         monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", refuse)
-        values = clamped_spectrum_fd(unit_square, n, k).values
-        assert len(values) == k
+        values = clamped_spectrum_fd(unit_square, n, checks.FD_MODES).values
+        assert len(values) == checks.FD_MODES
 
     @pytest.mark.parametrize("k", [100, 10])
     def test_blocks_with_a_form_skip_dense_lapack(self, monkeypatch, k):
