@@ -44,7 +44,6 @@ from .core import (
 __all__ = [
     "TestFunctionProfile",
     "ResolutionError",
-    "ThresholdError",
     "inscribed_ball_profile",
     "mollified_indicator_profile",
     "avg_upper_bound",
@@ -69,10 +68,6 @@ MAX_QUADRATURE_REL_ERR = 1e-4
 
 class ResolutionError(RuntimeError):
     """Grid quadrature error estimate exceeded the admissible 1e-4."""
-
-
-class ThresholdError(ValueError):
-    """k below the admissible range of the explicit sum bound."""
 
 
 @dataclass(frozen=True)
@@ -414,13 +409,14 @@ def explicit_sum_bound(dom: DomainSpec, k: int,
     remainder = certified collar bound minus the two model terms, so that
     main + second + remainder is exactly the certified bound at h(k).
 
-    Raises ThresholdError when h(k) would exceed the inradius.
+    Raises ``InputError`` when k lies below ``explicit_sum_threshold(dom, eps)``,
+    where h(k) would exceed the inradius.
     """
     if k < 1:
         raise InputError(f"k={k} must be >= 1")
     threshold = explicit_sum_threshold(dom, eps)
     if k < threshold:
-        raise ThresholdError(
+        raise InputError(
             f"k={k} below admissible threshold {threshold:.3f}; "
             f"use the inscribed-ball bound")
     main = semiclassical.predict_average_leading(dom, k)

@@ -25,7 +25,8 @@ import numpy as np
 from . import avp, eig2d, riesz, roots1d, semiclassical, spectra1d
 from .core import BCKind, BoundaryCondition, BoundReport, DomainSpec, Spectrum
 
-__all__ = ["Check", "Context", "REGISTRY", "run_all", "riesz_rows", "lattice_rows"]
+__all__ = ["Check", "Context", "REGISTRY", "run_all", "gamma_residual_row", "riesz_rows",
+           "lattice_rows", "kroeger_laptev_rows"]
 
 ROOT_COUNT = 50                           # criteria 1, 2, 12: n = 1..50
 RIESZ_Z = np.logspace(0.0, 8.0, 200)      # criterion 3 thresholds
@@ -44,40 +45,32 @@ INDIVIDUAL_K = range(20, 51)              # criterion 11
 
 
 class Context:
-    """Shared inputs of the checks on the unit square, each built once.
-
-    An FD grid is solved at the mode count first asked of it; a smaller
-    request slices that solve, and only a larger one solves the grid again.
-    Every check asks FD_MODES of its grids, so ``bilap all`` solves each of
-    FD_GRIDS once, at FD_MODES.
-    """
+    """Shared inputs of the checks on the unit square, each built once: each
+    FD grid's first FD_MODES modes, their Richardson ladder, the two profiles."""
 
     def __init__(self) -> None:
         self.dom = DomainSpec.square(1.0)
         self._fd: dict[int, Spectrum] = {}
-        self._mollified: dict[float, avp.TestFunctionProfile] = {}
 
-    def fd(self, n: int, k: int) -> Spectrum:
-        """First k clamped eigenvalues on the n x n interior grid."""
-        if n not in self._fd or len(self._fd[n]) < k:
-            self._fd[n] = eig2d.clamped_spectrum_fd(self.dom, n, k)
-        spec = self._fd[n]
-        return spec if len(spec) == k else Spectrum(spec.values[:k])
+    def fd(self, n: int) -> Spectrum:
+        """First FD_MODES clamped eigenvalues on the n x n interior grid."""
+        if n not in self._fd:
+            self._fd[n] = eig2d.clamped_spectrum_fd(self.dom, n, FD_MODES)
+        return self._fd[n]
 
     @cached_property
     def richardson(self) -> tuple[list[float], list[float]]:
         """(limits, bands) of the first FD_MODES clamped eigenvalues over FD_GRIDS."""
-        return eig2d.richardson_ladder(*(self.fd(n, FD_MODES) for n in FD_GRIDS), FD_MODES)
+        return eig2d.richardson_ladder(*map(self.fd, FD_GRIDS), FD_MODES)
 
     @cached_property
     def ball(self) -> avp.TestFunctionProfile:
         return avp.inscribed_ball_profile(self.dom)
 
-    def mollified(self, h: float) -> avp.TestFunctionProfile:
-        """Mollified collar indicator of width h at MOLLIFIER_RES points per h."""
-        if h not in self._mollified:
-            self._mollified[h] = avp.mollified_indicator_profile(self.dom, h, MOLLIFIER_RES)
-        return self._mollified[h]
+    @cached_property
+    def mollified(self) -> avp.TestFunctionProfile:
+        """Mollified collar indicator of width MOLLIFIER_H at MOLLIFIER_RES points per h."""
+        return avp.mollified_indicator_profile(self.dom, MOLLIFIER_H, MOLLIFIER_RES)
 
 
 @dataclass(frozen=True)
@@ -97,6 +90,13 @@ class Check:
 # ----------------------------------------------------------------------------
 # Row builders shared with the single-purpose subcommands
 # ----------------------------------------------------------------------------
+
+def gamma_residual_row(n: int) -> BoundReport:
+    """The n-th certified root solves its frequency equation to 1e-9."""
+    return BoundReport.less_equal(
+        "gamma-residual", roots1d.gamma_root(n).residual, 1e-9, "1-d-ev-equation",
+        params={"n": n})
+
 
 def riesz_rows(pair: tuple[int, int], zs: Sequence[float]) -> list[BoundReport]:
     """lower <= R_1(z) <= upper for the exact spectrum of ``pair``, built
@@ -126,16 +126,19 @@ def lattice_rows(radii: Sequence[float]) -> list[BoundReport]:
     return rows
 
 
+def kroeger_laptev_rows(k: int) -> list[BoundReport]:
+    """Refined Kroeger-Laptev rows for 1..k on the (2, 3) interval spectrum."""
+    return avp.kroeger_laptev_report(
+        spectra1d.spectrum_1d((2, 3), k + 1), DomainSpec.interval(1.0), k)
+
+
 # ----------------------------------------------------------------------------
 # The criteria
 # ----------------------------------------------------------------------------
 
 def _roots(ctx: Context) -> list[BoundReport]:
     rows = roots1d.proposition_bound_report(ROOT_COUNT)
-    for n in range(1, ROOT_COUNT + 1):
-        rows.append(BoundReport.less_equal(
-            "gamma-residual", roots1d.gamma_root(n).residual, 1e-9, "1-d-ev-equation",
-            params={"n": n}))
+    rows.extend(gamma_residual_row(n) for n in range(1, ROOT_COUNT + 1))
     rows.extend(spectra1d.identity_check(ROOT_COUNT))
     return rows
 
@@ -180,8 +183,7 @@ def _coefficients(ctx: Context) -> list[BoundReport]:
 
 
 def _kroeger_laptev(ctx: Context) -> list[BoundReport]:
-    spec23 = spectra1d.spectrum_1d((2, 3), KL_K + 2)
-    rows = avp.kroeger_laptev_report(spec23, DomainSpec.interval(1.0), KL_K)
+    rows = kroeger_laptev_rows(KL_K)
     worst_young = -math.inf
     for p in YOUNG_LATTICE:
         for x in YOUNG_LATTICE:
@@ -200,7 +202,7 @@ def _comparison(ctx: Context) -> list[BoundReport]:
 
 def _averages(ctx: Context) -> list[BoundReport]:
     limits, bands = ctx.richardson
-    profiles = (ctx.ball, ctx.mollified(MOLLIFIER_H))
+    profiles = (ctx.ball, ctx.mollified)
     rows = []
     for k in AVERAGE_K:
         fd_avg = sum(limits[:k]) / k
@@ -219,11 +221,11 @@ def _averages(ctx: Context) -> list[BoundReport]:
 def _heat_trace(ctx: Context) -> list[BoundReport]:
     # every term is positive, so the truncated trace lies below the full one
     # and a lower bound under it is under the full trace too
-    values = ctx.fd(HEAT_GRID, FD_MODES).values
+    values = ctx.fd(HEAT_GRID).values
     rows = []
     for t in HEAT_T:
         trace = sum(math.exp(-v * t) for v in values)
-        _, unweighted = avp.partition_lower_bound(ctx.mollified(MOLLIFIER_H), t)
+        _, unweighted = avp.partition_lower_bound(ctx.mollified, t)
         rows.append(BoundReport.less_equal(
             "heat-trace-lower", unweighted, trace,
             "part-fct-estimate-small-times_bi", params={"t": t}))

@@ -292,8 +292,7 @@ def cmd_roots(args) -> list[BoundReport]:
         root = gamma_root(n)
         reports.append(BoundReport.value_row(
             "gamma", root.gamma, "1-d-ev-equation", params={"n": n, "method": root.method}))
-        reports.append(BoundReport.less_equal(
-            "gamma-residual", root.residual, 1e-9, "1-d-ev-equation", params={"n": n}))
+        reports.append(checks.gamma_residual_row(n))
     reports.extend(proposition_bound_report(args.n))
     return reports
 
@@ -304,7 +303,7 @@ def cmd_spectrum1d(args) -> list[BoundReport]:
     reports = [BoundReport.value_row(
         "eigenvalue", v, "riesz-1-d", params={"pair": pair, "n": n})
         for n, v in enumerate(spec.values, start=1)]
-    reports.extend(spectra1d.identity_check(min(args.count, 50)))
+    reports.extend(spectra1d.identity_check(min(args.count, checks.ROOT_COUNT)))
     return reports
 
 
@@ -377,13 +376,11 @@ def cmd_avp(args) -> list[BoundReport]:
         # in the constants a_d, b_d and c_d
         reports.append(BoundReport.value_row(
             "rough-bound", averages[0], "rough_estimate_bilaplacian", params={"k": k}))
-        try:
+        if k >= avp.explicit_sum_threshold(dom):
             main, second, rem = avp.explicit_sum_bound(dom, k)
             reports.append(BoundReport.value_row(
                 "explicit-sum-bound", main + second + rem, "explicit_sum",
                 params={"k": k, "main": main, "second": second, "remainder": rem}))
-        except avp.ThresholdError:
-            pass
     for z in zs:
         for prof in profiles:
             reports.append(BoundReport.value_row(
@@ -399,8 +396,7 @@ def cmd_avp(args) -> list[BoundReport]:
 
 
 def cmd_kroeger_laptev(args) -> list[BoundReport]:
-    spec = spectra1d.spectrum_1d((2, 3), args.k + 1)
-    return avp.kroeger_laptev_report(spec, DomainSpec.interval(1.0), args.k)
+    return checks.kroeger_laptev_rows(args.k)
 
 
 def cmd_eig2d(args) -> list[BoundReport]:

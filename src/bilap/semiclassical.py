@@ -164,23 +164,19 @@ class ExpansionCoefficients:
     """Per-unit-geometry two-term counting coefficients.
 
     c0 multiplies |Omega| z^(d/4); c1 multiplies |dOmega| z^((d-1)/4).
-    ``quadrature_error`` is nonzero only for the Neumann conditions.
     """
 
     c0: float
     c1: float
-    quadrature_error: float = 0.0
 
 
-def _neumann_bracket(a: float, d: int, inverse: bool = False) -> tuple[float, float]:
+def _neumann_bracket(a: float, d: int, inverse: bool = False) -> float:
     """Bracket 4 f(a)^((1-d)/4) - 1 - (4(d-1)/pi) * J  (or its 1/g variant)."""
     f = f_neumann(a)
-    integral, err = neumann_boundary_integral(a, d, inverse)
+    integral, _ = neumann_boundary_integral(a, d, inverse)
     if inverse:
-        value = 4.0 * f ** ((1 - d) / 4.0) - 3.0 + 4.0 * (d - 1) / math.pi * integral
-    else:
-        value = 4.0 * f ** ((1 - d) / 4.0) - 1.0 - 4.0 * (d - 1) / math.pi * integral
-    return value, err
+        return 4.0 * f ** ((1 - d) / 4.0) - 3.0 + 4.0 * (d - 1) / math.pi * integral
+    return 4.0 * f ** ((1 - d) / 4.0) - 1.0 - 4.0 * (d - 1) / math.pi * integral
 
 
 def expansion_coefficients(bc: BoundaryCondition, d: int,
@@ -207,9 +203,8 @@ def expansion_coefficients(bc: BoundaryCondition, d: int,
         raise InputError("a = 1 Neumann problem fails the complementing condition")
     if neumann_form not in ("arctan_g", "arctan_inv_g"):
         raise InputError(f"unknown Neumann form {neumann_form!r}")
-    bracket, err = _neumann_bracket(bc.poisson_ratio, d,
-                                    inverse=(neumann_form == "arctan_inv_g"))
-    return ExpansionCoefficients(c0, base * bracket, quadrature_error=err)
+    bracket = _neumann_bracket(bc.poisson_ratio, d, inverse=(neumann_form == "arctan_inv_g"))
+    return ExpansionCoefficients(c0, base * bracket)
 
 
 # ----------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bilap import checks, eig2d
+from bilap import avp, checks, eig2d
 from bilap.core import DomainSpec
 
 
@@ -37,5 +37,7 @@ def clamped_64_200(unit_square) -> np.ndarray:
 
 
 @pytest.fixture(scope="session")
-def mollified_profiles(check_context):
-    return {h: check_context.mollified(h) for h in (0.1, 0.05)}
+def mollified_profiles(check_context, unit_square):
+    """The context's profile at MOLLIFIER_H = 0.1 and one at h = 0.05."""
+    return {checks.MOLLIFIER_H: check_context.mollified,
+            0.05: avp.mollified_indicator_profile(unit_square, 0.05, checks.MOLLIFIER_RES)}

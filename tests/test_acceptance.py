@@ -65,8 +65,6 @@ def test_context_solves_each_grid_once(monkeypatch):
     for check in checks.REGISTRY:
         if {7, 8, 9, 11} & set(check.ids):  # every check that reads FD spectra
             check.run(ctx)
-    heat = ctx.fd(checks.HEAT_GRID, checks.FD_MODES)
-    assert ctx.fd(checks.HEAT_GRID, 10).values == heat.values[:10]
     assert solved == [(n, checks.FD_MODES) for n in checks.FD_GRIDS]
 
 

@@ -24,7 +24,6 @@ from bilap.avp import (
     MAX_QUADRATURE_REL_ERR,
     ResolutionError,
     TestFunctionProfile,
-    ThresholdError,
     _kernel_samples,
     _window_gram,
     avg_upper_bound,
@@ -43,7 +42,7 @@ from bilap.avp import (
     young_refined,
 )
 from bilap.checks import AVERAGE_K, INDIVIDUAL_K, MOLLIFIER_RES
-from bilap.core import BoundReport, DomainSpec, Spectrum, dimensional_constants
+from bilap.core import BoundReport, DomainSpec, InputError, Spectrum, dimensional_constants
 from bilap.semiclassical import adaptive_gauss_legendre, predict_average_leading
 from bilap.spectra1d import spectrum_1d
 
@@ -476,7 +475,7 @@ class TestExplicitSumBound:
         assert collar_width_for_k(unit_square, math.floor(k0) - 1) > unit_square.inradius
 
     def test_below_threshold_raises(self, unit_square):
-        with pytest.raises(ThresholdError):
+        with pytest.raises(InputError):
             explicit_sum_bound(unit_square, 10)
 
     def test_certified_sum_dominates_fd_average(self, unit_square, clamped_richardson):
@@ -523,7 +522,7 @@ class TestExplicitSumBound:
             main, second, rem = explicit_sum_bound(unit_square, 50, eps=eps)
             assert fd_avg <= main + second + rem, eps
         # wider collars push the feasibility threshold above k = 50
-        with pytest.raises(ThresholdError):
+        with pytest.raises(InputError):
             explicit_sum_bound(unit_square, 50, eps=2.0)
 
 
@@ -563,7 +562,7 @@ class TestCollarFamilyTrend:
         strict=True,
         reason="the collar family at eps = sqrt(2) limits its average-bound "
                "gap to ~3.5x the two-term gap (measured 4.06 at k = 1e4), "
-               "not 2x; see the decisions ledger")
+               "not 2x; see the README's paragraph on this xfail")
     def test_gap_within_twice_the_two_term_gap(self, gap_ratios):
         assert gap_ratios[2] <= 2.0
 
@@ -607,7 +606,7 @@ class TestKroegerLaptev:
         assert all(r.holds for r in reports if r.asserted)
 
     def test_square_rows_are_labelled_and_computed_in_d2(self, unit_square, check_context):
-        spec = check_context.fd(32, 50)
+        spec = check_context.fd(32)
         reports = kroeger_laptev_report(spec, unit_square, 3)
         assert reports and all(r.check.startswith("kroeger-laptev-extrapolated-d2-")
                                for r in reports)

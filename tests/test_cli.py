@@ -445,6 +445,20 @@ class TestMain:
         assert len(rows) == 20
         assert all(float(r.split(",")[3]) < 1e-9 for r in rows)
 
+    @pytest.mark.parametrize("argv, criterion, family", [
+        (["roots", "--n", str(checks.ROOT_COUNT)], 1, "gamma-residual,"),
+        (["kroeger-laptev", "--k", str(checks.KL_K)], 10, "kroeger-laptev-"),
+    ])
+    def test_subcommand_rows_are_the_criterion_rows(self, argv, criterion, family,
+                                                    tmp_path, check_context):
+        # the Young lattice row of criterion 10 is the registry's alone
+        (check,) = [c for c in checks.REGISTRY if criterion in c.ids]
+        out, ref = tmp_path / "command.csv", tmp_path / "criterion.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        write_report(check.run(check_context), ref, "csv")
+        rows = [[line for line in _rows(path) if line.startswith(family)] for path in (out, ref)]
+        assert rows[0] and rows[0] == rows[1]
+
     def test_roots_stop_at_the_last_normal_defect(self, tmp_path, capsys):
         # past n = 225 the defect 2 exp(-pi (n+1/2)) is a subnormal double
         out = tmp_path / "roots.csv"
