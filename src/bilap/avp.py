@@ -59,11 +59,20 @@ __all__ = [
     "kroeger_laptev_report",
     "young_refined",
     "EPSILON_DEFAULT",
+    "MAX_GRID_RES",
+    "MAX_AXIS_SAMPLES",
 ]
 
 EPSILON_DEFAULT = math.sqrt(2.0)
 
 MAX_QUADRATURE_REL_ERR = 1e-4
+
+# Size limits of the sampled collar profile.  Its kernel arrays have sides of
+# at most grid_res + 3 points, so about (grid_res + 3)^2 entries each, and
+# each sampled axis has about L grid_res / h points.  At both limits at once
+# the profile's tracemalloc peak is about 176 MB.
+MAX_GRID_RES = 1024
+MAX_AXIS_SAMPLES = 10 ** 6
 
 
 class ResolutionError(RuntimeError):
@@ -220,11 +229,14 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
         raise InputError(f"mollified profiles are built on rectangles only, not {dom.label()}")
     if not (0.0 < h <= dom.inradius):
         raise InputError(f"h={h} outside (0, inradius={dom.inradius}]")
-    if grid_res < 64:
-        raise InputError(f"grid_res={grid_res} must be >= 64 points per h")
+    if not 64 <= grid_res <= MAX_GRID_RES:
+        raise InputError(f"grid_res={grid_res} outside 64..{MAX_GRID_RES} points per h")
 
     lx, ly = dom.lengths
     target = h / grid_res
+    if max(lx, ly) > target * (MAX_AXIS_SAMPLES - 3):  # an axis has < L / target + 3 points
+        raise InputError(f"h={h} at grid_res={grid_res} puts more than {MAX_AXIS_SAMPLES} "
+                         f"samples on an axis")
     mx = 2 * max(2, math.ceil(lx / (2.0 * target)))
     my = 2 * max(2, math.ceil(ly / (2.0 * target)))
     dx, dy = lx / mx, ly / my

@@ -30,6 +30,7 @@ __all__ = [
     "counting",
     "theorem_bounds_1d",
     "lemma_onedim_bounds",
+    "MAX_LATTICE_R",
     "constant_c",
     "second_term_fit",
     "FIT_GRID",
@@ -37,6 +38,10 @@ __all__ = [
 
 # Log-spaced thresholds of the second-term regression, 1e4 to 1e9.
 FIT_GRID = tuple(np.logspace(4.0, 9.0, 32))
+
+# The largest lattice radius whose float rows decide as the exact ones do
+# (``lemma_onedim_bounds``).
+MAX_LATTICE_R = 800
 
 
 class InsufficientSpectrumError(RuntimeError):
@@ -129,9 +134,23 @@ def lemma_onedim_bounds(
     accumulates in order; ``np.sum`` would pair them).  n^4 = (n^2)^2 and
     (n+1/2)^4 = ((n+1/2)^2)^2 are squares of exact doubles, so each is the
     correctly rounded power, exact while (2n+1)^4 < 2^53 (R below 4,870).
+
+    Only those powers are exact: ``mid`` is a small difference of numbers
+    near R^5.  With u = 2^-53 and m < R terms, each below R^4, the m
+    subtractions and the m - 1 running sums (each below the sum, at most
+    (4/5) R^5) are off by at most 0.8 m u R^5 in all; R**4 (within an ulp,
+    entering m + 1 times), 0.8 * R**5 and the last two operations add at
+    most 6 u R^5.  So ``mid`` is within (0.8 m + 6) u R^5 of its exact value,
+    to first order in u.  The smallest exact margins are R/30 (``integers``,
+    lower row) and about 3 R^2 / 2 (``half_integers``, upper row), both at
+    integer R, so each row decides as the exact one does for R up to 820 and
+    up to 11,397 respectively.  Past MAX_LATTICE_R = 800 this raises
+    ``InputError``: from R = 1,627 the ``integers`` lower row fails in
+    floats although it holds exactly.
     """
-    if not (0.0 <= R < math.inf):
-        raise InputError(f"R={R} outside [0, inf)")
+    if not (0.0 <= R <= MAX_LATTICE_R):
+        raise InputError(f"R={R} outside [0, {MAX_LATTICE_R}], where the float "
+                         f"lattice sums decide as the exact ones do")
     if variant == "integers":
         offset, main = 0.0, 0.5
         lhs = -R ** 3 / 3.0

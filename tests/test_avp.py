@@ -21,6 +21,8 @@ import bilap
 from bilap import avp
 from bilap.avp import (
     EPSILON_DEFAULT,
+    MAX_AXIS_SAMPLES,
+    MAX_GRID_RES,
     MAX_QUADRATURE_REL_ERR,
     ResolutionError,
     TestFunctionProfile,
@@ -140,6 +142,10 @@ class TestMollifiedProfile:
             mollified_indicator_profile(unit_square, 0.1, 32)  # under-resolved
         with pytest.raises(ValueError):
             mollified_indicator_profile(DomainSpec.interval(1.0), 0.1, 96)
+        with pytest.raises(InputError):  # kernels of 1,026 points a side
+            mollified_indicator_profile(unit_square, 0.1, MAX_GRID_RES + 1)
+        with pytest.raises(InputError):  # 10^6 + 1 points on each axis
+            mollified_indicator_profile(unit_square, 9.6e-5, 96)
         with pytest.raises(ResolutionError):  # estimate 1.5e-4 at h = inradius
             mollified_indicator_profile(unit_square, 0.5, 64)
 
@@ -301,6 +307,17 @@ class TestMollifiedProfile:
         finally:
             tracemalloc.stop()
         assert peak < 1921 * 3841 * 8
+
+    def test_peak_memory_at_the_size_limits(self):
+        # the largest kernels on axes of just under MAX_AXIS_SAMPLES points
+        h = 1.001 * MAX_GRID_RES / (MAX_AXIS_SAMPLES - 3)
+        tracemalloc.start()
+        try:
+            mollified_indicator_profile(DomainSpec.square(1.0), h, MAX_GRID_RES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
 
     def test_cli_import_leaves_scipy_signal_out(self):
         code = ("import sys, bilap.cli; "
@@ -562,7 +579,7 @@ class TestCollarFamilyTrend:
         strict=True,
         reason="the collar family at eps = sqrt(2) limits its average-bound "
                "gap to ~3.5x the two-term gap (measured 4.06 at k = 1e4), "
-               "not 2x; see the README's paragraph on this xfail")
+               "not 2x; see the xfail paragraph of the README's test section")
     def test_gap_within_twice_the_two_term_gap(self, gap_ratios):
         assert gap_ratios[2] <= 2.0
 

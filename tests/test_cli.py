@@ -567,6 +567,13 @@ class TestMain:
         ["riesz1d", "--z", "1e40"],
         ["spectrum1d", "--count", "1000001"],
         ["kroeger-laptev", "--k", "1000000"],
+        # past riesz.MAX_LATTICE_R float lattice rows misjudge the lemma
+        ["lemma-onedim", "--r-grid", "1627"],
+        ["lemma-onedim", "--r-grid", "800.5"],
+        # past avp.MAX_GRID_RES and avp.MAX_AXIS_SAMPLES
+        ["avp", "--grid-res", "1025"],
+        ["avp", "--h", "9.6e-5"],
+        ["avp", "--h", "5e-324"],  # h / grid_res rounds to 0
     ])
     def test_invalid_flag_values_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "report.csv"

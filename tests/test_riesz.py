@@ -12,6 +12,7 @@ from bilap.checks import LATTICE_R, RIESZ_Z
 from bilap.core import Spectrum
 from bilap.riesz import (
     InsufficientSpectrumError,
+    MAX_LATTICE_R,
     constant_c,
     counting,
     lemma_onedim_bounds,
@@ -180,6 +181,18 @@ def lattice_oracle(R: float, variant: str) -> tuple[float, float, float]:
             R ** 3 / 6.0 + 1.5 * R ** 2 + R / 30.0 + 0.125)
 
 
+def lattice_exact(R: Fraction, variant: str) -> tuple[Fraction, Fraction, Fraction]:
+    """(lhs, mid, rhs) in exact rational arithmetic."""
+    off, main = (0, Fraction(1, 2)) if variant == "integers" else (1, Fraction(1))
+    count = max(math.ceil(R - Fraction(off, 2)) - 1, 0)  # nodes (2n + off)/2 < R, n >= 1
+    fourth_powers = Fraction(sum((2 * n + off) ** 4 for n in range(1, count + 1)), 16)
+    mid = count * R ** 4 - fourth_powers - Fraction(4, 5) * R ** 5 + main * R ** 4
+    if variant == "integers":
+        return -R ** 3 / 3, mid, R ** 3 / 6 + R ** 2 / 12
+    return (-Fraction(11, 6) * R ** 3 - Fraction(3, 2) * R ** 2 - Fraction(127, 240) * R, mid,
+            R ** 3 / 6 + Fraction(3, 2) * R ** 2 + R / 30 + Fraction(1, 8))
+
+
 _lattice_radii = (st.floats(0.0, 200.0)
                   | st.integers(0, 200).map(float)
                   | st.integers(0, 399).map(lambda m: m + 0.5)
@@ -221,10 +234,20 @@ class TestLatticeSumLemma:
                 lhs, mid, rhs = lemma_onedim_bounds(float(R), variant)
                 assert lhs <= mid <= rhs, (R, variant)
 
+    def test_float_verdicts_equal_the_exact_ones_up_to_the_cap(self):
+        # integer radii carry the smallest exact margins: R/30 on the
+        # integers lower row, about 3R^2/2 on the half-integers upper row
+        for twice in range(2 * MAX_LATTICE_R + 1):
+            for variant in ("integers", "half_integers"):
+                lhs, mid, rhs = lemma_onedim_bounds(twice / 2.0, variant)
+                exact = lattice_exact(Fraction(twice, 2), variant)
+                assert (lhs <= mid, mid <= rhs) == (exact[0] <= exact[1], exact[1] <= exact[2])
+
     def test_invalid_variant_and_range(self):
         with pytest.raises(ValueError):
             lemma_onedim_bounds(1.0, "thirds")
-        for R in (-1.0, math.nan, math.inf):  # inf has no finite lattice sum
+        # inf has no finite lattice sum; past the cap float rows misjudge
+        for R in (-1.0, math.nan, math.inf, math.nextafter(MAX_LATTICE_R, math.inf), 1627.0):
             with pytest.raises(ValueError):
                 lemma_onedim_bounds(R, "integers")
 
