@@ -61,6 +61,7 @@ __all__ = [
     "EPSILON_DEFAULT",
     "MAX_GRID_RES",
     "MAX_AXIS_SAMPLES",
+    "MAX_RIESZ_Z",
 ]
 
 EPSILON_DEFAULT = math.sqrt(2.0)
@@ -73,6 +74,10 @@ MAX_QUADRATURE_REL_ERR = 1e-4
 # the profile's tracemalloc peak is about 176 MB.
 MAX_GRID_RES = 1024
 MAX_AXIS_SAMPLES = 10 ** 6
+# The largest z of ``riesz_lower_bound``.  Its largest power of z,
+# z^(d/4+1) with d <= 2, is then at most 1e225, and times ||phi||_2^2 of a
+# domain of sides up to core.MAX_LENGTH (at most 1e60) it stays finite.
+MAX_RIESZ_Z = 1e150
 
 
 class ResolutionError(RuntimeError):
@@ -318,9 +323,11 @@ def riesz_lower_bound(profile: TestFunctionProfile, z: float) -> float:
 
       R_1(z) >= (4/(d+4)) (2 pi)^-d B_d ||phi||_2^2 (z - lap ratio)_+^(d/4+1)
                 - 2 (2 pi)^-d B_d ||grad phi||_2^2 (z - lap ratio)_+^(d/4+1/2).
+
+    ``InputError`` unless 0 < z <= MAX_RIESZ_Z.
     """
-    if not (0.0 < z < math.inf):
-        raise InputError(f"z={z} must be positive and finite")
+    if not (0.0 < z <= MAX_RIESZ_Z):
+        raise InputError(f"z={z} outside (0, {MAX_RIESZ_Z:g}]")
     p = profile.pessimistic()
     if p.sup_sq > 1.0 + 1e-12:
         raise ValueError("the R_1 corollary needs a profile with sup |phi| <= 1")

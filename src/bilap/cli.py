@@ -12,8 +12,9 @@ keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
 2 configuration error: an ``InputError`` (a flag value outside the domain
 of the layer function it reaches), a ``ConfigError`` (a rule of the command
-line alone: flag syntax, config keys and values, the ``roots --n`` cap,
-``compare``'s grid pair, ``--a`` with Dirichlet) or an ``OSError``, found
+line alone: flag syntax, the ``MAX_RANGE_VALUES`` cap on range flags, config
+keys and values, the ``roots --n`` cap, ``compare``'s grid pair, ``--a``
+with Dirichlet) or an ``OSError``, found
 before any report is written, 3 internal error: any other exception.
 Each argument rule is stated once, by the function that receives the
 value; the subcommands pass flags on unchecked.
@@ -43,11 +44,12 @@ from typing import Optional, Sequence
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # Every BLAS call behind the reports is small: 97 x 97 matrix products for
-# the collar profiles, dense eigh only on parity blocks asked for more than a
-# third of their spectrum (at most 144 unknowns in the benchmark's
-# commands), and the block Lanczos on blocks of at most 4,096 unknowns,
-# whose products are of its basis with two vectors at a time and of sine
-# bases of at most 64 x 64.  On a 2-core machine a
+# the collar profiles and the FD block solves on blocks of at most 4,096
+# unknowns: the block Lanczos, whose products are of its basis with two
+# vectors at a time and of sine bases of at most 64 x 64, and the eigh of
+# the Rayleigh-Ritz step, which spans the whole block only when more than a
+# third of its spectrum is asked for (at most 144 unknowns in the
+# benchmark's commands).  On a 2-core machine a
 # second OpenBLAS thread buys no wall time there but spins: one thread cut
 # the benchmark's rect_sweep CPU time from 3.14 s to 1.60 s (medians of ten
 # pairs) at the same wall time, 1.59 s against 1.61 s.  The spinning thread
@@ -77,6 +79,10 @@ from .roots1d import LAST_NORMAL_DEFECT_N, gamma_root, proposition_bound_report 
 log = logging.getLogger("bilap")
 
 CSV_COLUMNS = ("check", "param1", "param2", "lhs", "rhs", "margin", "holds", "paper_ref")
+# The most values a range flag expands to.  10^5 values already take
+# seconds and hundreds of MB in `avp`, `predict` and `riesz1d`; the
+# benchmark's longest list has 2,000.
+MAX_RANGE_VALUES = 10 ** 5
 
 
 class ConfigError(InputError):
@@ -86,6 +92,13 @@ class ConfigError(InputError):
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ConfigError(message)
+
+
+def _range_size(count: int) -> int:
+    """``count`` unless a range of that many values is too long to build."""
+    if count > MAX_RANGE_VALUES:
+        raise ValueError(f"{count} values, more than {MAX_RANGE_VALUES}")
+    return count
 
 
 # ----------------------------------------------------------------------------
@@ -108,19 +121,21 @@ def parse_domain(text: str) -> DomainSpec:
 
 
 def parse_range(text: str) -> list[float]:
-    """Grid syntax: 'a:b:Nlog', 'a:b:Nlin', or a comma list; never empty."""
+    """Grid syntax: 'a:b:Nlog', 'a:b:Nlin', or a comma list; never empty and
+    at most MAX_RANGE_VALUES long."""
     try:
         if ":" in text:
             a, b, spec = text.split(":")
             if spec.endswith("log"):
-                n = int(spec[:-3])
+                n = _range_size(int(spec[:-3]))
                 values = list(np.logspace(math.log10(float(a)), math.log10(float(b)), n))
             elif spec.endswith("lin"):
-                n = int(spec[:-3])
+                n = _range_size(int(spec[:-3]))
                 values = list(np.linspace(float(a), float(b), n))
             else:
                 raise ValueError("range spec must end in 'log' or 'lin'")
         else:
+            _range_size(text.count(",") + 1)
             values = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}: {exc}") from exc
@@ -129,12 +144,14 @@ def parse_range(text: str) -> list[float]:
 
 
 def parse_int_range(text: str) -> list[int]:
-    """Integer syntax: 'a..b' (both ends included) or a comma list; never empty."""
+    """Integer syntax: 'a..b' (both ends included) or a comma list; never
+    empty and at most MAX_RANGE_VALUES long."""
     try:
         if ".." in text:
-            a, b = text.split("..")
-            values = list(range(int(a), int(b) + 1))
+            a, b = (int(v) for v in text.split(".."))
+            values = list(range(a, a + _range_size(b - a + 1)))
         else:
+            _range_size(text.count(",") + 1)
             values = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad integer range {text!r}: {exc}") from exc

@@ -16,6 +16,9 @@ from typing import NamedTuple
 
 __all__ = [
     "InputError",
+    "MIN_LENGTH",
+    "MAX_LENGTH",
+    "check_length",
     "BCKind",
     "BoundaryCondition",
     "DomainSpec",
@@ -29,6 +32,38 @@ __all__ = [
 
 class InputError(ValueError):
     """An argument outside the domain of the function that received it."""
+
+
+# The admissible lengths of a domain or an interval (``check_length``).
+MIN_LENGTH = 1e-30
+MAX_LENGTH = 1e30
+
+
+def check_length(length: float) -> float:
+    """``length`` unless it lies outside [MIN_LENGTH, MAX_LENGTH]: then
+    ``InputError``.  This is the one length rule; ``DomainSpec`` applies it
+    to each side and ``spectra1d`` to its interval length.
+
+    The bounds keep the largest powers of a length that the layers take
+    finite and nonzero in float64 (below about 1.8e308, above 2.2e-308),
+    with at least 1e30 to spare:
+    - L^-4, the scale of ``spectra1d.spectrum_1d``: at most 1e120, times
+      values (pi n)^4 < 1e26 for n up to its MAX_COUNT;
+    - r^d and r^-4 of ``avp.inscribed_ball_profile``, r = L/2 and d <= 2:
+      r^2 at most 2.5e59 and at least 2.5e-61, r^-4 at most 1.6e121 (times
+      107 in the Laplacian ratio);
+    - h^-4 on the finest grid, h = L/(n+1): the FD stencil and its sine
+      form reach 64 h^-4, and the residual norms square that.  For n + 1 up
+      to 10^4 (10^8 unknowns, far past what memory holds) h^-4 is at most
+      1e136 and the square 4e275; at L = MAX_LENGTH the stencil's entries
+      fall to about 1e-120 and the Woodbury inverse's rise to 1e120, whose
+      squares stay normal;
+    - s0^4 = (k / (c0 |Omega|))^(4/d) of ``semiclassical``'s predictors,
+      d >= 2: 1.6e122 k^2 on a square of side MIN_LENGTH.
+    """
+    if not (MIN_LENGTH <= length <= MAX_LENGTH):
+        raise InputError(f"length {length!r} outside [{MIN_LENGTH:g}, {MAX_LENGTH:g}]")
+    return length
 
 
 class BCKind(Enum):
@@ -94,8 +129,8 @@ class DomainSpec:
                 raise InputError(f"rectangle takes two side lengths, got {self.lengths}")
         else:
             raise InputError(f"unknown shape {self.shape!r}")
-        if any(not (0.0 < s < math.inf) for s in self.lengths):
-            raise InputError(f"lengths {self.lengths} must be positive and finite")
+        for length in self.lengths:
+            check_length(length)
 
     @classmethod
     def interval(cls, length: float) -> "DomainSpec":

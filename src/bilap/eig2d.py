@@ -25,11 +25,12 @@ the full operator, which the tests assemble with scipy as the oracle, to
 
 A parity block is also known in closed form (``SineForm``): in the sine
 eigenbasis of its folded factors it is a diagonal plus a correction of rank
-m_x + m_y, its side lengths.  Block solves run a block Lanczos on its
-Woodbury inverse in those sine coordinates and count eigenvalues by
-Haynsworth inertia additivity, so no block is ever factorised; a dense
-``numpy.linalg.eigh`` takes a block only when more than a third of its
-spectrum is asked for.  Everything here is numpy: no solve imports scipy.
+m_x + m_y, its side lengths.  Block solves take their vectors from a
+Rayleigh-Ritz step on it in those sine coordinates, over a block Lanczos
+basis of its Woodbury inverse, or over the whole block when more than a
+third of its spectrum is asked for, and count eigenvalues by Haynsworth
+inertia additivity, so no block is ever factorised or formed as a matrix.
+Everything here is numpy: no solve imports scipy.
 """
 
 from __future__ import annotations
@@ -61,10 +62,8 @@ __all__ = [
     "comparison_report",
 ]
 
-# The ``dense_limit`` default of ``smallest_eigs``.  No block solve reads
-# it: a block goes dense exactly when more than a third of its spectrum is
-# asked for (3 k > dim), and every other solve, of any size, goes through
-# the deterministic block Lanczos.  Both paths are certified.
+# The ``dense_limit`` default of ``smallest_eigs``, which no solve reads:
+# every block, of any size, takes the one certified ``_lanczos`` route.
 DENSE_LIMIT = 600
 # Each eigenpair must satisfy ||A v - lambda v||_2 <= RESIDUAL_TOL ||A||_inf
 # (a backward error; measured at most 6e-15 on the clamped grids 32^2..128^2).
@@ -146,14 +145,6 @@ class DiscreteOperator:
         for s, coef in self.couplings:
             out[:, :-s] += coef * rows[:, s:]
         return out.T
-
-    def toarray(self) -> np.ndarray:
-        dense = np.diag(self.centre)
-        for s, coef in self.couplings:
-            index = np.arange(len(coef))
-            dense[index, index + s] += coef
-            dense[index + s, index] += coef
-        return dense
 
     def norm_inf(self) -> float:
         rows = np.abs(self.centre)
@@ -431,32 +422,26 @@ def smallest_eigs(op: DiscreteOperator, k: int,
                   dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of a parity block, certified.
 
-    When 3 k > dim this is a dense ``numpy.linalg.eigh`` of ``op.toarray()``;
-    otherwise a deterministic block Lanczos on the Woodbury inverse of
-    ``op.form`` (``_lanczos``).  ``dense_limit`` is not read; it stays in the
-    signature for callers that bind it by name.  Either path's values are
-    then replaced by the Rayleigh quotients of their vectors on the
-    assembled stencil, summed in extended precision (``_rayleigh_quotients``):
-    the Woodbury inverse is that of the exact operator, whose values differ
-    from those of the assembled float matrix (``SineForm``: up to 6.3e-10
-    relative on 128^2), and dense ``eigh`` values sit up to 1.8e-11 off the
-    quotients of their own vectors, with bits that depend on the BLAS thread
-    count.  The result must pass ``_certify`` (residual bound and inertia
-    count) or ``RuntimeError`` is raised.  Values ascend; vectors are
-    orthonormal, each with the sign the solver returned.  The inertia count
-    proves that every eigenvalue not returned lies at or above
-    ``_inertia_floor(op, values[-1])``.  ``clamped_spectrum_fd`` solves each
-    parity block of the clamped matrix here and reads that floor as its
-    coverage certificate: no block may hide an eigenvalue at or below the
-    merged k-th value; the merged values agree with a solve of the full
-    operator to 1e-10 relative.
+    The vectors come from a Rayleigh-Ritz step on ``op.form`` (``_lanczos``):
+    over a deterministic block Lanczos basis of its Woodbury inverse, or
+    over the whole block when 3 k > dim.  ``dense_limit`` is not read; it
+    stays in the signature for callers that bind it by name.  The values are
+    the Rayleigh quotients of the vectors on the assembled stencil, summed
+    in extended precision (``_rayleigh_quotients``): the form is the exact
+    operator, whose values differ from those of the assembled float matrix
+    (``SineForm``: up to 6.3e-10 relative on 128^2).  The result must pass
+    ``_certify`` (residual bound and inertia count) or ``RuntimeError`` is
+    raised.  Values ascend; vectors are orthonormal, each with the sign the
+    solver returned.  The inertia count proves that every eigenvalue not
+    returned lies at or above ``_inertia_floor(op, values[-1])``.
+    ``clamped_spectrum_fd`` solves each parity block of the clamped matrix
+    here and reads that floor as its coverage certificate: no block may hide
+    an eigenvalue at or below the merged k-th value; the merged values agree
+    with a solve of the full operator to 1e-10 relative.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k={k} outside 1..{op.dim}")
-    if 3 * k > op.dim:
-        vectors = np.linalg.eigh(op.toarray())[1][:, :k]
-    else:
-        vectors = _lanczos(op.form, k)
+    vectors = _lanczos(op.form, k)
     values = _rayleigh_quotients(op, vectors)
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], vectors[:, order]
@@ -468,6 +453,9 @@ def _lanczos(form: SineForm, k: int) -> np.ndarray:
     """Ritz vectors (dim x k) of the k largest eigenvalues of A^-1, that is
     of the k smallest of A, by a block Lanczos of block size 2 with full
     reorthogonalisation, run in sine coordinates on ``form.inverse()``.
+    When 3 k > dim there is no iteration and no inverse: the Rayleigh-Ritz
+    step below runs on the whole sine basis, the identity, which is the
+    space a Krylov run would reach at full span.
 
     The start block is closed form: two additive-recurrence (Weyl)
     sequences frac(i phi) - 1/2, phi the golden ratio, which have no
@@ -483,15 +471,17 @@ def _lanczos(form: SineForm, k: int) -> np.ndarray:
     basis spans the block.
 
     The vectors returned are those of a Rayleigh-Ritz step with A itself
-    (``form.apply``) on the whole Krylov basis.  The Ritz vectors of A^-1
+    (``_rayleigh_ritz``) on the whole Krylov basis.  The Ritz vectors of A^-1
     carry errors of order eps/lambda_1 from its rounding, which A magnifies
     by lambda_k/lambda_1 in the residual, past the RESIDUAL_TOL bound when
     k is near a third of the dimension of the 39^2 to 63^2 blocks of the
     square; the vectors of the A step meet it.
     """
-    solve = form.inverse()
     shape = form.diag.shape
     dim = form.diag.size
+    if 3 * k > dim:
+        return _rayleigh_ritz(form, np.eye(dim), k)
+    solve = form.inverse()
     weyl = (np.arange(1, 2 * dim + 1) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0 - 0.5
     start = solve(weyl.reshape(2, *shape)).reshape(2, dim)
     basis = np.empty((min(dim, 4 * k + 8), dim))
@@ -526,14 +516,21 @@ def _lanczos(form: SineForm, k: int) -> np.ndarray:
         last, _, beta = steps[-1]
         residual = np.linalg.norm(beta @ s[last:], axis=0)
         if not grow or (residual <= LANCZOS_TOL * theta).all():
-            krylov = basis[:done]
-            image = form.apply(krylov.reshape(done, *shape)).reshape(done, dim)
-            # two rows at a time, like the products of the Lanczos steps: a
-            # square product's bits depend on the BLAS thread count
-            gram = np.concatenate([image[i:i + 2] @ krylov.T for i in range(0, done, 2)])
-            rotation = np.linalg.eigh((gram + gram.T) / 2.0)[1][:, :k]
-            return form.to_grid((rotation.T @ krylov).reshape(k, *shape))
+            return _rayleigh_ritz(form, basis[:done], k)
         check = done + max(2, done // 8)
+
+
+def _rayleigh_ritz(form: SineForm, basis: np.ndarray, k: int) -> np.ndarray:
+    """Grid vectors (dim x k) of the k smallest Ritz pairs of A (``form.apply``)
+    on the span of the orthonormal rows of ``basis``, in sine coordinates."""
+    size, dim = basis.shape
+    shape = form.diag.shape
+    image = form.apply(basis.reshape(size, *shape)).reshape(size, dim)
+    # two rows at a time, like the products of the Lanczos steps: a square
+    # product's bits depend on the BLAS thread count
+    gram = np.concatenate([image[i:i + 2] @ basis.T for i in range(0, size, 2)])
+    rotation = np.linalg.eigh((gram + gram.T) / 2.0)[1][:, :k]
+    return form.to_grid((rotation.T @ basis).reshape(k, *shape))
 
 
 def _rayleigh_quotients(op: DiscreteOperator, vectors: np.ndarray) -> np.ndarray:
@@ -621,7 +618,7 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
     ``assemble_clamped_bilaplacian(grid, parity)``, each of at most
     ceil(n/2)^2 unknowns.  Each block goes through ``smallest_eigs`` (residual
     bound and inertia count, both through the block's ``SineForm``: a
-    Woodbury inverse for the Lanczos path and a Haynsworth count of the
+    Woodbury inverse for the Krylov basis and a Haynsworth count of the
     exact operator, so nothing is factorised); the values are merged and
     the smallest k kept.
     Coverage is certified, not assumed: a block solved short of its

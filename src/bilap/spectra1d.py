@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import BoundReport, InputError, Spectrum
+from .core import BoundReport, InputError, Spectrum, check_length
 from .roots1d import gamma_value
 
 __all__ = [
@@ -60,14 +60,12 @@ def _root_index(pair: tuple[int, int], n: int) -> int:
 
 def spectrum_1d(pair: tuple[int, int], count: int, length: float = 1.0) -> Spectrum:
     """First ``count`` eigenvalues of the (i,j) problem on [0, L], at most
-    MAX_COUNT of them."""
+    MAX_COUNT of them; ``length`` obeys ``core.check_length``."""
     pair = _check_pair(pair)
     if count < 1:
         raise InputError(f"count={count} must be >= 1")
     _check_count(count)
-    if not (0.0 < length < math.inf):
-        raise InputError(f"length={length} must be positive and finite")
-    scale = length ** -4
+    scale = check_length(length) ** -4
     values = []
     for n in range(1, count + 1):
         if pair == (0, 2):
@@ -91,13 +89,12 @@ def count_reaching(z: float, length: float = 1.0) -> int:
     n - 2 >= L z^(1/4) / pi.  The margin in the root scale is far above
     rounding.  The count exceeds the shortest covering one by at most three
     (pair (0,1), whose n-th root lies below pi (n + 1/2) + 0.02).
-    ``InputError`` when the count exceeds MAX_COUNT.
+    ``InputError`` when the count exceeds MAX_COUNT or ``length`` breaks
+    ``core.check_length``.
     """
     if not (0.0 <= z < math.inf):
         raise InputError(f"z={z} must be finite and >= 0")
-    if not (length > 0.0):
-        raise InputError(f"length={length} must be positive")
-    return _check_count(math.ceil(length * z ** 0.25 / math.pi) + 2)
+    return _check_count(math.ceil(check_length(length) * z ** 0.25 / math.pi) + 2)
 
 
 def identity_check(n_max: int) -> list[BoundReport]:

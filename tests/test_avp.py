@@ -322,8 +322,8 @@ class TestMollifiedProfile:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_cli_runs_leave_scipy_solvers_and_numpy_random_out(self, tmp_path):
-        # the FD layer is numpy alone: `all` (the Lanczos path), `eig2d` at
-        # 24^2 and k = 400 (the dense path) and `compare`; the Lanczos start
+        # the FD layer is numpy alone: `all` (Krylov bases), `eig2d` at
+        # 24^2 and k = 400 (whole-basis blocks) and `compare`; the Lanczos start
         # block is closed form, so numpy.random stays out too.  Neither a
         # CSV nor a JSON report loads any scipy module, and a JSON meta
         # records no scipy version

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilap import avp, checks, cli, eig2d
+from bilap import avp, checks, cli, eig2d, spectra1d
 from bilap.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -34,7 +34,7 @@ from bilap.cli import (
     spectrum_cache_key,
     write_report,
 )
-from bilap.core import BoundReport, DomainSpec, Spectrum
+from bilap.core import MAX_LENGTH, MIN_LENGTH, BoundReport, DomainSpec, InputError, Spectrum
 from bilap.spectra1d import spectrum_1d
 
 # The benchmark's reference reports and row comparison, read-only.
@@ -69,8 +69,13 @@ class TestParsing:
             parse_range("1:10:zlog")
 
 
-# positive finite lengths, written by their exact repr
-lengths = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# admissible lengths (core.check_length), written by their exact repr, and
+# positive finite lengths on both sides of that range: any of them, its ends
+# and the floats next to its ends
+lengths = st.floats(MIN_LENGTH, MAX_LENGTH)
+range_ends = st.sampled_from([MIN_LENGTH, MAX_LENGTH]).flatmap(
+    lambda s: st.sampled_from([math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)]))
+any_lengths = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | range_ends
 float_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1).map(
     lambda v: (v, ",".join(map(repr, v))))
 grid_specs = st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.integers(2, 50),
@@ -82,11 +87,16 @@ junk = st.text(alphabet="xyz#@!?;/", min_size=1, max_size=4)
 
 
 class TestParserProperties:
-    @given(a=lengths, b=lengths)
+    @given(a=any_lengths | lengths, b=lengths)
     def test_domain_round_trip(self, a, b):
-        assert parse_domain(f"interval:{a!r}").lengths == (a,)
-        assert parse_domain(f"square:{a!r}").lengths == (a, a)
-        assert parse_domain(f"rect:{a!r}x{b!r}").lengths == (a, b)
+        if MIN_LENGTH <= a <= MAX_LENGTH:
+            assert parse_domain(f"interval:{a!r}").lengths == (a,)
+            assert parse_domain(f"square:{a!r}").lengths == (a, a)
+            assert parse_domain(f"rect:{a!r}x{b!r}").lengths == (a, b)
+        else:
+            for spec in (f"interval:{a!r}", f"square:{a!r}", f"rect:{b!r}x{a!r}"):
+                with pytest.raises(InputError, match="outside"):
+                    parse_domain(spec)
 
     @given(side=lengths, shape=st.sampled_from(["interval:", "square:", "rect:1.0x"]),
            tail=junk)
@@ -339,9 +349,9 @@ class TestSpectrumCache:
            values=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                            min_size=1, max_size=8).map(sorted))
     def test_round_trip_under_arbitrary_lengths(self, data, lx, ly, n, values):
-        def nearby(s):  # s itself, the next finite float up, or any length
+        def nearby(s):  # s itself, the next admissible float up, or any length
             up = math.nextafter(s, math.inf)
-            return data.draw(st.sampled_from([s, up] if math.isfinite(up) else [s]) | lengths)
+            return data.draw(st.sampled_from([s, up] if up <= MAX_LENGTH else [s]) | lengths)
 
         k = len(values)
         key = spectrum_cache_key(DomainSpec.rectangle(lx, ly), n, k)
@@ -574,6 +584,20 @@ class TestMain:
         ["avp", "--grid-res", "1025"],
         ["avp", "--h", "9.6e-5"],
         ["avp", "--h", "5e-324"],  # h / grid_res rounds to 0
+        # past avp.MAX_RIESZ_Z, where (z - lap ratio)^(d/4+1) overflowed
+        ["avp", "--z", "1e206"],
+        # lengths outside [core.MIN_LENGTH, core.MAX_LENGTH], whose powers
+        # overflowed or underflowed to a division by zero
+        ["avp", "--domain", "rect:1e-300x1"],
+        ["avp", "--domain", "interval:1e-300"],
+        ["avp", "--domain", "rect:1e300x1e300", "--k", "1"],
+        ["predict", "--k", "1..3", "--domain", "rect:1e-300x1"],
+        ["spectrum1d", "--length", "1e-100"],
+        ["eig2d", "--domain", "rect:1e-300x1", "--grids", "4", "--k", "2"],
+        ["compare", "--domain", "rect:1e-100x1", "--grids", "4,8", "--k", "2"],
+        # ranges longer than cli.MAX_RANGE_VALUES, refused before they are built
+        ["riesz1d", "--z", "1:2:100000000000lin"],
+        ["avp", "--k", "1..100000000000"],
     ])
     def test_invalid_flag_values_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -593,9 +617,10 @@ class TestMain:
         assert err == [f"bilap: internal error: {type(exc).__name__}: {exc}"]
         assert not out.exists()
 
-    def test_overflow_exits_3(self, capsys):
-        # the scale length ** -4 overflows a float
-        assert main(["spectrum1d", "--length", "1e-300", "--count", "2"]) == 3
+    def test_overflow_exits_3(self, capsys, monkeypatch):
+        # a root of 1e300 makes gamma ** 4 overflow a float
+        monkeypatch.setattr(spectra1d, "gamma_value", lambda n: 1e300)
+        assert main(["spectrum1d", "--pair", "0,1", "--count", "2"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("bilap: internal error: OverflowError:")
 

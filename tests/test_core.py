@@ -15,6 +15,8 @@ from bilap.core import (
     BCKind,
     BoundaryCondition,
     BoundReport,
+    MAX_LENGTH,
+    MIN_LENGTH,
     DomainSpec,
     InputError,
     Spectrum,
@@ -89,11 +91,15 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec.rectangle(1.0, math.inf)
 
+    # any float, admissible lengths, and the ends of the admissible range
+    # with their neighbours
     @given(shape=st.sampled_from(["interval", "rectangle", "disc", ""]),
-           lengths=st.lists(st.floats(), max_size=3))
+           lengths=st.lists(st.floats() | st.floats(MIN_LENGTH, MAX_LENGTH) | st.sampled_from(
+               [math.nextafter(s, t) for s in (MIN_LENGTH, MAX_LENGTH)
+                for t in (0.0, s, math.inf)]), max_size=3))
     def test_validation(self, shape, lengths):
         arity = {"interval": 1, "rectangle": 2}.get(shape)
-        if len(lengths) == arity and all(0.0 < s < math.inf for s in lengths):
+        if len(lengths) == arity and all(MIN_LENGTH <= s <= MAX_LENGTH for s in lengths):
             dom = DomainSpec(shape, tuple(lengths))
             assert dom.dimension == arity
             assert dom.volume == math.prod(lengths)

@@ -137,6 +137,12 @@ class TestAssembly:
         assert np.abs(np.sort(v_lap ** 2) - v_sq).max() <= 1e-8 * v_sq[-1]
 
 
+def _dense_quotients(op: DiscreteOperator, k: int) -> np.ndarray:
+    """The k smallest Rayleigh quotients of a dense solve's vectors of a block."""
+    vectors = np.linalg.eigh(fd_oracle.to_sparse(op).toarray())[1][:, :k]
+    return np.sort(eig2d._rayleigh_quotients(op, vectors))
+
+
 class TestSolver:
     def test_discrete_laplacian_closed_form(self, unit_square):
         grid = Grid2D(14, 11, unit_square)
@@ -182,7 +188,7 @@ class TestSolver:
 
     def test_sparse_path_matches_dense(self, unit_square):
         op = assemble_clamped_bilaplacian(Grid2D(18, 18, unit_square), (1, -1))
-        dense_vals = np.linalg.eigvalsh(op.toarray())[:6]
+        dense_vals = np.linalg.eigvalsh(fd_oracle.to_sparse(op).toarray())[:6]
         sparse_vals, _ = smallest_eigs(op, 6)
         assert (np.abs(dense_vals - sparse_vals) / dense_vals).max() <= 1e-10
 
@@ -193,7 +199,7 @@ class TestSolver:
         op = assemble_clamped_bilaplacian(Grid2D(n, n, unit_square), parity)
         assert 3 * k <= op.dim < 3 * k + 3
         values, _ = smallest_eigs(op, k)
-        dense = np.sort(eig2d._rayleigh_quotients(op, np.linalg.eigh(op.toarray())[1][:, :k]))
+        dense = _dense_quotients(op, k)
         assert (np.abs(values - dense) / dense).max() <= 1e-12
 
     @pytest.mark.parametrize("n, k", [(32, 50), (48, 100)])
@@ -353,8 +359,9 @@ class TestParityBlocks:
         block = assemble_clamped_bilaplacian(grid, (px, py))
         assert block.parity == (px, py)
         oracle = q.T @ full.matrix.toarray() @ q
-        assert np.abs(block.toarray() - oracle).max() <= 1e-12 * full.norm_inf()
-        assert block.norm_inf() == np.abs(block.toarray()).sum(axis=1).max()
+        dense = fd_oracle.to_sparse(block).toarray()
+        assert np.abs(dense - oracle).max() <= 1e-12 * full.norm_inf()
+        assert block.norm_inf() == np.abs(dense).sum(axis=1).max()
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 20), lx=st.floats(0.5, 2.0), ly=st.floats(0.5, 2.0),
@@ -409,25 +416,31 @@ class TestParityBlocks:
         values = clamped_spectrum_fd(unit_square, n, checks.FD_MODES).values
         assert len(values) == checks.FD_MODES
 
+    @staticmethod
+    def _counted_inverses(monkeypatch) -> list[int]:
+        calls = []
+        inverse = eig2d.SineForm.inverse
+
+        def counted(form):
+            calls.append(form.diag.size)
+            return inverse(form)
+
+        monkeypatch.setattr(eig2d.SineForm, "inverse", counted)
+        return calls
+
     @pytest.mark.parametrize("k", [100, 10])
     def test_blocks_with_a_form_skip_dense_lapack(self, monkeypatch, k):
-        # the 48^2 blocks have 576 unknowns, under DENSE_LIMIT, but a sine form
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense block")
-
-        monkeypatch.setattr(DiscreteOperator, "toarray", refuse)
+        # the 48^2 blocks have 576 unknowns and are asked for at most a third
+        # of them, so each runs the Krylov iteration on its Woodbury inverse
+        inverses = self._counted_inverses(monkeypatch)
+        solved = self._solved_blocks(monkeypatch)
         values = clamped_spectrum_fd(DomainSpec.rectangle(1.0, 1.65), 48, k).values
         assert len(values) == k
+        assert len(inverses) == len(solved) >= 4
+        assert all(3 * len(block_values) <= op.dim for op, block_values, _ in solved)
 
-    @pytest.mark.parametrize("n, k", [(16, 200), (24, 400)])
-    def test_blocks_asked_for_a_third_go_dense_and_are_polished(self, monkeypatch, n, k):
-        dense = []
-        toarray = DiscreteOperator.toarray
-
-        def counted(op):
-            dense.append(op.dim)
-            return toarray(op)
-
+    @staticmethod
+    def _solved_blocks(monkeypatch) -> list[tuple[DiscreteOperator, np.ndarray, np.ndarray]]:
         solved = []
         solve = eig2d.smallest_eigs
 
@@ -436,17 +449,33 @@ class TestParityBlocks:
             solved.append((op, values, vectors))
             return values, vectors
 
-        monkeypatch.setattr(DiscreteOperator, "toarray", counted)
         monkeypatch.setattr(eig2d, "smallest_eigs", recorded)
+        return solved
+
+    @pytest.mark.parametrize("n, k", [(16, 200), (24, 400)])
+    def test_blocks_asked_for_a_third_take_the_whole_basis(self, monkeypatch, n, k):
+        # no Krylov iteration, so no Woodbury inverse is built
+        inverses = self._counted_inverses(monkeypatch)
+        solved = self._solved_blocks(monkeypatch)
         clamped_spectrum_fd(DomainSpec.rectangle(1.0, 1.65), n, k)
-        assert len(dense) == len(solved) >= 4
+        assert len(solved) >= 4 and not inverses
         for op, values, vectors in solved:
             assert 3 * len(values) > op.dim
             np.testing.assert_array_equal(values, eig2d._rayleigh_quotients(op, vectors))
 
+    @pytest.mark.parametrize("n, k", [(16, 200), (24, 400)])
+    def test_whole_basis_blocks_match_dense(self, monkeypatch, n, k):
+        # the whole-basis step against the quotients of a dense solve's vectors
+        solved = self._solved_blocks(monkeypatch)
+        clamped_spectrum_fd(DomainSpec.rectangle(1.0, 1.65), n, k)
+        for op, values, _ in solved:
+            dense = _dense_quotients(op, len(values))
+            assert (np.abs(values - dense) / dense).max() <= 1e-12
+
     @pytest.mark.parametrize("n, k, rtol", [(48, 100, 0.0), (24, 400, 1e-15)])
     def test_block_values_barely_depend_on_the_blas_thread_count(self, n, k, rtol):
-        # 48^2 blocks take the Lanczos path, 24^2 blocks at k = 400 the dense one
+        # 48^2 blocks run the Krylov iteration, 24^2 blocks at k = 400 take
+        # the whole sine basis
         code = ("import json; from bilap.core import DomainSpec; "
                 "from bilap.eig2d import clamped_spectrum_fd; "
                 "print(json.dumps(clamped_spectrum_fd(DomainSpec.rectangle(1.0, 1.6), "
@@ -509,7 +538,7 @@ class TestSineForm:
         ``_inertia_shift`` keeps that margin below the largest returned value."""
         op = assemble_clamped_bilaplacian(Grid2D(n, n, DomainSpec.rectangle(1.0, aspect)),
                                           (px, py))
-        values = np.linalg.eigvalsh(op.toarray())
+        values = np.linalg.eigvalsh(fd_oracle.to_sparse(op).toarray())
         near = [v * (1.0 + s * 1e-8) for v in values[:10] for s in (-1, 1)]
         clear = [sigma for sigma in (u * values[-1] for u in drawn)
                  if np.all(np.abs(values - sigma) > 1e-8 * values)]
