@@ -14,8 +14,8 @@ keyed on the exact domain, grid and mode count.  Exit codes:
 of the layer function it reaches), a ``ConfigError`` (a rule of the command
 line alone: flag syntax, the ``MAX_RANGE_VALUES`` cap on range flags, config
 keys and values, the ``roots --n`` cap, ``compare``'s grid pair, ``--a``
-with Dirichlet) or an ``OSError``, found
-before any report is written, 3 internal error: any other exception.
+with Dirichlet) or an ``OSError``, found before any report is written,
+3 internal error: any other exception.
 Each argument rule is stated once, by the function that receives the
 value; the subcommands pass flags on unchecked.
 Reported-only rows never affect the exit code.  Two runs with the same
@@ -80,8 +80,8 @@ log = logging.getLogger("bilap")
 
 CSV_COLUMNS = ("check", "param1", "param2", "lhs", "rhs", "margin", "holds", "paper_ref")
 # The most values a range flag expands to.  10^5 values already take
-# seconds and hundreds of MB in `avp`, `predict` and `riesz1d`; the
-# benchmark's longest list has 2,000.
+# 3-4 s and 170-180 MB in `predict --k` and `riesz1d --z` (2-CPU machine);
+# the benchmark's longest list has 2,000.
 MAX_RANGE_VALUES = 10 ** 5
 
 
