@@ -4,29 +4,25 @@ Young-inequality route to two-sided Neumann bounds.
 
 Two trial families are built: the quartic bump supported in the inscribed
 ball (closed-form norms) and the mollified inner-collar indicator
-phi_h = 1_{h/2} * eta_{h/2} (grid convolution norms with a recorded
-Richardson error estimate).  On a rectangle the collar indicator is the
-tensor product of two interval indicators, so each sampled field is the
-convolution Ta @ K @ Tb.T of a small kernel K with their windows, and each
-trapezoid norm of it is a quadratic form in the two 1D Gram matrices of the
-windows (about 97 x 97); no field over the grid is formed.  Every bound
-below is an assertable inequality against an exact 1D or finite-difference
-2D spectrum.
+phi_h = 1_{h/2} * eta_{h/2} (trapezoid norms of a sampled convolution).  On
+a rectangle the collar indicator is the tensor product of two interval
+indicators, so each sampled field is the convolution Ta @ K @ Tb.T of a
+small kernel K with their windows, and each trapezoid norm of it is a
+quadratic form in the two 1D Gram matrices of the windows (about 97 x 97);
+no field over the grid is formed.  Every bound below is an assertable
+inequality against an exact 1D or finite-difference 2D spectrum.
 
-The recorded error estimate compares trapezoid sums of the same sampled
-fields on the grid and on its [::2, ::2] subgrid, so it reads quadrature
-round-off (about 1e-16), not the error of sampling the convolution itself.
-On the unit square at h = 0.1, ``lap_l2_sq`` moves 3.9% between
+The sampled norms carry no error estimate, and the bounds read them as they
+are.  On the unit square at h = 0.1, ``lap_l2_sq`` moves 3.9% between
 ``grid_res`` 96 and 384, ``grad_l2_sq`` 5.8e-5 and ``l2_sq`` 5.9e-6, the
 96-point ``l2_sq`` being the larger (the non-conservative direction for
-``rho`` and the R_1 lower bound).  The rows use the 96-point norms as they
-are.
+``rho`` and the R_1 lower bound).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,13 +33,13 @@ from .core import (
     DomainSpec,
     InputError,
     Spectrum,
+    check_index,
     dimensional_constants,
     tube_volume,
 )
 
 __all__ = [
     "TestFunctionProfile",
-    "ResolutionError",
     "inscribed_ball_profile",
     "mollified_indicator_profile",
     "avg_upper_bound",
@@ -66,8 +62,6 @@ __all__ = [
 
 EPSILON_DEFAULT = math.sqrt(2.0)
 
-MAX_QUADRATURE_REL_ERR = 1e-4
-
 # Size limits of the sampled collar profile.  Its kernel arrays have sides of
 # at most grid_res + 3 points, so about (grid_res + 3)^2 entries each, and
 # each sampled axis has about L grid_res / h points.  At both limits at once
@@ -80,21 +74,14 @@ MAX_AXIS_SAMPLES = 10 ** 6
 MAX_RIESZ_Z = 1e150
 
 
-class ResolutionError(RuntimeError):
-    """Grid quadrature error estimate exceeded the admissible 1e-4."""
-
-
 @dataclass(frozen=True)
 class TestFunctionProfile:
-    """Concrete trial function with certified squared norms.
+    """Concrete trial function with its squared norms.
 
-    The fields are the measured squared norms and sup only; the dimension
-    ``d`` and the density ``rho`` = ||phi||_2^2 / (|Omega| ||phi||_inf^2),
-    which must stay below 1 for the average bound, are derived from them.
-    Quadrature-backed profiles carry the Richardson relative error estimate
-    (closed forms carry 0); ``pessimistic()`` shrinks the L2 mass and
-    inflates the gradient/Laplacian masses by that estimate so that any
-    bound evaluated from the adjusted profile errs on the conservative side.
+    The fields are the squared norms and sup only, in closed form or
+    sampled; the dimension ``d`` and the density
+    ``rho`` = ||phi||_2^2 / (|Omega| ||phi||_inf^2), which must stay below 1
+    for the average bound, are derived from them.
     """
 
     __test__ = False  # not a pytest class, despite the Test* name
@@ -105,7 +92,6 @@ class TestFunctionProfile:
     grad_l2_sq: float
     lap_l2_sq: float
     sup_sq: float
-    est_rel_err: float = 0.0
 
     @property
     def d(self) -> int:
@@ -122,17 +108,6 @@ class TestFunctionProfile:
     @property
     def lap_ratio(self) -> float:
         return self.lap_l2_sq / self.l2_sq
-
-    def pessimistic(self) -> "TestFunctionProfile":
-        if self.est_rel_err == 0.0:
-            return self
-        e = self.est_rel_err
-        return replace(
-            self,
-            l2_sq=self.l2_sq * (1.0 - e),
-            grad_l2_sq=self.grad_l2_sq * (1.0 + e),
-            lap_l2_sq=self.lap_l2_sq * (1.0 + e),
-        )
 
 
 def inscribed_ball_profile(dom: DomainSpec) -> TestFunctionProfile:
@@ -180,26 +155,26 @@ def _kernel_samples(h2: float, dx: float, dy: float) -> tuple[np.ndarray, np.nda
     return eta, gx, gy, lap
 
 
-def _window_gram(inside: np.ndarray, half: int, step: float, stride: int) -> np.ndarray:
+def _window_gram(inside: np.ndarray, half: int, step: float) -> np.ndarray:
     """T.T @ diag(w) @ T for the windows T[x, i] = inside[x - i + half] (zero
-    out of range) of the points x = 0, stride, 2 stride, ... and their
-    trapezoid weights w at spacing stride * step.
+    out of range) of the grid points x and their trapezoid weights w at
+    spacing ``step``.
 
     ``inside`` is one run of ones [first, last], so the points whose window
     holds ones at both i and j are x in [first + max(i, j) - half,
     last + min(i, j) - half].  Their weights are summed as integers in units
-    of stride * step / 2, so each entry is rounded once.
+    of step / 2, so each entry is rounded once.
     """
     first, last = np.flatnonzero(inside)[[0, -1]]
-    points = (len(inside) - 1) // stride + 1
+    points = len(inside)
     units = np.full(points, 2)
     units[0] -= 1
     units[-1] -= 1
     cum = np.concatenate(([0], np.cumsum(units)))
     i = np.arange(2 * half + 1)
-    lo = np.clip(-((half - first - np.maximum.outer(i, i)) // stride), 0, points)
-    hi = np.clip((last - half + np.minimum.outer(i, i)) // stride + 1, 0, points)
-    return np.maximum(cum[hi] - cum[lo], 0) * (0.5 * stride * step)
+    lo = np.clip(first - half + np.maximum.outer(i, i), 0, points)
+    hi = np.clip(last - half + np.minimum.outer(i, i) + 1, 0, points)
+    return np.maximum(cum[hi] - cum[lo], 0) * (0.5 * step)
 
 
 def _centre_line(a: np.ndarray, b: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -220,9 +195,9 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
     of min(x, lx - x) > h/2 and min(y, ly - y) > h/2, so phi and its sampled
     derivatives are F = Ta @ K @ Tb.T for each kernel K, with Ta, Tb the
     convolution windows of a, b.  A trapezoid norm sum w_x w_y F^2 is then
-    sum(Ga * (K @ Gb @ K.T)) in the windows' Gram matrices (``_window_gram``),
-    taken on the grid, which resolves h with ``grid_res`` points, and on its
-    [::2, ::2] subgrid for the Richardson error estimate.
+    sum(Ga * (K @ Gb @ K.T)) in the windows' Gram matrices (``_window_gram``)
+    on the grid, which resolves h with ``grid_res`` points.  The norms carry
+    no error estimate (see the module docstring).
 
     Construction verifies eta >= 0, so 0 <= phi <= 1 once eta has unit mass.
     Each window sum of the symmetric, radially decreasing eta falls as the
@@ -266,26 +241,15 @@ def mollified_indicator_profile(dom: DomainSpec, h: float,
     if inner.size and abs(inner - 1.0).max() > 1e-10:
         raise AssertionError("phi != 1 on the inner region away from the collar")
 
-    # the grid (stride 1) and its [::2, ::2] subgrid
-    grams = [(_window_gram(ax, kx, dx, s), _window_gram(ay, ky, dy, s)) for s in (1, 2)]
-    norms = {}
-    errs = {}
-    for name, kernels in (("l2", (eta,)), ("grad", (gx_k, gy_k)), ("lap", (lap_k,))):
-        scaled = [k * scale for k in kernels]
-        value, rough = (sum(float(np.sum(ga * (k @ gb @ k.T))) for k in scaled)
-                        for ga, gb in grams)
-        norms[name] = value
-        errs[name] = abs(value - rough) / (3.0 * abs(value)) if value != 0.0 else 0.0
-    est = max(errs.values())
-    if est > MAX_QUADRATURE_REL_ERR:
-        raise ResolutionError(
-            f"quadrature error estimate {est:.2e} exceeds {MAX_QUADRATURE_REL_ERR}; "
-            f"raise grid_res (currently {grid_res})")
+    ga, gb = _window_gram(ax, kx, dx), _window_gram(ay, ky, dy)
+
+    def norm(*kernels: np.ndarray) -> float:
+        return sum(float(np.sum(ga * (k @ gb @ k.T))) for k in kernels)
 
     return TestFunctionProfile(
-        kind="mollified_indicator", dom=dom,
-        l2_sq=norms["l2"], grad_l2_sq=norms["grad"], lap_l2_sq=norms["lap"],
-        sup_sq=float(max(line.max() for line in lines)) ** 2, est_rel_err=est,
+        kind="mollified_indicator", dom=dom, l2_sq=norm(unit_eta),
+        grad_l2_sq=norm(gx_k * scale, gy_k * scale), lap_l2_sq=norm(lap_k * scale),
+        sup_sq=float(max(line.max() for line in lines)) ** 2,
     )
 
 
@@ -302,18 +266,16 @@ def avg_upper_bound(profile: TestFunctionProfile, k: int) -> float:
     Valid for the clamped average and, by eigenvalue comparison, for the
     Navier and Kuttler-Sigillito averages as well.
     """
-    if k < 1:
-        raise InputError(f"k={k} must be >= 1")
-    p = profile.pessimistic()
-    rho = p.rho
+    check_index(k)
+    rho = profile.rho
     if not (rho < 1.0):
         raise ValueError(f"profile density rho={rho} must be < 1")
-    d = p.d
+    d = profile.d
     dc = dimensional_constants(d)
-    kv = k / p.dom.volume
+    kv = k / profile.dom.volume
     return (d / (d + 4.0) * dc.classical ** 2 * kv ** (4.0 / d) * rho ** (-4.0 / d)
-            + 2.0 * p.grad_ratio * dc.classical * kv ** (2.0 / d) * rho ** (-2.0 / d)
-            + p.lap_ratio)
+            + 2.0 * profile.grad_ratio * dc.classical * kv ** (2.0 / d) * rho ** (-2.0 / d)
+            + profile.lap_ratio)
 
 
 def riesz_lower_bound(profile: TestFunctionProfile, z: float) -> float:
@@ -328,15 +290,14 @@ def riesz_lower_bound(profile: TestFunctionProfile, z: float) -> float:
     """
     if not (0.0 < z <= MAX_RIESZ_Z):
         raise InputError(f"z={z} outside (0, {MAX_RIESZ_Z:g}]")
-    p = profile.pessimistic()
-    if p.sup_sq > 1.0 + 1e-12:
+    if profile.sup_sq > 1.0 + 1e-12:
         raise ValueError("the R_1 corollary needs a profile with sup |phi| <= 1")
-    d = p.d
+    d = profile.d
     dc = dimensional_constants(d)
-    shifted = max(0.0, z - p.lap_ratio)
+    shifted = max(0.0, z - profile.lap_ratio)
     pref = (2.0 * math.pi) ** -d * dc.ball_volume
-    return (4.0 / (d + 4.0) * pref * p.l2_sq * shifted ** (d / 4.0 + 1.0)
-            - 2.0 * pref * p.grad_l2_sq * shifted ** (d / 4.0 + 0.5))
+    return (4.0 / (d + 4.0) * pref * profile.l2_sq * shifted ** (d / 4.0 + 1.0)
+            - 2.0 * pref * profile.grad_l2_sq * shifted ** (d / 4.0 + 0.5))
 
 
 def partition_lower_bound(profile: TestFunctionProfile, t: float) -> tuple[float, float]:
@@ -348,20 +309,20 @@ def partition_lower_bound(profile: TestFunctionProfile, t: float) -> tuple[float
     """
     if not (0.0 < t < math.inf):
         raise InputError(f"t={t} must be positive and finite")
-    p = profile.pessimistic()
-    d = p.d
+    d = profile.d
     dc = dimensional_constants(d)
     pref = (2.0 * math.pi) ** -d * dc.ball_volume
     g_main = math.gamma(2.0 + d / 4.0)
     g_grad = math.gamma(1.5 + d / 4.0)
-    damp = math.exp(-p.lap_ratio * t)
-    weighted = (4.0 / (d + 4.0) * pref * g_main * p.l2_sq * damp * t ** (-d / 4.0)
-                - 2.0 * pref * g_grad * p.grad_l2_sq * damp * t ** (0.5 - d / 4.0))
-    vol = p.dom.volume
+    damp = math.exp(-profile.lap_ratio * t)
+    weighted = (4.0 / (d + 4.0) * pref * g_main * profile.l2_sq * damp * t ** (-d / 4.0)
+                - 2.0 * pref * g_grad * profile.grad_l2_sq * damp * t ** (0.5 - d / 4.0))
+    vol = profile.dom.volume
     unweighted = (4.0 / (d + 4.0) * pref * g_main * t ** (-d / 4.0) * vol
                   - 4.0 / (d + 4.0) * pref * g_main * t ** (-d / 4.0)
-                  * ((t * p.lap_l2_sq + vol * p.sup_sq - p.l2_sq) / p.sup_sq)
-                  - 2.0 * pref * g_grad * p.grad_ratio * t ** (0.5 - d / 4.0))
+                  * ((t * profile.lap_l2_sq + vol * profile.sup_sq - profile.l2_sq)
+                     / profile.sup_sq)
+                  - 2.0 * pref * g_grad * profile.grad_ratio * t ** (0.5 - d / 4.0))
     return weighted, unweighted
 
 
@@ -389,8 +350,9 @@ def step_average_bound(dom: DomainSpec, k: int, h: float) -> float:
     ``DomainSpec`` makes d = 1 or 2, where the derivation replaces the
     Bernoulli step (its d >= 4 route) by the factored density estimate.
     """
+    check_index(k)
     if not (0.0 < h <= dom.inradius):
-        raise ValueError(f"h={h} outside (0, inradius]")
+        raise InputError(f"h={h} outside (0, inradius={dom.inradius}]")
     d = dom.dimension
     dc = dimensional_constants(d)
     vol = dom.volume
@@ -431,8 +393,7 @@ def explicit_sum_bound(dom: DomainSpec, k: int,
     Raises ``InputError`` when k lies below ``explicit_sum_threshold(dom, eps)``,
     where h(k) would exceed the inradius.
     """
-    if k < 1:
-        raise InputError(f"k={k} must be >= 1")
+    check_index(k)
     threshold = explicit_sum_threshold(dom, eps)
     if k < threshold:
         raise InputError(
@@ -455,8 +416,7 @@ def individual_bounds(dom: DomainSpec, k: int) -> tuple[float, float]:
     therefore Lambda_k as well) from above.  The second-term constant A is
     that of the explicit sum bound, ``second_term_coefficient(dom)``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_index(k)
     d, A = dom.dimension, second_term_coefficient(dom)
     dc = dimensional_constants(d)
     vol = dom.volume
@@ -547,7 +507,7 @@ def young_refined(p: float, x: float) -> tuple[float, float]:
     """(y, bound) with y = (p+1) x - p - x^(p+1) and bound = -p (1-sqrt(x))^2;
     the sharpened Young inequality asserts y <= bound."""
     if p < 0.0 or x < 0.0:
-        raise ValueError("p and x must be >= 0")
+        raise InputError(f"p={p} and x={x} must be >= 0")
     y = (p + 1.0) * x - p - x ** (p + 1.0)
     return y, -p * (1.0 - math.sqrt(x)) ** 2
 

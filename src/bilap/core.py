@@ -19,6 +19,8 @@ __all__ = [
     "MIN_LENGTH",
     "MAX_LENGTH",
     "check_length",
+    "MAX_INDEX",
+    "check_index",
     "BCKind",
     "BoundaryCondition",
     "DomainSpec",
@@ -64,6 +66,31 @@ def check_length(length: float) -> float:
     if not (MIN_LENGTH <= length <= MAX_LENGTH):
         raise InputError(f"length {length!r} outside [{MIN_LENGTH:g}, {MAX_LENGTH:g}]")
     return length
+
+
+# The largest eigenvalue index of the averaged and predicted bounds (``check_index``).
+MAX_INDEX = 10 ** 20
+
+
+def check_index(k: int) -> int:
+    """``k`` unless it lies outside 1..MAX_INDEX: then ``InputError``.  This
+    is the one rule on the eigenvalue index k of the bounds that take powers
+    of it: ``avp``'s average, explicit-sum and individual bounds and
+    ``semiclassical``'s predictors.
+
+    Over lengths in [MIN_LENGTH, MAX_LENGTH] the largest of them is the
+    k^(7/(2d)) term of ``avp.individual_bounds``, 2 A k^(7/(2d)) / |Omega|^(3/d)
+    with A = ``avp.second_term_coefficient``: on an interval of length
+    MIN_LENGTH, A / |Omega|^3 is 7.7e212, so at k = 1e20 the term is 1.5e283.
+    The other bounds stay below the Weyl scale C_d^2 (k/|Omega|)^(4/d) times
+    constants, at most 7.1e202 (the inscribed-ball average on that
+    interval), and the predictors' s0^4 (``check_length``) below 1.6e162.
+    Far past the cap the bounds overflow (k = 1e50 on that interval), and
+    past about 1.8e308 k cannot be turned into a float.
+    """
+    if not 1 <= k <= MAX_INDEX:
+        raise InputError(f"k={k} outside 1..{MAX_INDEX:.0e}")
+    return k
 
 
 class BCKind(Enum):
@@ -180,7 +207,7 @@ def tube_volume(dom: DomainSpec, h: float) -> float:
     on the inner rectangle, |Omega| - (Lx-2h)(Ly-2h) = h|dOmega| - 4h^2.
     """
     if not (0.0 <= h <= dom.inradius):
-        raise ValueError(f"h={h} outside [0, inradius={dom.inradius}]")
+        raise InputError(f"h={h} outside [0, inradius={dom.inradius}]")
     if dom.shape == "interval":
         return min(2.0 * h, dom.lengths[0])
     lx, ly = dom.lengths

@@ -50,6 +50,8 @@ __all__ = [
     "DiscreteOperator",
     "SineForm",
     "DENSE_LIMIT",
+    "MAX_FD_GRID",
+    "MAX_FD_MODES",
     "clamped_spectrum_fd",
     "fd_grid",
     "laplacian_spectrum_exact",
@@ -68,6 +70,15 @@ DENSE_LIMIT = 600
 # Each eigenpair must satisfy ||A v - lambda v||_2 <= RESIDUAL_TOL ||A||_inf
 # (a backward error; measured at most 6e-15 on the clamped grids 32^2..128^2).
 RESIDUAL_TOL = 1e-12
+# The largest grid side n and mode count k of a solve (``fd_grid``).  The
+# cost grows with both, and a block asked for more than a third of its modes
+# holds several dim x dim arrays.  Measured in fresh processes on one BLAS
+# thread (unit square): 128^2 at k = 50 takes 0.17 s and 40 MB max RSS,
+# 256^2 at k = 50 0.87 s and 66 MB, and the largest solve the caps admit,
+# 256^2 at k = 400, 16-18 s and 175 MB (also on 1 x 1.65); 512^2 at k = 10
+# took 1.4 s and 139 MB, 1024^2 8.2 s and 428 MB.
+MAX_FD_GRID = 256
+MAX_FD_MODES = 400
 # The exact 1D comparison chain runs over modes j = 1..COMPARISON_1D_MODES.
 COMPARISON_1D_MODES = 50
 # A Lanczos Ritz pair (theta, y) of the inverse is converged once its
@@ -163,9 +174,14 @@ class DiscreteOperator:
 # Exact separable spectra
 # ----------------------------------------------------------------------------
 
-def _separable_values(dom: DomainSpec, count: int, offset: int) -> list[float]:
+def _separable_values(dom: DomainSpec, count: int, offset: int) -> Spectrum:
     """Smallest ``count`` values of pi^2 (m^2/Lx^2 + n^2/Ly^2), m,n >= offset,
-    by lazy expansion of the index lattice."""
+    by lazy expansion of the index lattice; ``InputError`` unless ``dom`` is
+    a rectangle and count >= 1."""
+    if dom.shape != "rectangle":
+        raise InputError(f"separable spectra need a rectangle, not {dom.label()}")
+    if count < 1:
+        raise InputError(f"count={count} must be >= 1")
     lx, ly = dom.lengths
     pi2 = math.pi ** 2
 
@@ -182,25 +198,17 @@ def _separable_values(dom: DomainSpec, count: int, offset: int) -> list[float]:
             if (mm, nn) not in seen:
                 seen.add((mm, nn))
                 heapq.heappush(heap, (val(mm, nn), mm, nn))
-    return out
+    return Spectrum(tuple(out))
 
 
 def laplacian_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
     """Dirichlet Laplacian eigenvalues pi^2 (m^2/Lx^2 + n^2/Ly^2), m, n >= 1."""
-    if dom.shape != "rectangle":
-        raise ValueError("separable spectra need a rectangle")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return Spectrum(tuple(_separable_values(dom, count, offset=1)))
+    return _separable_values(dom, count, offset=1)
 
 
 def neumann_laplacian_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
     """Neumann Laplacian eigenvalues (m, n >= 0, starting from the kernel)."""
-    if dom.shape != "rectangle":
-        raise ValueError("separable spectra need a rectangle")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return Spectrum(tuple(_separable_values(dom, count, offset=0)))
+    return _separable_values(dom, count, offset=0)
 
 
 def navier1_spectrum_exact(dom: DomainSpec, count: int) -> Spectrum:
@@ -603,9 +611,12 @@ def _initial_block_modes(k: int) -> int:
 
 def fd_grid(dom: DomainSpec, n: int, k: int) -> Grid2D:
     """The n x n grid of a k-mode ``clamped_spectrum_fd`` solve on ``dom``;
-    ``InputError`` unless 1 <= k <= n^2 and ``Grid2D`` takes it."""
-    if not 1 <= k <= n * n:
-        raise InputError(f"k={k} outside 1..{n * n}")
+    ``InputError`` unless n <= MAX_FD_GRID, 1 <= k <= min(n^2, MAX_FD_MODES)
+    and ``Grid2D`` takes it."""
+    if n > MAX_FD_GRID:
+        raise InputError(f"grid n={n} above MAX_FD_GRID={MAX_FD_GRID}")
+    if not 1 <= k <= min(n * n, MAX_FD_MODES):
+        raise InputError(f"k={k} outside 1..{min(n * n, MAX_FD_MODES)}")
     return Grid2D(n, n, dom)
 
 

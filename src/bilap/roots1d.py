@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import BoundReport
+from .core import BoundReport, InputError
 
 __all__ = [
     "GammaRoot",
@@ -86,7 +86,7 @@ def solve_gamma(n: int) -> GammaRoot:
     for odd n, below for even n, by a defect r_n in (0, pi/2).
     """
     if n < 0:
-        raise ValueError("root index must be >= 0")
+        raise InputError(f"root index n={n} must be >= 0")
     if n == 0:
         return GammaRoot(0, 0.0, 0.0, 0.0, "exact")
 
@@ -157,7 +157,7 @@ def proposition_bound_report(n_max: int) -> list[BoundReport]:
     asserted to lie in [0.9, 1.1] for n >= 5.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InputError(f"n_max={n_max} must be >= 1")
     out: list[BoundReport] = []
     prev_r = None
     for n in range(1, n_max + 1):

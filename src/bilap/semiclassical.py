@@ -24,7 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BCKind, BoundaryCondition, DomainSpec, InputError, dimensional_constants
+from .core import (
+    BCKind,
+    BoundaryCondition,
+    DomainSpec,
+    InputError,
+    check_index,
+    dimensional_constants,
+)
 
 __all__ = [
     "ExpansionCoefficients",
@@ -123,7 +130,7 @@ def neumann_boundary_integral(a: float, d: int, inverse: bool = False) -> tuple[
     leaving a smooth integrand for the adaptive rule.
     """
     if d < 2:
-        raise ValueError("the boundary integral needs d >= 2")
+        raise InputError(f"the boundary integral needs d >= 2, got d={d}")
 
     def integrand(u: float) -> float:
         t = 1.0 - u * u
@@ -148,7 +155,7 @@ def dirichlet_arcsin_integral(d: int) -> tuple[float, float, float]:
     behind the Dirichlet boundary coefficient.
     """
     if d < 2:
-        raise ValueError("needs d >= 2")
+        raise InputError(f"the arcsin integral needs d >= 2, got d={d}")
 
     def integrand(u: float) -> float:
         t = 1.0 - u * u
@@ -217,8 +224,7 @@ def _two_terms(bc: BoundaryCondition, dom: DomainSpec, k: int) -> tuple[float, f
     second order in s = lambda^(1/4).  With s0 = (k / (c0 |Omega|))^(1/d),
     s = s0 - c1 |dOmega| / (d c0 |Omega|), so lambda = s0^4 - 4 c1 |dOmega|
     s0^3 / (d c0 |Omega|)."""
-    if k < 1:
-        raise InputError(f"k={k} must be >= 1")
+    check_index(k)
     d = dom.dimension
     co = expansion_coefficients(bc, d)
     s0 = (k / (co.c0 * dom.volume)) ** (1.0 / d)
@@ -243,8 +249,7 @@ def predict_average(dom: DomainSpec, k: int) -> float:
 def predict_average_leading(dom: DomainSpec, k: int) -> float:
     """The Weyl leading term of the average; also the universal lower bound
     for Dirichlet-type averages."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_index(k)
     d = dom.dimension
     dc = dimensional_constants(d)
     return d / (d + 4.0) * dc.classical ** 2 * (k / dom.volume) ** (4.0 / d)

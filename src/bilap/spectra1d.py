@@ -105,7 +105,7 @@ def identity_check(n_max: int) -> list[BoundReport]:
     Lambda^(2,3)_n <= pi^4 (n-1)^4 are asserted with zero tolerance.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InputError(f"n_max={n_max} must be >= 1")
     out: list[BoundReport] = []
     for n in range(1, n_max + 1):
         g4 = gamma_value(n) ** 4

@@ -34,7 +34,15 @@ from bilap.cli import (
     spectrum_cache_key,
     write_report,
 )
-from bilap.core import MAX_LENGTH, MIN_LENGTH, BoundReport, DomainSpec, InputError, Spectrum
+from bilap.core import (
+    MAX_INDEX,
+    MAX_LENGTH,
+    MIN_LENGTH,
+    BoundReport,
+    DomainSpec,
+    InputError,
+    Spectrum,
+)
 from bilap.spectra1d import spectrum_1d
 
 # The benchmark's reference reports and row comparison, read-only.
@@ -534,6 +542,12 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("bilap: internal error: ValueError: profile density")
 
+    def test_collar_at_the_inradius_is_a_profile(self, tmp_path):
+        # the coarsest collar profile at h = inradius writes its rows
+        out = tmp_path / "a.csv"
+        assert main(["avp", "--h", "0.5", "--grid-res", "64", "--out", str(out)]) == 0
+        assert "profile=mollified_indicator" in out.read_text()
+
     @pytest.mark.parametrize("argv", [
         ["roots", "--n", "0"],
         ["spectrum1d", "--count", "0"],
@@ -598,6 +612,16 @@ class TestMain:
         # ranges longer than cli.MAX_RANGE_VALUES, refused before they are built
         ["riesz1d", "--z", "1:2:100000000000lin"],
         ["avp", "--k", "1..100000000000"],
+        # indices past core.MAX_INDEX, where the bounds overflowed or k was
+        # too large an int for a float
+        ["avp", "--domain", "interval:1e-30", "--k", str(10 ** 50)],
+        ["avp", "--k", str(10 ** 400)],
+        ["predict", "--k", str(10 ** 200)],
+        ["avp", "--k", str(MAX_INDEX + 1)],
+        # solves past eig2d.MAX_FD_GRID and eig2d.MAX_FD_MODES
+        ["eig2d", "--grids", str(eig2d.MAX_FD_GRID + 1), "--k", "10"],
+        ["eig2d", "--grids", "24", "--k", str(eig2d.MAX_FD_MODES + 1)],
+        ["compare", "--grids", "24,48", "--k", str(eig2d.MAX_FD_MODES + 1)],
     ])
     def test_invalid_flag_values_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "report.csv"

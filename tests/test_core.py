@@ -10,16 +10,18 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import bilap
-from bilap import avp, eig2d, riesz, semiclassical, spectra1d
+from bilap import avp, eig2d, riesz, roots1d, semiclassical, spectra1d
 from bilap.core import (
     BCKind,
     BoundaryCondition,
     BoundReport,
+    MAX_INDEX,
     MAX_LENGTH,
     MIN_LENGTH,
     DomainSpec,
     InputError,
     Spectrum,
+    check_index,
     dimensional_constants,
     tube_volume,
 )
@@ -302,3 +304,64 @@ def test_argument_checks_raise_input_error(call, input_error):
     with pytest.raises(ValueError) as info:
         call()
     assert isinstance(info.value, InputError) is input_error
+
+
+_DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
+_TINY_INTERVAL = DomainSpec.interval(MIN_LENGTH)
+
+
+# Rules of layer functions that no flag reaches today; a new caller's bad
+# argument is still a configuration error, not an internal one.
+@pytest.mark.parametrize("call", [
+    lambda: avp.step_average_bound(SQUARE, 10, 0.0),
+    lambda: avp.step_average_bound(SQUARE, 10, 0.6),
+    lambda: avp.individual_bounds(SQUARE, 0),
+    lambda: avp.young_refined(-1.0, 1.0),
+    lambda: avp.young_refined(1.0, -1.0),
+    lambda: tube_volume(SQUARE, 0.6),
+    lambda: semiclassical.predict_average_leading(SQUARE, 0),
+    lambda: semiclassical.neumann_boundary_integral(0.0, 1),
+    lambda: semiclassical.dirichlet_arcsin_integral(1),
+    lambda: eig2d.laplacian_spectrum_exact(INTERVAL, 3),
+    lambda: eig2d.laplacian_spectrum_exact(SQUARE, 0),
+    lambda: eig2d.neumann_laplacian_spectrum_exact(INTERVAL, 3),
+    lambda: eig2d.neumann_laplacian_spectrum_exact(SQUARE, 0),
+    lambda: roots1d.solve_gamma(-1),
+    lambda: roots1d.proposition_bound_report(0),
+    lambda: spectra1d.identity_check(0),
+    # the index rule, where the bounds overflowed or k was no float
+    lambda: check_index(0),
+    lambda: check_index(MAX_INDEX + 1),
+    lambda: avp.avg_upper_bound(avp.inscribed_ball_profile(_TINY_INTERVAL), 10 ** 50),
+    lambda: avp.explicit_sum_bound(SQUARE, 10 ** 400),
+    lambda: avp.individual_bounds(SQUARE, 10 ** 400),
+    lambda: semiclassical.predict_eigenvalue(_DIRICHLET, SQUARE, 10 ** 200),
+    lambda: semiclassical.predict_average(SQUARE, 10 ** 400),
+], ids=["step-h-0", "step-h-above-inradius", "individual-k", "young-p", "young-x",
+        "tube-h", "average-leading-k", "boundary-integral-d", "arcsin-integral-d",
+        "dirichlet-shape", "dirichlet-count", "neumann-shape", "neumann-count",
+        "solve-gamma", "proposition-report", "identity-check", "index-0",
+        "index-past-cap", "average-1e50", "explicit-sum-1e400", "individual-1e400",
+        "predict-1e200", "predict-average-1e400"])
+def test_layer_rules_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("dom", [_TINY_INTERVAL, DomainSpec.interval(MAX_LENGTH),
+                                 DomainSpec.square(MIN_LENGTH),
+                                 DomainSpec.rectangle(MIN_LENGTH, MAX_LENGTH),
+                                 DomainSpec.square(MAX_LENGTH)],
+                         ids=["interval-min", "interval-max", "square-min", "strip", "square-max"])
+def test_bounds_are_finite_up_to_the_index_cap(dom):
+    assert check_index(MAX_INDEX) == MAX_INDEX
+    for k in (1, MAX_INDEX):
+        values = [avp.avg_upper_bound(avp.inscribed_ball_profile(dom), k),
+                  *avp.individual_bounds(dom, k),
+                  semiclassical.predict_average_leading(dom, k)]
+        if k >= avp.explicit_sum_threshold(dom):
+            values.extend(avp.explicit_sum_bound(dom, k))
+        if dom.dimension == 2:
+            values += [semiclassical.predict_eigenvalue(_DIRICHLET, dom, k),
+                       semiclassical.predict_average(dom, k)]
+        assert all(math.isfinite(v) for v in values), (k, values)
