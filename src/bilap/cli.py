@@ -446,13 +446,17 @@ def cmd_eig2d(args) -> list[BoundReport]:
 
 def cmd_compare(args) -> list[BoundReport]:
     """Comparison chain with Richardson bands from the two finest grids,
-    which must be n and 2n, the ratio ``eig2d.richardson_ladder`` assumes."""
+    which must be n and 2n, the ratio ``eig2d.richardson_ladder`` assumes,
+    and resolve the k modes asked for (``eig2d.ladder_modes``)."""
     dom = parse_domain(args.domain)
     grids = sorted(set(parse_int_range(args.grids)))
     _require(len(grids) >= 2, f"compare needs at least two distinct grids, got {args.grids!r}")
     mid, fine = grids[-2:]
     _require(fine == 2 * mid, f"the two finest grids {mid} and {fine} are not n and 2n, "
                               f"the ratio the Richardson limit assumes")
+    most = eig2d.ladder_modes(dom, mid)
+    _require(args.k <= most, f"--k {args.k} above the {most} modes that grids {mid} and {fine} "
+                             f"resolve on {dom.label()}")
     limits, bands = eig2d.richardson_ladder(
         *(eig2d.clamped_spectrum_fd(dom, n, args.k) for n in (mid, fine)), args.k)
     return eig2d.comparison_report(dom, limits, bands)

@@ -27,10 +27,13 @@ A parity block is also known in closed form (``SineForm``): in the sine
 eigenbasis of its folded factors it is a diagonal plus a correction of rank
 m_x + m_y, its side lengths.  Block solves take their vectors from a
 Rayleigh-Ritz step on it in those sine coordinates, over a block Lanczos
-basis of its Woodbury inverse, or over the whole block when more than a
-third of its spectrum is asked for, and count eigenvalues by Haynsworth
-inertia additivity, so no block is ever factorised or formed as a matrix.
-Everything here is numpy: no solve imports scipy.
+basis of its Woodbury inverse that grows until the Ritz pairs meet the
+residual bound, or over the whole block when more than a third of its
+spectrum is asked for, and count eigenvalues by Haynsworth inertia
+additivity, so no block is ever factorised or formed as a matrix.  The
+values, with their residuals, come from one extended-precision product
+with the assembled stencil (``_certify``).  Everything here is numpy: no
+solve imports scipy.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ __all__ = [
     "DENSE_LIMIT",
     "MAX_FD_GRID",
     "MAX_FD_MODES",
+    "MAX_FD_ASPECT",
+    "LADDER_POINTS_PER_MODE",
     "clamped_spectrum_fd",
     "fd_grid",
     "laplacian_spectrum_exact",
@@ -61,6 +66,7 @@ __all__ = [
     "smallest_eigs",
     "discrete_laplacian_eigenvalues",
     "richardson_ladder",
+    "ladder_modes",
     "comparison_report",
 ]
 
@@ -79,11 +85,14 @@ RESIDUAL_TOL = 1e-12
 # took 1.4 s and 139 MB, 1024^2 8.2 s and 428 MB.
 MAX_FD_GRID = 256
 MAX_FD_MODES = 400
+# The largest aspect ratio max(L)/min(L) of a solved rectangle (``fd_grid``):
+# the Haynsworth count's capacitance matrix holds h^4/2 of the long side.  The
+# first sampled count to go wrong came at aspect 87.5 (10^2 grid, k = 5); up to
+# 50 every sample certified (grids 2-64 at k <= 50, 256^2 at k = 400).
+MAX_FD_ASPECT = 50
+LADDER_POINTS_PER_MODE = 64  # grid points n^2 per mode and unit of aspect (``ladder_modes``)
 # The exact 1D comparison chain runs over modes j = 1..COMPARISON_1D_MODES.
 COMPARISON_1D_MODES = 50
-# A Lanczos Ritz pair (theta, y) of the inverse is converged once its
-# residual ||A^-1 y - theta y|| estimate is at most LANCZOS_TOL theta.
-LANCZOS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -428,130 +437,85 @@ def discrete_laplacian_eigenvalues(grid: Grid2D) -> np.ndarray:
 
 def smallest_eigs(op: DiscreteOperator, k: int,
                   dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of a parity block, certified.
-
-    The vectors come from a Rayleigh-Ritz step on ``op.form`` (``_lanczos``):
-    over a deterministic block Lanczos basis of its Woodbury inverse, or
-    over the whole block when 3 k > dim.  ``dense_limit`` is not read; it
-    stays in the signature for callers that bind it by name.  The values are
-    the Rayleigh quotients of the vectors on the assembled stencil, summed
-    in extended precision (``_rayleigh_quotients``): the form is the exact
-    operator, whose values differ from those of the assembled float matrix
-    (``SineForm``: up to 6.3e-10 relative on 128^2).  The result must pass
-    ``_certify`` (residual bound and inertia count) or ``RuntimeError`` is
-    raised.  Values ascend; vectors are orthonormal, each with the sign the
-    solver returned.  The inertia count proves that every eigenvalue not
-    returned lies at or above ``_inertia_floor(op, values[-1])``.
-    ``clamped_spectrum_fd`` solves each parity block of the clamped matrix
-    here and reads that floor as its coverage certificate: no block may hide
-    an eigenvalue at or below the merged k-th value; the merged values agree
-    with a solve of the full operator to 1e-10 relative.
+    """k smallest eigenpairs of a parity block, certified: ``_certify`` of
+    the vectors of ``_lanczos``, a Rayleigh-Ritz step on ``op.form`` over a
+    block Krylov basis of its Woodbury inverse, or over the whole block when
+    3 k > dim.  ``dense_limit`` is not read; it stays in the signature for
+    callers that bind it by name.  Values ascend; vectors are orthonormal,
+    each with the sign the solver returned.  The inertia count proves that
+    every eigenvalue not returned lies at or above
+    ``_inertia_floor(op, values[-1])``, which ``clamped_spectrum_fd`` reads
+    as its coverage certificate.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k={k} outside 1..{op.dim}")
-    vectors = _lanczos(op.form, k)
-    values = _rayleigh_quotients(op, vectors)
-    order = np.argsort(values, kind="stable")
-    values, vectors = values[order], vectors[:, order]
-    _certify(op, values, vectors)
-    return values, vectors
+    return _certify(op, _lanczos(op, k))
 
 
-def _lanczos(form: SineForm, k: int) -> np.ndarray:
-    """Ritz vectors (dim x k) of the k largest eigenvalues of A^-1, that is
-    of the k smallest of A, by a block Lanczos of block size 2 with full
-    reorthogonalisation, run in sine coordinates on ``form.inverse()``.
-    When 3 k > dim there is no iteration and no inverse: the Rayleigh-Ritz
-    step below runs on the whole sine basis, the identity, which is the
-    space a Krylov run would reach at full span.
+def _lanczos(op: DiscreteOperator, k: int) -> np.ndarray:
+    """Grid vectors (dim x k) of the k smallest Ritz pairs of A on a block
+    Krylov space of A^-1 (block size 2, full reorthogonalisation), run in
+    sine coordinates on ``op.form.inverse()``; when 3 k > dim, on the whole
+    sine basis, the identity, with no iteration and no inverse.
 
     The start block is closed form: two additive-recurrence (Weyl)
     sequences frac(i phi) - 1/2, phi the golden ratio, which have no
-    symmetry that could hide an eigenvector, smoothed by one inverse so
-    that every Krylov vector lies in the range of A^-1.  Each step
-    orthogonalises A^-1 of the newest block twice against the whole basis
-    (Gram-Schmidt twice) and takes the next block and the coupling B from
-    its QR factorisation; the projection of A^-1 is then block tridiagonal,
-    with the diagonal blocks V_j^T A^-1 V_j and the couplings B.  Its
-    eigenpairs (theta, s) give the Ritz pairs, and the Lanczos relation
-    bounds each residual ||A^-1 y - theta y|| by ||B s_last||; the solve
-    stops when each of the top k is at most LANCZOS_TOL theta, or when the
-    basis spans the block.
-
-    The vectors returned are those of a Rayleigh-Ritz step with A itself
-    (``_rayleigh_ritz``) on the whole Krylov basis.  The Ritz vectors of A^-1
-    carry errors of order eps/lambda_1 from its rounding, which A magnifies
-    by lambda_k/lambda_1 in the residual, past the RESIDUAL_TOL bound when
-    k is near a third of the dimension of the 39^2 to 63^2 blocks of the
-    square; the vectors of the A step meet it.
+    symmetry that could hide an eigenvector, smoothed by one inverse.  Each
+    step orthogonalises A^-1 of the newest block twice against the basis
+    and appends the QR factor of the rest.  From 3 k basis vectors on, and
+    then every max(6, size/8) more, a Rayleigh-Ritz step with A itself
+    (``_rayleigh_ritz``) checks the pairs it would return: the solve stops
+    once every residual ||A y - theta y|| on the exact form is within half
+    of ``_certify``'s bound RESIDUAL_TOL ||A||_inf, leaving the other half to
+    the rounding of the assembled matrix, or once the basis spans the block.
     """
+    form = op.form
     shape = form.diag.shape
     dim = form.diag.size
     if 3 * k > dim:
-        return _rayleigh_ritz(form, np.eye(dim), k)
+        return _rayleigh_ritz(form, np.eye(dim), k)[0]
+    tol = RESIDUAL_TOL * op.norm_inf() / 2.0
     solve = form.inverse()
     weyl = (np.arange(1, 2 * dim + 1) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0 - 0.5
     start = solve(weyl.reshape(2, *shape)).reshape(2, dim)
     basis = np.empty((min(dim, 4 * k + 8), dim))
     basis[:2] = np.linalg.qr(start.T)[0].T
     size, done = 2, 0
-    steps: list[tuple[int, np.ndarray, np.ndarray]] = []
     check = 3 * k
     while True:
         block = basis[done:size]
         w = solve(block.reshape(-1, *shape)).reshape(len(block), dim)
-        alpha = block @ w.T
         for _ in range(2):
             w -= (w @ basis[:size].T) @ basis[:size]
         grow = min(len(block), dim - size)
-        q, beta = np.linalg.qr(w.T)
         if size + grow > len(basis):
             basis = np.concatenate([basis, np.empty((min(len(basis), dim - len(basis)), dim))])
-        basis[size:size + grow] = q.T[:grow]
-        steps.append((done, (alpha + alpha.T) / 2.0, beta[:grow]))
+        basis[size:size + grow] = np.linalg.qr(w.T)[0].T[:grow]
         done, size = size, size + grow
         if grow and done < check:
             continue
-        projected = np.zeros((done, done))
-        for start_row, alpha, beta in steps:
-            stop = start_row + len(alpha)
-            projected[start_row:stop, start_row:stop] = alpha
-            if stop < done:
-                projected[stop:stop + len(beta), start_row:stop] = beta
-                projected[start_row:stop, stop:stop + len(beta)] = beta.T
-        theta, s = np.linalg.eigh(projected)
-        theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
-        last, _, beta = steps[-1]
-        residual = np.linalg.norm(beta @ s[last:], axis=0)
-        if not grow or (residual <= LANCZOS_TOL * theta).all():
-            return _rayleigh_ritz(form, basis[:done], k)
-        check = done + max(2, done // 8)
+        vectors, residuals = _rayleigh_ritz(form, basis[:done], k)
+        if not grow or residuals.max() <= tol:
+            return vectors
+        check = done + max(6, done // 8)
 
 
-def _rayleigh_ritz(form: SineForm, basis: np.ndarray, k: int) -> np.ndarray:
-    """Grid vectors (dim x k) of the k smallest Ritz pairs of A (``form.apply``)
-    on the span of the orthonormal rows of ``basis``, in sine coordinates."""
+def _rayleigh_ritz(form: SineForm, basis: np.ndarray,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid vectors (dim x k) of the k smallest Ritz pairs (theta, y) of A
+    (``form.apply``) on the span of the orthonormal rows of ``basis``, in
+    sine coordinates, and their residuals ||A y - theta y|| on the form."""
     size, dim = basis.shape
     shape = form.diag.shape
-    image = form.apply(basis.reshape(size, *shape)).reshape(size, dim)
-    # two rows at a time, like the products of the Lanczos steps: a square
-    # product's bits depend on the BLAS thread count
-    gram = np.concatenate([image[i:i + 2] @ basis.T for i in range(0, size, 2)])
-    rotation = np.linalg.eigh((gram + gram.T) / 2.0)[1][:, :k]
-    return form.to_grid((rotation.T @ basis).reshape(k, *shape))
-
-
-def _rayleigh_quotients(op: DiscreteOperator, vectors: np.ndarray) -> np.ndarray:
-    """v^T A v / v^T v of each column on the assembled stencil, in
-    ``np.longdouble``: the quotient cancels terms of size ||A|| down to the
-    smallest eigenvalues, which float64 sums leave up to 1.2e-11 relative off
-    (measured on the 96^2 and 128^2 blocks).  The sums run along contiguous
-    rows, so their order, and the bits, do not depend on the layout of
-    ``vectors``."""
-    wide = np.ascontiguousarray(vectors.T, dtype=np.longdouble)
-    image = op.matvec(wide.T).T
-    quotients = np.ascontiguousarray(wide * image).sum(axis=1)
-    return (quotients / (wide * wide).sum(axis=1)).astype(float)
+    # A of two rows at a time, whose product with the basis is the shape of
+    # the Lanczos steps: a square product's bits depend on the BLAS thread
+    # count, and the images of the whole basis are never held at once
+    gram = np.concatenate([form.apply(basis[i:i + 2].reshape(-1, *shape)).reshape(-1, dim)
+                           @ basis.T for i in range(0, size, 2)])
+    theta, rotation = np.linalg.eigh((gram + gram.T) / 2.0)
+    ritz = (rotation[:, :k].T @ basis).reshape(k, *shape)
+    residuals = (form.apply(ritz) - theta[:k, None, None] * ritz).reshape(k, dim)
+    return form.to_grid(ritz), np.linalg.norm(residuals, axis=1)
 
 
 def _inertia_shift(top: float, residual: float) -> float:
@@ -568,22 +532,37 @@ def _inertia_floor(op: DiscreteOperator, top: float) -> float:
     return _inertia_shift(top, RESIDUAL_TOL * op.norm_inf())
 
 
-def _certify(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> None:
-    """Raise ``RuntimeError`` unless the ascending eigenpairs are the smallest.
+def _certify(op: DiscreteOperator, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors), the columns of ``vectors`` in ascending order of
+    their Rayleigh quotients on the assembled matrix; ``RuntimeError`` unless
+    they are the smallest eigenpairs.  This is where every FD value is made.
 
-    Each residual ||A v - lambda v||_2 on the assembled matrix must stay
-    within RESIDUAL_TOL ||A||_inf; for symmetric A a true eigenvalue then lies
-    within it of each value.  An inertia count at sigma = ``_inertia_shift``
-    of lambda_k (``op.count_below``) must find exactly as many eigenvalues
-    of A below sigma as were returned: a copy of a multiple eigenvalue that
-    Lanczos dropped shows as one count too many.  A block counts by
-    Haynsworth inertia additivity on its sine form, the count of the exact
-    operator, whose low eigenvalues lie within 6.3e-10 relative (measured on
-    128^2 grids) of the assembled matrix's, inside sigma's 1e-8 offset below
-    lambda_k; were the offset ever crossed, on far finer grids, the counts
-    would disagree and raise, not pass.
+    One ``np.longdouble`` product A v gives the quotients and the residuals:
+    the quotient cancels terms of size ||A|| down to the smallest
+    eigenvalues, which float64 sums leave up to 1.2e-11 relative off
+    (measured on the 96^2 and 128^2 blocks).  The sums run along contiguous
+    rows, so their bits do not depend on the layout of ``vectors``.  Each
+    residual ||A v - lambda v||_2 must stay within RESIDUAL_TOL ||A||_inf;
+    for symmetric A a true eigenvalue then lies within it of each value.  An
+    inertia count at sigma = ``_inertia_shift`` of lambda_k
+    (``op.count_below``) must find exactly as many eigenvalues below sigma
+    as were returned: a copy of a multiple eigenvalue that the solve dropped
+    shows as one count too many.  A block counts by Haynsworth inertia
+    additivity on its sine form, the count of the exact operator, whose low
+    eigenvalues lie within 6.3e-10 relative (measured on 128^2 grids) of the
+    assembled matrix's, inside sigma's 1e-8 offset below lambda_k; were the
+    offset ever crossed, on far finer grids, the counts would disagree and
+    raise, not pass.
     """
-    residuals = np.linalg.norm(op.matvec(vectors) - vectors * values, axis=0)
+    wide = np.array(vectors.T, dtype=np.longdouble, order="C")
+    image = op.matvec(wide.T).T
+    quotients = np.ascontiguousarray(wide * image).sum(axis=1)
+    values = (quotients / (wide * wide).sum(axis=1)).astype(float)
+    wide *= values[:, None]
+    image -= wide
+    residuals = np.sqrt(np.einsum("ij,ij->i", image, image)).astype(float)
+    order = np.argsort(values, kind="stable")
+    values, vectors, residuals = values[order], vectors[:, order], residuals[order]
     bound = RESIDUAL_TOL * op.norm_inf()
     if residuals.max() > bound:
         j = int(residuals.argmax())
@@ -595,6 +574,7 @@ def _certify(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> N
     if below != returned:
         raise RuntimeError(f"{below} eigenvalues lie below {sigma:.6e} but the solve "
                            f"returned {returned} on the {op.label}")
+    return values, vectors
 
 
 # ----------------------------------------------------------------------------
@@ -611,10 +591,12 @@ def _initial_block_modes(k: int) -> int:
 
 def fd_grid(dom: DomainSpec, n: int, k: int) -> Grid2D:
     """The n x n grid of a k-mode ``clamped_spectrum_fd`` solve on ``dom``;
-    ``InputError`` unless n <= MAX_FD_GRID, 1 <= k <= min(n^2, MAX_FD_MODES)
-    and ``Grid2D`` takes it."""
+    ``InputError`` unless n <= MAX_FD_GRID, 1 <= k <= min(n^2, MAX_FD_MODES),
+    the aspect ratio is at most MAX_FD_ASPECT and ``Grid2D`` takes it."""
     if n > MAX_FD_GRID:
         raise InputError(f"grid n={n} above MAX_FD_GRID={MAX_FD_GRID}")
+    if max(dom.lengths) > MAX_FD_ASPECT * min(dom.lengths):
+        raise InputError(f"{dom.label()} is longer than MAX_FD_ASPECT={MAX_FD_ASPECT} widths")
     if not 1 <= k <= min(n * n, MAX_FD_MODES):
         raise InputError(f"k={k} outside 1..{min(n * n, MAX_FD_MODES)}")
     return Grid2D(n, n, dom)
@@ -668,6 +650,13 @@ def richardson_ladder(mid: Spectrum, fine: Spectrum,
         limits.append(f + (f - m) / 3.0)
         bands.append(3.0 * abs(f - m))
     return limits, bands
+
+
+def ladder_modes(dom: DomainSpec, n: int) -> int:
+    """The most modes a Richardson ladder on grids n and 2n over ``dom``
+    resolves: n^2 / (LADDER_POINTS_PER_MODE A), A = max(L)/min(L).  Past it,
+    as measured, ``comparison_report`` rows that hold came out false."""
+    return int(n * n * min(dom.lengths) / (LADDER_POINTS_PER_MODE * max(dom.lengths)))
 
 
 def comparison_report(dom: DomainSpec, limits: Sequence[float],

@@ -6,8 +6,9 @@ here with ``scipy.sparse``: the full clamped matrix, the Dirichlet
 Laplacian, and each parity block as the sparse product L @ L that
 ``eig2d.assemble_clamped_bilaplacian`` reproduces bit for bit.
 ``smallest_eigs`` solves these with dense LAPACK or ARPACK shift-invert and
-certifies the result with ``eig2d._certify``, whose inertia count here is
-the number of negative pivots of a SuperLU LDL^T.
+hands the vectors to ``eig2d._certify``, which makes the values and checks
+them as for a block solve; its inertia count here is the number of negative
+pivots of a SuperLU LDL^T.
 """
 
 from __future__ import annotations
@@ -114,16 +115,13 @@ def to_sparse(op: DiscreteOperator) -> sp.csr_matrix:
 
 def smallest_eigs(op: SparseOperator, k: int,
                   dense_limit: int = eig2d.DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs, certified: a dense LAPACK subset solve when
-    3 k > dim or dim <= ``dense_limit``, else ARPACK shift-invert at 0 with
-    a fixed start vector."""
+    """k smallest eigenpairs, certified by ``eig2d._certify``: the vectors
+    of a dense LAPACK subset solve when 3 k > dim or dim <= ``dense_limit``,
+    else of ARPACK shift-invert at 0 with a fixed start vector."""
     if 3 * k > op.dim or op.dim <= dense_limit:
-        values, vectors = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1])
+        vectors = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1])[1]
     else:
         v0 = np.full(op.dim, 1.0 / math.sqrt(op.dim))
-        values, vectors = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0.0, which="LM", v0=v0,
-                                     tol=0.0)
-    order = np.argsort(values, kind="stable")
-    values, vectors = values[order], vectors[:, order]
-    eig2d._certify(op, values, vectors)
-    return values, vectors
+        vectors = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0.0, which="LM", v0=v0,
+                             tol=0.0)[1]
+    return eig2d._certify(op, vectors)

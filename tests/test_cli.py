@@ -622,6 +622,10 @@ class TestMain:
         ["eig2d", "--grids", str(eig2d.MAX_FD_GRID + 1), "--k", "10"],
         ["eig2d", "--grids", "24", "--k", str(eig2d.MAX_FD_MODES + 1)],
         ["compare", "--grids", "24,48", "--k", str(eig2d.MAX_FD_MODES + 1)],
+        # a strip past eig2d.MAX_FD_ASPECT, whose inertia count failed
+        ["eig2d", "--domain", "rect:1x1e3", "--grids", "8", "--k", "2"],
+        # more modes than eig2d.ladder_modes: rows that hold came out false
+        ["compare", "--grids", "24,48", "--k", "50"],
     ])
     def test_invalid_flag_values_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -756,8 +760,9 @@ class TestMain:
 
     def test_compare_small_grids(self, tmp_path):
         out = tmp_path / "cmp.csv"
+        # eig2d.ladder_modes: 12 and 24 resolve 2 modes of the square
         assert main(["compare", "--domain", "square:1", "--grids", "12,24",
-                     "--k", "4", "--out", str(out)]) == 0
+                     "--k", "2", "--out", str(out)]) == 0
 
     def test_compare_refuses_a_finest_pair_not_n_and_2n(self, capsys):
         # the Richardson limit assumes grid ratio 2; 16 -> 24 would put the
@@ -782,7 +787,7 @@ class TestMain:
         reports = []
         for grids in ("6,12,24", "12,24"):
             out = tmp_path / f"{grids}.csv"
-            assert main(["compare", "--grids", grids, "--k", "4", "--out", str(out)]) == 0
+            assert main(["compare", "--grids", grids, "--k", "2", "--out", str(out)]) == 0
             reports.append(_rows(out))
         assert solved == [12, 24, 12, 24]
         assert reports[0] == reports[1]
