@@ -204,14 +204,15 @@ def tube_volume(dom: DomainSpec, h: float) -> float:
     """Exact measure of the inner collar {x in Omega : dist(x, dOmega) <= h}.
 
     Requires 0 <= h <= inradius.  For a rectangle this is inclusion-exclusion
-    on the inner rectangle, |Omega| - (Lx-2h)(Ly-2h) = h|dOmega| - 4h^2.
+    on the inner rectangle, |Omega| - (Lx-2h)(Ly-2h) = h|dOmega| - 4h^2,
+    evaluated in the closed form, which does not cancel for small h.
     """
     if not (0.0 <= h <= dom.inradius):
         raise InputError(f"h={h} outside [0, inradius={dom.inradius}]")
     if dom.shape == "interval":
         return min(2.0 * h, dom.lengths[0])
     lx, ly = dom.lengths
-    return lx * ly - (lx - 2.0 * h) * (ly - 2.0 * h)
+    return 2.0 * h * (lx + ly) - 4.0 * h * h
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,13 @@ for bit.  ``clamped_spectrum_fd`` solves the blocks and merges their
 values; each block solve carries the residual and inertia certificates of
 ``smallest_eigs``, and coverage is certified as well: a block solved short
 of its dimension must prove that none of its unreturned eigenvalues lies at
-or below the merged k-th value.  The merged values agree with a solve of
-the full operator, which the tests assemble with scipy as the oracle, to
+or below the merged k-th value.  On a square grid the odd-even block is the
+even-odd block with x and y swapped, a permutation of the same matrix; a
+guard checks this exactly (equal n and h, and the assembled diagonals equal
+bit for bit up to the transpose, the one array whose sums are not symmetric
+in x and y), and then the even-odd solve stands for both, so a square
+solves three blocks.  The merged values agree with a solve of the full
+operator, which the tests assemble with scipy as the oracle, to
 1e-10 relative.
 
 A parity block is also known in closed form (``SineForm``): in the sine
@@ -464,10 +469,12 @@ def _lanczos(op: DiscreteOperator, k: int) -> np.ndarray:
     step orthogonalises A^-1 of the newest block twice against the basis
     and appends the QR factor of the rest.  From 3 k basis vectors on, and
     then every max(6, size/8) more, a Rayleigh-Ritz step with A itself
-    (``_rayleigh_ritz``) checks the pairs it would return: the solve stops
-    once every residual ||A y - theta y|| on the exact form is within half
-    of ``_certify``'s bound RESIDUAL_TOL ||A||_inf, leaving the other half to
-    the rounding of the assembled matrix, or once the basis spans the block.
+    (``_rayleigh_ritz``, which keeps the Gram rows of the check before and
+    forms only those of the new basis rows) checks the pairs it would
+    return: the solve stops once every residual ||A y - theta y|| on the
+    exact form is within half of ``_certify``'s bound RESIDUAL_TOL ||A||_inf,
+    leaving the other half to the rounding of the assembled matrix, or once
+    the basis spans the block.
     """
     form = op.form
     shape = form.diag.shape
@@ -482,6 +489,7 @@ def _lanczos(op: DiscreteOperator, k: int) -> np.ndarray:
     basis[:2] = np.linalg.qr(start.T)[0].T
     size, done = 2, 0
     check = 3 * k
+    gram = np.empty((0, 0))
     while True:
         block = basis[done:size]
         w = solve(block.reshape(-1, *shape)).reshape(len(block), dim)
@@ -494,28 +502,36 @@ def _lanczos(op: DiscreteOperator, k: int) -> np.ndarray:
         done, size = size, size + grow
         if grow and done < check:
             continue
-        vectors, residuals = _rayleigh_ritz(form, basis[:done], k)
+        vectors, residuals, gram = _rayleigh_ritz(form, basis[:done], k, gram)
         if not grow or residuals.max() <= tol:
             return vectors
         check = done + max(6, done // 8)
 
 
-def _rayleigh_ritz(form: SineForm, basis: np.ndarray,
-                   k: int) -> tuple[np.ndarray, np.ndarray]:
+def _rayleigh_ritz(form: SineForm, basis: np.ndarray, k: int,
+                   known: np.ndarray = np.empty((0, 0))
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid vectors (dim x k) of the k smallest Ritz pairs (theta, y) of A
     (``form.apply``) on the span of the orthonormal rows of ``basis``, in
-    sine coordinates, and their residuals ||A y - theta y|| on the form."""
+    sine coordinates, their residuals ||A y - theta y|| on the form, and the
+    Gram matrix of A on the basis.  ``known`` is that Gram matrix on the
+    leading rows, from an earlier step on the same basis: only the rows past
+    it are formed, and its columns past it are those rows' transpose."""
     size, dim = basis.shape
     shape = form.diag.shape
+    old = len(known)
     # A of two rows at a time, whose product with the basis is the shape of
     # the Lanczos steps: a square product's bits depend on the BLAS thread
     # count, and the images of the whole basis are never held at once
-    gram = np.concatenate([form.apply(basis[i:i + 2].reshape(-1, *shape)).reshape(-1, dim)
-                           @ basis.T for i in range(0, size, 2)])
+    gram = np.empty((size, size))
+    gram[:old, :old] = known
+    gram[old:] = np.concatenate([form.apply(basis[i:i + 2].reshape(-1, *shape)).reshape(-1, dim)
+                                 @ basis.T for i in range(old, size, 2)])
+    gram[:old, old:] = gram[old:, :old].T
     theta, rotation = np.linalg.eigh((gram + gram.T) / 2.0)
     ritz = (rotation[:, :k].T @ basis).reshape(k, *shape)
     residuals = (form.apply(ritz) - theta[:k, None, None] * ritz).reshape(k, dim)
-    return form.to_grid(ritz), np.linalg.norm(residuals, axis=1)
+    return form.to_grid(ritz), np.linalg.norm(residuals, axis=1), gram
 
 
 def _inertia_shift(top: float, residual: float) -> float:
@@ -614,6 +630,15 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
     Woodbury inverse for the Krylov basis and a Haynsworth count of the
     exact operator, so nothing is factorised); the values are merged and
     the smallest k kept.
+    On a square the mirror x <-> y maps the even-odd block onto the odd-even
+    block, which is why every lambda_mn = lambda_nm is double.  When
+    ``_is_mirror_twin`` finds the assembled odd-even block equal to the
+    even-odd one with x and y swapped (equal n and h, and ``centre`` equal to
+    the transpose bit for bit), the odd-even block is not solved: the
+    even-odd values stand for both, in the first pass and in the coverage
+    loop, so each such double is a bit-identical pair.  The two blocks are
+    one matrix up to a permutation, so the residual bound, inertia count and
+    inertia floor of one hold for the other.
     Coverage is certified, not assumed: a block solved short of its
     dimension must have its inertia floor strictly above the merged k-th
     value, so that none of its unreturned eigenvalues lies at or below it;
@@ -627,9 +652,12 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
     exact (domain, n, k) that was solved."""
     grid = fd_grid(dom, n, k)
     blocks = [assemble_clamped_bilaplacian(grid, (px, py)) for px in (1, -1) for py in (1, -1)]
+    twin = _is_mirror_twin(blocks[1], blocks[2])
+    if twin:
+        del blocks[2]
     values = [smallest_eigs(op, min(_initial_block_modes(k), op.dim))[0] for op in blocks]
     while True:
-        merged = np.sort(np.concatenate(values))
+        merged = np.sort(np.concatenate(values + [values[1]] if twin else values))
         kth = merged[k - 1] if len(merged) >= k else math.inf
         short = [i for i, op in enumerate(blocks)
                  if len(values[i]) < op.dim and _inertia_floor(op, values[i][-1]) <= kth]
@@ -637,6 +665,19 @@ def clamped_spectrum_fd(dom: DomainSpec, n: int, k: int) -> Spectrum:
             return Spectrum(tuple(float(v) for v in merged[:k]))
         for i in short:
             values[i] = smallest_eigs(blocks[i], min(2 * len(values[i]), blocks[i].dim))[0]
+
+
+def _is_mirror_twin(even_odd: DiscreteOperator, odd_even: DiscreteOperator) -> bool:
+    """Whether the odd-even block is the even-odd block with x and y swapped,
+    the same matrix up to a permutation of its unknowns and so of the same
+    spectrum.  On a square grid (equal n and h) the two blocks are built from
+    the same two folded factors, and every coupling from them by commutative
+    products and sums; only ``centre`` adds its x and y terms in a fixed
+    x-then-y order, so it is compared bit for bit with the transpose."""
+    grid = even_odd.grid
+    return (grid.nx == grid.ny and grid.hx == grid.hy
+            and np.array_equal(odd_even.centre.reshape(odd_even.form.diag.shape),
+                               even_odd.centre.reshape(even_odd.form.diag.shape).T))
 
 
 def richardson_ladder(mid: Spectrum, fine: Spectrum,

@@ -717,10 +717,10 @@ _DILATION_LAWS = {
                                 second_term_coefficient(_dilated(dom, t))),
     "collar_width_for_k": (_DOMAINS, 1, lambda dom, k, u, t:
                            collar_width_for_k(_dilated(dom, t), k)),
-    # h from r/64 to r/2, r the inradius: near r, |Omega| - |w_h| cancels, and
-    # for small h, |w_h| = |Omega| - (Lx - 2h)(Ly - 2h) does
+    # h from r/10^4 to r/2, r the inradius: near r, |Omega| - |w_h| cancels;
+    # |w_h| itself is the closed form h|dOmega| - 4h^2, exact for small h
     "step_average_bound": (_DOMAINS, -4, lambda dom, k, u, t: step_average_bound(
-        _dilated(dom, t), k, t * dom.inradius / min(u, 64.0))),
+        _dilated(dom, t), k, t * dom.inradius / u)),
     "explicit_sum_bound": (_DOMAINS, -4, lambda dom, k, u, t: _explicit_sum(dom, k, t)),
     "avg_upper_bound": (_DOMAINS, -4, lambda dom, k, u, t: avg_upper_bound(_ball(dom, t), k)),
     "riesz_lower_bound": (_DOMAINS, -4, lambda dom, k, u, t: riesz_lower_bound(

@@ -1,5 +1,6 @@
 """Finite-difference operators, solvers, and the comparison chain."""
 
+import dataclasses
 import json
 import math
 import os
@@ -204,8 +205,8 @@ class TestSolver:
 
     @pytest.mark.parametrize("n, k", [(32, 50), (48, 100)])
     def test_shift_invert_matches_dense_on_double_eigenvalues(self, unit_square, n, k):
-        # every block takes the Lanczos path; the doubles of the square pair
-        # the even-odd with the odd-even block
+        # every solved block takes the Lanczos path; the doubles of the square
+        # pair the even-odd with the odd-even block, whose solve is not repeated
         calls = []
         lanczos = eig2d._lanczos
 
@@ -220,7 +221,7 @@ class TestSolver:
         # eigh values of the full 48^2 matrix sit up to 1.2e-10 off
         full = assemble_clamped_full(Grid2D(n, n, unit_square))
         dense_vals, _ = fd_oracle.smallest_eigs(full, k, dense_limit=full.dim)
-        assert len(calls) >= 4
+        assert len(calls) == 3
         assert (np.diff(dense_vals) <= 1e-10 * dense_vals[1:]).any()
         assert (np.abs(sparse_vals - dense_vals) / dense_vals).max() <= 1e-10
 
@@ -403,8 +404,69 @@ class TestParityBlocks:
     def test_sweep_grids_factorise_only_blocks(self, monkeypatch, unit_square, n):
         calls = self._counted_solves(monkeypatch)
         clamped_spectrum_fd(unit_square, n, checks.FD_MODES)
-        assert len(calls) >= 4
+        assert len(calls) == 3
         assert max(dim for dim, _ in calls) <= math.ceil(n / 2) ** 2
+
+    @pytest.mark.parametrize("aspect", [1.65, math.nextafter(1.0, 2.0)])
+    def test_rectangles_solve_all_four_blocks(self, monkeypatch, aspect):
+        calls = self._counted_solves(monkeypatch)
+        clamped_spectrum_fd(DomainSpec.rectangle(1.0, aspect), 32, 50)
+        assert len(calls) == 4
+
+    @staticmethod
+    def _dense(op: DiscreteOperator) -> np.ndarray:
+        # with m_y <= 2 two stencil offsets share one shift, so entries add up
+        dense = np.diag(op.centre)
+        for shift, coef in op.couplings:
+            index = np.arange(len(coef))
+            dense[index, index + shift] += coef
+            dense[index + shift, index] += coef
+        return dense
+
+    @pytest.mark.parametrize("side", [1.0, 0.37, 2.0, 1e-3, 3.3, 0.1, 7.77])
+    def test_odd_even_block_is_the_transposed_even_odd_block(self, side):
+        # the couplings always match; the diagonal sums its x and y terms in a
+        # fixed order and may differ by an ulp (0.37 at n = 5, 7.77 at n = 33),
+        # which the twin guard must see
+        for n in range(2, 65):
+            grid = Grid2D(n, n, DomainSpec.square(side))
+            even_odd = assemble_clamped_bilaplacian(grid, (1, -1))
+            odd_even = assemble_clamped_bilaplacian(grid, (-1, 1))
+            swap = np.arange(even_odd.dim).reshape(even_odd.form.diag.shape).T.ravel()
+            twin = self._dense(even_odd)[np.ix_(swap, swap)]
+            dense = self._dense(odd_even)
+            off = ~np.eye(len(dense), dtype=bool)
+            assert np.array_equal(dense[off], twin[off])
+            same = np.array_equal(np.diag(dense), np.diag(twin))
+            assert eig2d._is_mirror_twin(even_odd, odd_even) == same
+            assert same or n % 2
+            assert np.abs(np.diag(dense) - np.diag(twin)).max() <= np.spacing(dense.max())
+
+    def test_nudged_diagonal_solves_all_four_blocks(self, monkeypatch, unit_square):
+        assemble = eig2d.assemble_clamped_bilaplacian
+
+        def nudged(grid, parity):
+            op = assemble(grid, parity)
+            if parity != (-1, 1):
+                return op
+            centre = op.centre.copy()
+            centre[3] = np.nextafter(centre[3], math.inf)
+            return dataclasses.replace(op, centre=centre)
+
+        monkeypatch.setattr(eig2d, "assemble_clamped_bilaplacian", nudged)
+        calls = self._counted_solves(monkeypatch)
+        values = np.array(clamped_spectrum_fd(unit_square, 16, 40).values)
+        assert len(calls) == 4
+        full = assemble_clamped_full(Grid2D(16, 16, unit_square)).matrix.toarray()
+        oracle = np.linalg.eigvalsh(full)[:40]
+        assert (np.abs(values - oracle) / oracle).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_square_doubles_are_bit_identical_pairs(self, unit_square, n):
+        values = np.array(clamped_spectrum_fd(unit_square, n, 50).values)
+        gaps = np.diff(values) / values[1:]
+        assert (gaps == 0.0).sum() >= 10
+        assert (gaps[gaps > 0.0] > 1e-8).all()
 
     @pytest.mark.parametrize("n", checks.FD_GRIDS)
     def test_sweep_grids_never_reach_superlu(self, monkeypatch, unit_square, n):
