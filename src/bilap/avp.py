@@ -1,6 +1,6 @@
 """Averaged-variational-principle bounds: trial profiles, certified average /
-Riesz / heat-trace bounds, individual-eigenvalue sandwiches, and the refined
-Young-inequality route to two-sided Neumann bounds.
+Riesz / heat-trace bounds, individual-eigenvalue sandwiches, and the sharpened
+Young inequality of the refined Kroeger-Laptev route.
 
 Two trial families are built: the quartic bump supported in the inscribed
 ball (closed-form norms) and the mollified inner-collar indicator
@@ -23,16 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import semiclassical
 from .core import (
-    BoundReport,
     DomainSpec,
     InputError,
-    Spectrum,
     check_index,
     dimensional_constants,
     tube_volume,
@@ -50,9 +47,6 @@ __all__ = [
     "explicit_sum_bound",
     "step_average_bound",
     "individual_bounds",
-    "KroegerLaptevPoint",
-    "kroeger_laptev_refined",
-    "kroeger_laptev_report",
     "young_refined",
     "EPSILON_DEFAULT",
     "MAX_GRID_RES",
@@ -414,7 +408,8 @@ def individual_bounds(dom: DomainSpec, k: int) -> tuple[float, float]:
 
     ``lower`` bounds Lambda_k from below; ``upper`` bounds Lambda_{k+1} (and
     therefore Lambda_k as well) from above.  The second-term constant A is
-    that of the explicit sum bound, ``second_term_coefficient(dom)``.
+    that of the explicit sum bound, ``second_term_coefficient(dom)``, which
+    carries |Omega|^(-3/d); ``c52``'s |Omega|^(-3/d) breaks the dilation law.
     """
     check_index(k)
     d, A = dom.dimension, second_term_coefficient(dom)
@@ -423,85 +418,22 @@ def individual_bounds(dom: DomainSpec, k: int) -> tuple[float, float]:
     c2 = dc.classical ** 2
     v4, v3 = vol ** (4.0 / d), vol ** (3.0 / d)
     lead = c2 * (k / vol) ** (4.0 / d)
-    c7 = (6.0 * (d + 1) / (d * (d + 4.0)) * c2 / v4 + 2.0 * A / v3) * k ** (3.5 / d)
+    c7 = (6.0 * (d + 1) / (d * (d + 4.0)) * c2 / v4 + 2.0 * A) * k ** (3.5 / d)
     c52 = 1.5 * (9.0 + 12.0 * d) / (4.0 * d * d) * k ** (2.5 / d) / v3
     lower = (lead - c7
-             + (c2 / (d * (d + 4.0) * v4) + (d + 3.0) / d * A / v3) * k ** (3.0 / d)
+             + (c2 / (d * (d + 4.0) * v4) + (d + 3.0) / d * A) * k ** (3.0 / d)
              - c52
-             + 9.0 * A / (16.0 * d * d) * k ** (2.0 / d) / v3)
+             + 9.0 * A / (16.0 * d * d) * k ** (2.0 / d))
     upper = (lead + c7
-             + (9.0 * c2 / (d * (d + 4.0) * v4) + (d + 3.0) / d * A / v3) * k ** (3.0 / d)
+             + (9.0 * c2 / (d * (d + 4.0) * v4) + (d + 3.0) / d * A) * k ** (3.0 / d)
              + c52
-             + 81.0 * A / (16.0 * d * d) * k ** (2.0 / d) / v3)
+             + 81.0 * A / (16.0 * d * d) * k ** (2.0 / d))
     return lower, upper
 
 
 # ----------------------------------------------------------------------------
-# Refined Kroeger-Laptev route
+# Sharpened Young inequality of the refined Kroeger-Laptev route
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KroegerLaptevPoint:
-    """m_k, the normalised average S_k, and the two-sided interval for the
-    next eigenvalue (None when S_k > 1, a reported violation)."""
-
-    k: int
-    m_k: float
-    s_k: float
-    interval: Optional[tuple[float, float]]
-
-
-def _kroeger_laptev_points(spec: Spectrum, dom: DomainSpec, k_max: int):
-    """Refined average bounds for k = 1..k_max in the dimension of ``dom``, from a
-    running sum: m_k = C_d^2 (k/|O|)^(4/d), S_k = ((d+4)/d) (avg of first k) / m_k,
-    and when S_k <= 1 the next eigenvalue lies in m_k (1 -/+ sqrt(1-S_k))^2."""
-    if not 1 <= k_max < len(spec.values):
-        raise InputError(f"k={k_max} needs k >= 1 and k + 1 eigenvalues, have {len(spec.values)}")
-    d = dom.dimension
-    c2 = dimensional_constants(d).classical ** 2
-    total = 0.0
-    for k, value in enumerate(spec.values[:k_max], start=1):
-        total += value
-        m_k = c2 * (k / dom.volume) ** (4.0 / d)
-        s_k = (d + 4.0) / d * (total / k) / m_k
-        root = None if s_k > 1.0 else math.sqrt(1.0 - s_k)
-        interval = None if root is None else (m_k * (1.0 - root) ** 2, m_k * (1.0 + root) ** 2)
-        yield KroegerLaptevPoint(k, m_k, s_k, interval)
-
-
-def kroeger_laptev_refined(spec: Spectrum, dom: DomainSpec, k: int) -> KroegerLaptevPoint:
-    """The refined average bound at index k (``_kroeger_laptev_points``)."""
-    *_, point = _kroeger_laptev_points(spec, dom, k)
-    return point
-
-
-def kroeger_laptev_report(spec: Spectrum, dom: DomainSpec, k_max: int) -> list[BoundReport]:
-    """Reports: S_k <= 1, interval containment of omega_{k+1}, and the
-    quadratic form m_k (1 - S_k) >= (sqrt(omega_{k+1}) - sqrt(m_k))^2,
-    labelled with the dimension of ``dom``, for k = 1..k_max."""
-    label = f"kroeger-laptev-extrapolated-d{dom.dimension}"
-    out: list[BoundReport] = []
-    for pt in _kroeger_laptev_points(spec, dom, k_max):
-        params = {"k": pt.k}
-        out.append(BoundReport.less_equal(
-            f"{label}-sk", pt.s_k, 1.0, "technical_lemma", params=params))
-        nxt = spec.value(pt.k + 1)
-        if pt.interval is None:
-            out.append(BoundReport(
-                f"{label}-interval", (("k", str(pt.k)),), math.nan, math.nan,
-                math.nan, False, "technical_lemma", asserted=False))
-            continue
-        lo, hi = pt.interval
-        out.append(BoundReport.less_equal(
-            f"{label}-interval-lower", lo, nxt, "technical_lemma", params=params))
-        out.append(BoundReport.less_equal(
-            f"{label}-interval-upper", nxt, hi, "technical_lemma", params=params))
-        out.append(BoundReport.less_equal(
-            f"{label}-quadratic", (math.sqrt(nxt) - math.sqrt(pt.m_k)) ** 2,
-            pt.m_k * (1.0 - pt.s_k), "technical_lemma", params=params,
-            tol=1e-12 * pt.m_k))
-    return out
-
 
 def young_refined(p: float, x: float) -> tuple[float, float]:
     """(y, bound) with y = (p+1) x - p - x^(p+1) and bound = -p (1-sqrt(x))^2;

@@ -6,9 +6,10 @@ with one file per subcommand, or as JSON objects beside a ``meta`` record of
 the run (``write_report``); bilap needs numpy alone.  ``bilap all`` runs the
 criteria registry of ``bilap.checks``, the same definitions the acceptance
 suite asserts; the other subcommands expose single layers with their own
-grids.  ``compare`` and ``all`` share ``eig2d.richardson_ladder``, which
-extrapolates from two FD grids, n and 2n; only ``eig2d`` has ``--cache``,
-keyed on the exact domain, grid and mode count.  Exit codes:
+grids, building their rows with the registry's builders.  ``compare`` and
+``all`` share ``eig2d.richardson_ladder``, which extrapolates from two FD
+grids, n and 2n; only ``eig2d`` has ``--cache``, keyed on the exact domain,
+grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
 2 configuration error: an ``InputError`` (a flag value outside the domain
 of the layer function it reaches), a ``ConfigError`` (a rule of the command
@@ -74,7 +75,7 @@ from .core import (  # noqa: E402
     Spectrum,
     dimensional_constants,
 )
-from .roots1d import LAST_NORMAL_DEFECT_N, gamma_root, proposition_bound_report  # noqa: E402
+from .roots1d import LAST_NORMAL_DEFECT_N, gamma_root  # noqa: E402
 
 log = logging.getLogger("bilap")
 
@@ -310,7 +311,7 @@ def cmd_roots(args) -> list[BoundReport]:
         reports.append(BoundReport.value_row(
             "gamma", root.gamma, "1-d-ev-equation", params={"n": n, "method": root.method}))
         reports.append(checks.gamma_residual_row(n))
-    reports.extend(proposition_bound_report(args.n))
+    reports.extend(checks.defect_rows(args.n))
     return reports
 
 
@@ -320,7 +321,7 @@ def cmd_spectrum1d(args) -> list[BoundReport]:
     reports = [BoundReport.value_row(
         "eigenvalue", v, "riesz-1-d", params={"pair": pair, "n": n})
         for n, v in enumerate(spec.values, start=1)]
-    reports.extend(spectra1d.identity_check(min(args.count, checks.ROOT_COUNT)))
+    reports.extend(checks.identity_rows(min(args.count, checks.ROOT_COUNT)))
     return reports
 
 
@@ -413,7 +414,8 @@ def cmd_avp(args) -> list[BoundReport]:
 
 
 def cmd_kroeger_laptev(args) -> list[BoundReport]:
-    return checks.kroeger_laptev_rows(args.k)
+    return checks.kroeger_laptev_rows(
+        spectra1d.spectrum_1d((2, 3), args.k + 1), DomainSpec.interval(1.0), args.k)
 
 
 def cmd_eig2d(args) -> list[BoundReport]:
@@ -459,7 +461,7 @@ def cmd_compare(args) -> list[BoundReport]:
                              f"resolve on {dom.label()}")
     limits, bands = eig2d.richardson_ladder(
         *(eig2d.clamped_spectrum_fd(dom, n, args.k) for n in (mid, fine)), args.k)
-    return eig2d.comparison_report(dom, limits, bands)
+    return checks.comparison_rows(dom, limits, bands)
 
 
 def cmd_all(args) -> list[BoundReport]:

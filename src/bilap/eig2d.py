@@ -38,7 +38,7 @@ spectrum is asked for, and count eigenvalues by Haynsworth inertia
 additivity, so no block is ever factorised or formed as a matrix.  The
 values, with their residuals, come from one extended-precision product
 with the assembled stencil (``_certify``).  Everything here is numpy: no
-solve imports scipy.
+solve imports scipy, and no row is built here (``checks.comparison_rows``).
 """
 
 from __future__ import annotations
@@ -46,12 +46,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import BoundReport, DomainSpec, InputError, Spectrum
-from .spectra1d import spectrum_1d
+from .core import DomainSpec, InputError, Spectrum
 
 __all__ = [
     "Grid2D",
@@ -72,7 +71,6 @@ __all__ = [
     "discrete_laplacian_eigenvalues",
     "richardson_ladder",
     "ladder_modes",
-    "comparison_report",
 ]
 
 # The ``dense_limit`` default of ``smallest_eigs``, which no solve reads:
@@ -96,8 +94,6 @@ MAX_FD_MODES = 400
 # 50 every sample certified (grids 2-64 at k <= 50, 256^2 at k = 400).
 MAX_FD_ASPECT = 50
 LADDER_POINTS_PER_MODE = 64  # grid points n^2 per mode and unit of aspect (``ladder_modes``)
-# The exact 1D comparison chain runs over modes j = 1..COMPARISON_1D_MODES.
-COMPARISON_1D_MODES = 50
 
 
 @dataclass(frozen=True)
@@ -594,7 +590,7 @@ def _certify(op: DiscreteOperator, vectors: np.ndarray) -> tuple[np.ndarray, np.
 
 
 # ----------------------------------------------------------------------------
-# Refinement studies and the eigenvalue comparison chain
+# The clamped spectrum on a grid and its Richardson ladder
 # ----------------------------------------------------------------------------
 
 def _initial_block_modes(k: int) -> int:
@@ -696,48 +692,5 @@ def richardson_ladder(mid: Spectrum, fine: Spectrum,
 def ladder_modes(dom: DomainSpec, n: int) -> int:
     """The most modes a Richardson ladder on grids n and 2n over ``dom``
     resolves: n^2 / (LADDER_POINTS_PER_MODE A), A = max(L)/min(L).  Past it,
-    as measured, ``comparison_report`` rows that hold came out false."""
+    as measured, ``checks.comparison_rows`` rows that hold came out false."""
     return int(n * n * min(dom.lengths) / (LADDER_POINTS_PER_MODE * max(dom.lengths)))
-
-
-def comparison_report(dom: DomainSpec, limits: Sequence[float],
-                      bands: Sequence[float]) -> list[BoundReport]:
-    """Eigenvalue comparison chain: 2D against Richardson bands, 1D exactly.
-
-    2D rows check lambda_j^2 <= Lambda_j (and its a = 1 restatement) for
-    j = 1..len(limits) against the clamped ``limits`` lowered by their
-    ``bands``, as ``richardson_ladder`` gives them.  1D rows run the exact chain
-    Lambda^(2,3) <= Lambda^(1,3) = mu^2 and lambda^2 = Lambda^(0,2) <=
-    Lambda^(0,1) with zero tolerance for j = 1..COMPARISON_1D_MODES.
-    """
-    out: list[BoundReport] = []
-    if len(limits):
-        lam = laplacian_spectrum_exact(dom, len(limits))
-        for j, (limit, band) in enumerate(zip(limits, bands), start=1):
-            lam_sq = lam.value(j) ** 2
-            out.append(BoundReport.less_equal(
-                "laplacian-sq-below-clamped", lam_sq, limit - band, "fullchain",
-                params={"j": j, "domain": dom.label()}))
-            out.append(BoundReport.less_equal(
-                "navier-a1-below-clamped", lam_sq, limit - band, "dirnav",
-                params={"j": j, "a": 1, "domain": dom.label()}))
-
-    spec_01 = spectrum_1d((0, 1), COMPARISON_1D_MODES)
-    spec_02 = spectrum_1d((0, 2), COMPARISON_1D_MODES)
-    spec_13 = spectrum_1d((1, 3), COMPARISON_1D_MODES)
-    spec_23 = spectrum_1d((2, 3), COMPARISON_1D_MODES)
-    for j in range(1, COMPARISON_1D_MODES + 1):
-        mu_sq = (math.pi * (j - 1)) ** 4
-        out.append(BoundReport.less_equal(
-            "1d-neumann-below-ks", spec_23.value(j), spec_13.value(j), "dirnav",
-            params={"j": j}))
-        out.append(BoundReport.less_equal(
-            "1d-ks-equals-mu-sq", abs(spec_13.value(j) - mu_sq), 0.0, "fullchain2",
-            params={"j": j}))
-        out.append(BoundReport.less_equal(
-            "1d-navier-below-dirichlet", spec_02.value(j), spec_01.value(j), "dirnav",
-            params={"j": j}))
-        out.append(BoundReport.less_equal(
-            "1d-lambda-sq-below-clamped", spec_02.value(j), spec_01.value(j),
-            "fullchain", params={"j": j}))
-    return out

@@ -75,11 +75,11 @@ def riesz_mean(spec: Spectrum, z: float) -> float:
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def constant_c(term_tol: float = 1e-16) -> float:
+def constant_c() -> float:
     """The exponentially convergent defect-series constant, about 2.51272.
 
     Terms fall like e^(-pi n) n^3, so truncation once a term drops below
-    ``term_tol`` leaves a tail smaller than the term itself.
+    1e-16 leaves a tail smaller than the term itself.
     """
     total = 0.0
     for n in range(1, 400):
@@ -89,7 +89,7 @@ def constant_c(term_tol: float = 1e-16) -> float:
                 + 6.0 * math.pi ** 2 * e1 ** 2 * half ** 2
                 + math.pi ** 4 * e1 ** 4)
         total += term
-        if term < term_tol:
+        if term < 1e-16:
             break
     return total
 

@@ -18,14 +18,13 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import BoundReport, InputError
+from .core import InputError
 
 __all__ = [
     "GammaRoot",
     "solve_gamma",
     "gamma_root",
     "gamma_value",
-    "proposition_bound_report",
     "log_cosh",
     "EXACT_ROOT_CAP",
     "LAST_NORMAL_DEFECT_N",
@@ -140,79 +139,3 @@ def gamma_value(n: int) -> float:
     if n <= 0:
         return 0.0
     return gamma_root(n).gamma
-
-
-def _sech(a: float) -> float:
-    return math.exp(-log_cosh(a))
-
-
-def proposition_bound_report(n_max: int) -> list[BoundReport]:
-    """Evaluate the defect brackets and tail estimates for n = 1..n_max.
-
-    Upper brackets, the even-n lower bracket, the (0, pi/2) range, strict
-    monotonicity and the pi*e^(-pi n) tail are asserted.  The odd-n lower
-    bracket is evaluated and recorded only: numerically it exceeds the true
-    defect already at n=1 (0.017961 vs 0.017652), so its holds-flag is
-    informational.  The product r_n*cosh(pi(n+1/2)) tends to 1 and is
-    asserted to lie in [0.9, 1.1] for n >= 5.
-    """
-    if n_max < 1:
-        raise InputError(f"n_max={n_max} must be >= 1")
-    out: list[BoundReport] = []
-    prev_r = None
-    for n in range(1, n_max + 1):
-        root = gamma_root(n)
-        r = root.r
-        a = math.pi * (n + 0.5)
-        sech_a = _sech(a)
-        params = {"n": n}
-
-        if n % 2 == 1:
-            upper = math.asin(sech_a)
-            lower = 0.5 * math.asinh(2.0 * sech_a)
-            lower_asserted = False
-        else:
-            upper = math.asin(2.0 * sech_a / (1.0 + math.sqrt(1.0 - 4.0 * sech_a)))
-            lower = math.asin(sech_a)
-            lower_asserted = True
-
-        # Bracket margins shrink like r_n^2 relative, which falls below double
-        # resolution around n = 12, while the log-space evaluation itself
-        # carries ~1e-14 relative noise (ulp of log r ~ -140).  The allowance
-        # keeps the verdict about the mathematics rather than the last bit.
-        fp_tol = 1e-13 * r
-        out.append(BoundReport.less_equal(
-            "defect-upper-bracket", r, upper,
-            "sigma-bound-n-odd" if n % 2 == 1 else "sigma-bound-n-even",
-            params=params, tol=fp_tol))
-        out.append(BoundReport.less_equal(
-            "defect-lower-bracket", lower, r,
-            "sigma-bound-n-odd" if n % 2 == 1 else "sigma-bound-n-even",
-            params=params, asserted=lower_asserted, tol=fp_tol))
-        out.append(BoundReport(
-            "defect-positive", (("n", str(n)),), 0.0, r, r, r > 0.0,
-            "1st-1d-ev-expansion"))
-        out.append(BoundReport.less_equal(
-            "defect-below-half-pi", r, math.pi / 2.0, "1st-1d-ev-expansion",
-            params=params))
-        if prev_r is not None:
-            out.append(BoundReport(
-                "defect-decreasing", (("n", str(n)),), r, prev_r, prev_r - r,
-                r < prev_r, "1st-1d-ev-expansion"))
-        out.append(BoundReport.less_equal(
-            "defect-exp-tail", r, math.pi * math.exp(-math.pi * n),
-            "riesz-1-d", params=params))
-
-        # The defect is positive by construction, so only the unsigned
-        # deviation of r_n * cosh(pi(n+1/2)) from 1 is meaningful.  A root is
-        # bisected exactly when pi(n+1/2) < EXACT_ROOT_CAP, where cosh is finite.
-        if root.method == "asymptotic":
-            product = math.exp(math.log(r) + log_cosh(a)) if r > 0.0 else 1.0
-        else:
-            product = r * math.cosh(a)
-        out.append(BoundReport.less_equal(
-            "defect-asymptotic-product", abs(product - 1.0), 0.1,
-            "gamma-expansion", params=params, asserted=(n >= 5)))
-
-        prev_r = r
-    return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import BoundReport, InputError, Spectrum, check_length
+from .core import InputError, Spectrum, check_length
 from .roots1d import gamma_value
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "ONE_D_PAIRS",
     "spectrum_1d",
     "count_reaching",
-    "identity_check",
     "MAX_COUNT",
 ]
 
@@ -95,42 +94,3 @@ def count_reaching(z: float, length: float = 1.0) -> int:
     if not (0.0 <= z < math.inf):
         raise InputError(f"z={z} must be finite and >= 0")
     return _check_count(math.ceil(check_length(length) * z ** 0.25 / math.pi) + 2)
-
-
-def identity_check(n_max: int) -> list[BoundReport]:
-    """Shared-root identities, entrywise interlacing and the Weyl-type cap.
-
-    The identities hold exactly (bit-for-bit) because all four spectra read
-    the same cached root; the interlacing chain and the Neumann bound
-    Lambda^(2,3)_n <= pi^4 (n-1)^4 are asserted with zero tolerance.
-    """
-    if n_max < 1:
-        raise InputError(f"n_max={n_max} must be >= 1")
-    out: list[BoundReport] = []
-    for n in range(1, n_max + 1):
-        g4 = gamma_value(n) ** 4
-        ids = {
-            "(0,3)[n+1]": gamma_value(_root_index((0, 3), n + 1)) ** 4,
-            "(1,2)[n+1]": gamma_value(_root_index((1, 2), n + 1)) ** 4,
-            "(2,3)[n+2]": gamma_value(_root_index((2, 3), n + 2)) ** 4,
-        }
-        for label, other in ids.items():
-            out.append(BoundReport(
-                "identity-shared-root", (("n", str(n)), ("rhs", label)),
-                g4, other, other - g4, g4 == other, "riesz-1-d"))
-
-        chain = [
-            ("(0,1)>=(0,2)", (math.pi * n) ** 4, g4),
-            ("(0,2)>=(0,3)", gamma_value(n - 1) ** 4, (math.pi * n) ** 4),
-            ("(0,3)==(1,2)", gamma_value(n - 1) ** 4, gamma_value(n - 1) ** 4),
-            ("(1,2)>=(1,3)", (math.pi * (n - 1)) ** 4, gamma_value(n - 1) ** 4),
-            ("(1,3)>=(2,3)", gamma_value(n - 2) ** 4, (math.pi * (n - 1)) ** 4),
-        ]
-        for label, lo, hi in chain:
-            out.append(BoundReport.less_equal(
-                "interlacing", lo, hi, "riesz-1-d", params={"n": n, "link": label}))
-
-        out.append(BoundReport.less_equal(
-            "neumann-weyl-cap", gamma_value(n - 2) ** 4, (math.pi * (n - 1)) ** 4,
-            "riesz-1-d", params={"n": n}))
-    return out

@@ -32,8 +32,6 @@ from bilap.avp import (
     explicit_sum_threshold,
     individual_bounds,
     inscribed_ball_profile,
-    kroeger_laptev_refined,
-    kroeger_laptev_report,
     mollified_indicator_profile,
     partition_lower_bound,
     riesz_lower_bound,
@@ -41,7 +39,7 @@ from bilap.avp import (
     step_average_bound,
     young_refined,
 )
-from bilap.checks import AVERAGE_K, INDIVIDUAL_K, MOLLIFIER_RES
+from bilap.checks import AVERAGE_K, INDIVIDUAL_K, MOLLIFIER_RES, kroeger_laptev_rows
 from bilap.core import (
     BCKind,
     BoundaryCondition,
@@ -580,24 +578,32 @@ class TestIndividualBounds:
             individual_bounds(unit_square, 0)
 
 
+def _kl_rows(spec: Spectrum, dom: DomainSpec, k_max: int) -> dict:
+    """The rows of ``kroeger_laptev_rows`` keyed by (name suffix, k), the
+    suffix being what follows ``kroeger-laptev-extrapolated-d<d>-``."""
+    prefix = f"kroeger-laptev-extrapolated-d{dom.dimension}-"
+    return {(r.check.removeprefix(prefix), int(dict(r.params)["k"])): r
+            for r in kroeger_laptev_rows(spec, dom, k_max)}
+
+
 class TestKroegerLaptev:
     def test_1d_neumann_k10(self):
         spec = spectrum_1d((2, 3), 12)
-        dom = DomainSpec.interval(1.0)
-        pt = kroeger_laptev_refined(spec, dom, 10)
-        assert pt.s_k < 1.0
-        lo, hi = pt.interval
-        assert lo <= spec.value(11) <= hi
+        rows = _kl_rows(spec, DomainSpec.interval(1.0), 10)
+        assert rows["sk", 10].lhs < 1.0
+        lower, upper = rows["interval-lower", 10], rows["interval-upper", 10]
+        assert lower.rhs == upper.lhs == spec.value(11)
+        assert lower.lhs <= spec.value(11) <= upper.rhs
 
     def test_1d_neumann_full_range(self):
         spec = spectrum_1d((2, 3), 501)
         dom = DomainSpec.interval(1.0)
-        reports = kroeger_laptev_report(spec, dom, 500)
+        reports = kroeger_laptev_rows(spec, dom, 500)
         assert all(r.holds for r in reports if r.asserted)
 
     def test_square_rows_are_labelled_and_computed_in_d2(self, unit_square, check_context):
         spec = check_context.fd(32)
-        reports = kroeger_laptev_report(spec, unit_square, 3)
+        reports = kroeger_laptev_rows(spec, unit_square, 3)
         assert reports and all(r.check.startswith("kroeger-laptev-extrapolated-d2-")
                                for r in reports)
         # S_1 = ((d+4)/d) Lambda_1 / m_1 with m_1 = C_2^2 |O|^(-2) = 16 pi^2
@@ -609,18 +615,19 @@ class TestKroegerLaptev:
         dom = DomainSpec.interval(1.0)
         m1 = dimensional_constants(1).classical ** 2  # m_k at k=1
         sat = m1 / 5.0  # (d+4)/d = 5 at d=1
-        spec = Spectrum((sat, sat))
-        pt = kroeger_laptev_refined(spec, dom, 1)
-        assert pt.s_k == pytest.approx(1.0, rel=1e-15)
-        lo, hi = pt.interval
-        assert lo == pytest.approx(pt.m_k) and hi == pytest.approx(pt.m_k)
+        rows = _kl_rows(Spectrum((sat, sat)), dom, 1)
+        assert rows["sk", 1].lhs == pytest.approx(1.0, rel=1e-15)
+        lo, hi = rows["interval-lower", 1].lhs, rows["interval-upper", 1].rhs
+        assert lo == pytest.approx(m1) and hi == pytest.approx(m1)
 
     def test_violation_reported_not_raised(self):
         dom = DomainSpec.interval(1.0)
         big = dimensional_constants(1).classical ** 2  # eigenvalue above m_1
-        spec = Spectrum((big, big))
-        pt = kroeger_laptev_refined(spec, dom, 1)
-        assert pt.s_k > 1.0 and pt.interval is None
+        rows = _kl_rows(Spectrum((big, big)), dom, 1)
+        assert rows["sk", 1].lhs > 1.0 and not rows["sk", 1].holds
+        assert set(rows) == {("sk", 1), ("interval", 1)}
+        violation = rows["interval", 1]
+        assert math.isnan(violation.lhs) and not violation.holds and not violation.asserted
 
     def test_report_equals_the_per_k_sum(self):
         # the running sum adds the values left to right, as sum() does for
@@ -649,12 +656,12 @@ class TestKroegerLaptev:
                                        (math.sqrt(nxt) - math.sqrt(m_k)) ** 2,
                                        m_k * (1.0 - s_k), "technical_lemma", params=params,
                                        tol=1e-12 * m_k)]
-        assert kroeger_laptev_report(spec, dom, k_max) == oracle
+        assert kroeger_laptev_rows(spec, dom, k_max) == oracle
 
     def test_needs_k_plus_one_values(self):
         spec = spectrum_1d((2, 3), 5)
         with pytest.raises(ValueError):
-            kroeger_laptev_refined(spec, DomainSpec.interval(1.0), 5)
+            kroeger_laptev_rows(spec, DomainSpec.interval(1.0), 5)
 
 
 class TestYoungRefined:
@@ -733,8 +740,8 @@ _DILATION_LAWS = {
         _ball(dom, t), t ** 4 / (u * _ball(dom, 1.0).lap_ratio))[1]),
 }
 _BROKEN_LAWS = {
-    "individual_bounds": "individual_bounds divides A = second_term_coefficient(dom), "
-                         "which carries |Omega|^(-3/d), by |Omega|^(3/d) again "
+    "individual_bounds": "individual_bounds' c52 term carries |Omega|^(-3/d) with no "
+                         "geometric factor to match, so it scales like t^-3 "
                          "(FOUND in CHANGES.md)",
     "unweighted_heat_bound": "the gradient term of partition_lower_bound's unweighted "
                              "bound lacks a factor |Omega|, so it scales like t^-d "

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import bilap
-from bilap import avp, eig2d, riesz, roots1d, semiclassical, spectra1d
+from bilap import avp, checks, eig2d, riesz, roots1d, semiclassical, spectra1d
 from bilap.core import (
     BCKind,
     BoundaryCondition,
@@ -232,6 +232,13 @@ def test_all_names_only_attributes_of_the_module(name):
     assert not missing, f"{name}.__all__ names {missing}, which {name} does not define"
 
 
+@pytest.mark.parametrize("layer", [roots1d, spectra1d, riesz, semiclassical, avp, eig2d],
+                         ids=lambda module: module.__name__)
+def test_numeric_layers_build_no_rows(layer):
+    """The layers return numbers; ``bilap.checks`` alone turns them into rows."""
+    assert not hasattr(layer, "BoundReport")
+
+
 SQUARE = DomainSpec.square(1.0)
 INTERVAL = DomainSpec.interval(1.0)
 
@@ -292,8 +299,8 @@ _SPEC = Spectrum((1.0, 2.0, 3.0))
     (lambda: avp.riesz_lower_bound(_ball(), math.inf), True),
     (lambda: avp.partition_lower_bound(_ball(), 0.0), True),
     (lambda: avp.explicit_sum_bound(SQUARE, 0), True),
-    (lambda: avp.kroeger_laptev_refined(_SPEC, INTERVAL, 0), True),
-    (lambda: avp.kroeger_laptev_refined(_SPEC, INTERVAL, 3), True),
+    (lambda: checks.kroeger_laptev_rows(_SPEC, INTERVAL, 0), True),
+    (lambda: checks.kroeger_laptev_rows(_SPEC, INTERVAL, 3), True),
     (lambda: eig2d.Grid2D(1, 4, SQUARE), True),
     (lambda: eig2d.Grid2D(4, 4, INTERVAL), True),
     (lambda: eig2d.clamped_spectrum_fd(SQUARE, 3, 10), True),
@@ -327,8 +334,8 @@ _TINY_INTERVAL = DomainSpec.interval(MIN_LENGTH)
     lambda: eig2d.neumann_laplacian_spectrum_exact(INTERVAL, 3),
     lambda: eig2d.neumann_laplacian_spectrum_exact(SQUARE, 0),
     lambda: roots1d.solve_gamma(-1),
-    lambda: roots1d.proposition_bound_report(0),
-    lambda: spectra1d.identity_check(0),
+    lambda: checks.defect_rows(0),
+    lambda: checks.identity_rows(0),
     # the index rule, where the bounds overflowed or k was no float
     lambda: check_index(0),
     lambda: check_index(MAX_INDEX + 1),

@@ -24,7 +24,6 @@ from bilap.eig2d import (
     Grid2D,
     assemble_clamped_bilaplacian,
     clamped_spectrum_fd,
-    comparison_report,
     discrete_laplacian_eigenvalues,
     laplacian_spectrum_exact,
     navier1_spectrum_exact,
@@ -613,12 +612,12 @@ class TestSineForm:
 
 class TestComparisonReport:
     def test_1d_chain_zero_tolerance(self):
-        reports = comparison_report(DomainSpec.square(1.0), [], [])
+        reports = checks.comparison_rows(DomainSpec.square(1.0), [], [])
         assert reports and all(r.holds for r in reports)
 
     def test_2d_chain_with_fixtures(self, unit_square, clamped_richardson):
         limits, bands = clamped_richardson
-        reports = comparison_report(unit_square, limits[:10], bands[:10])
+        reports = checks.comparison_rows(unit_square, limits[:10], bands[:10])
         two_d = [r for r in reports if r.check in
                  ("laplacian-sq-below-clamped", "navier-a1-below-clamped")]
         assert len(two_d) == 20

@@ -122,8 +122,14 @@ class TestSeriesConstant:
         assert 2.0 < c < 3.0
 
     def test_truncation_stability(self):
-        # tail is geometric; moving the cutoff far out changes nothing
-        assert abs(constant_c(1e-16) - constant_c(1e-22)) < 1e-15
+        # tail is geometric; summing far past the 1e-16 cutoff (the 39th term
+        # is below 1e-50) changes nothing
+        def term(n: int) -> float:
+            half, e1 = n + 0.5, math.exp(-math.pi * n)
+            return (4.0 * (math.pi * e1 * half ** 3 + math.pi ** 3 * e1 ** 3 * half)
+                    + 6.0 * math.pi ** 2 * e1 ** 2 * half ** 2 + math.pi ** 4 * e1 ** 4)
+
+        assert abs(constant_c() - math.fsum(term(n) for n in range(1, 40))) < 1e-15
 
 
 class TestTheoremBounds:

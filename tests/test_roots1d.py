@@ -13,9 +13,9 @@ from bilap.roots1d import (
     gamma_root,
     gamma_value,
     log_cosh,
-    proposition_bound_report,
     solve_gamma,
 )
+from bilap.checks import defect_rows
 
 
 def oracle_bisect(lo: float, hi: float, iters: int = 200) -> float:
@@ -158,7 +158,7 @@ class TestResidualsAndDefects:
 
 @pytest.fixture(scope="module")
 def report():
-    return proposition_bound_report(50)
+    return defect_rows(50)
 
 
 class TestPropositionReport:
@@ -193,7 +193,7 @@ class TestPropositionReport:
 
     def test_requires_positive_n_max(self):
         with pytest.raises(ValueError):
-            proposition_bound_report(0)
+            defect_rows(0)
 
 
 def test_log_cosh_accuracy_and_range():

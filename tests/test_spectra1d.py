@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bilap.checks import identity_rows
 from bilap.roots1d import gamma_value
 from bilap.core import InputError
 from bilap.spectra1d import (
@@ -14,7 +15,6 @@ from bilap.spectra1d import (
     MAX_COUNT,
     ONE_D_PAIRS,
     count_reaching,
-    identity_check,
     spectrum_1d,
 )
 
@@ -162,7 +162,7 @@ class TestEigenfunctions:
 
 class TestIdentities:
     def test_shared_root_identities_exact(self):
-        reports = [r for r in identity_check(50) if r.check == "identity-shared-root"]
+        reports = [r for r in identity_rows(50) if r.check == "identity-shared-root"]
         assert len(reports) == 150
         assert all(r.holds and r.margin == 0.0 for r in reports)
 
@@ -175,7 +175,7 @@ class TestIdentities:
             assert s01.value(n) == s03.value(n + 1) == s12.value(n + 1) == s23.value(n + 2)
 
     def test_interlacing_and_weyl_cap(self):
-        reports = identity_check(100)
+        reports = identity_rows(100)
         assert all(r.holds for r in reports if r.check == "interlacing")
         assert all(r.holds for r in reports if r.check == "neumann-weyl-cap")
 
