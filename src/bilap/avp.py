@@ -351,7 +351,8 @@ def step_average_bound(dom: DomainSpec, k: int, h: float) -> float:
     dc = dimensional_constants(d)
     vol = dom.volume
     w = tube_volume(dom, h)
-    rem_vol = vol - w
+    # the inner box, as a product: vol - w cancels as h nears the inradius
+    rem_vol = math.prod(length - 2.0 * h for length in dom.lengths)
     if rem_vol <= 0.0:
         return math.inf
     kv = k / vol

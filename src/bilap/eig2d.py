@@ -36,9 +36,10 @@ basis of its Woodbury inverse that grows until the Ritz pairs meet the
 residual bound, or over the whole block when more than a third of its
 spectrum is asked for, and count eigenvalues by Haynsworth inertia
 additivity, so no block is ever factorised or formed as a matrix.  The
-values, with their residuals, come from one extended-precision product
-with the assembled stencil (``_certify``).  Everything here is numpy: no
-solve imports scipy, and no row is built here (``checks.comparison_rows``).
+values are Rayleigh quotients on the assembled stencil, summed in extended
+precision, and the residuals are float64 products bounded above with their
+rounding (``_certify``).  Everything here is numpy: no solve imports scipy,
+and no row is built here (``checks.comparison_rows``).
 """
 
 from __future__ import annotations
@@ -166,6 +167,28 @@ class DiscreteOperator:
         for s, coef in self.couplings:
             out[:, :-s] += coef * rows[:, s:]
         return out.T
+
+    def quotients(self, vectors: np.ndarray) -> np.ndarray:
+        """Rayleigh quotients v.(A v) / v.v of the columns of ``vectors``,
+        summed in ``np.longdouble`` from the upper half of the stencil: each
+        row accumulates acc_p = c0_p v_p + sum_{s>0} 2 c_s[p] v_{p+s} (the
+        doubling is exact), and the quotient is sum_p v_p acc_p / sum_p v_p^2,
+        half the stencil passes of the full row sums of A v.  Grouped by
+        row, the terms cancel locally before the pairwise sum over the rows;
+        the same quadratic form summed coupling by coupling over the whole
+        vector cancels across whole sums instead and lands up to 4.2e-13 off
+        the exact quotient on the 128^2 square's blocks.  The sums run along
+        contiguous rows, so their bits do not depend on the layout of
+        ``vectors``."""
+        wide = np.array(vectors.T, dtype=np.longdouble, order="C")
+        acc = self.centre * wide
+        term = np.empty_like(wide)
+        for s, coef in self.couplings:
+            np.multiply(2.0 * coef, wide[:, s:], out=term[:, :-s])
+            acc[:, :-s] += term[:, :-s]
+        acc *= wide
+        np.square(wide, out=term)
+        return (acc.sum(axis=1) / term.sum(axis=1)).astype(float)
 
     def norm_inf(self) -> float:
         rows = np.abs(self.centre)
@@ -516,13 +539,18 @@ def _rayleigh_ritz(form: SineForm, basis: np.ndarray, k: int,
     size, dim = basis.shape
     shape = form.diag.shape
     old = len(known)
-    # A of two rows at a time, whose product with the basis is the shape of
-    # the Lanczos steps: a square product's bits depend on the BLAS thread
-    # count, and the images of the whole basis are never held at once
+    # A of 16 rows per call, few Python-level calls that never hold the
+    # images of all new rows at once (that raised the peak RSS of ``bilap
+    # all`` by 3.7%).  Each chunk's product with the basis is taken two rows
+    # at a time, the shape of the Lanczos steps, because a wider product's
+    # bits depend on the BLAS thread count.
+    chunk = 16
     gram = np.empty((size, size))
     gram[:old, :old] = known
-    gram[old:] = np.concatenate([form.apply(basis[i:i + 2].reshape(-1, *shape)).reshape(-1, dim)
-                                 @ basis.T for i in range(old, size, 2)])
+    for start in range(old, size, chunk):
+        images = form.apply(basis[start:start + chunk].reshape(-1, *shape)).reshape(-1, dim)
+        for i in range(0, len(images), 2):
+            gram[start + i:start + i + 2] = images[i:i + 2] @ basis.T
     gram[:old, old:] = gram[old:, :old].T
     theta, rotation = np.linalg.eigh((gram + gram.T) / 2.0)
     ritz = (rotation[:, :k].T @ basis).reshape(k, *shape)
@@ -544,35 +572,60 @@ def _inertia_floor(op: DiscreteOperator, top: float) -> float:
     return _inertia_shift(top, RESIDUAL_TOL * op.norm_inf())
 
 
+def _residual_bounds(op: DiscreteOperator, vectors: np.ndarray,
+                     values: np.ndarray) -> np.ndarray:
+    """Upper bounds on the exact residuals ||A v - lambda v||_2 of the columns
+    v of ``vectors`` and their float64 ``values``: the float64 residuals of
+    ``op.matvec`` plus 16 u ||A||_inf ||v||_2, u = 2^-53 the unit roundoff.
+
+    The allowance covers the rounding of each step.  A row of A v sums at
+    most 13 products from zero, so its error is at most
+    gamma_13 sum_q |A_pq| |v_q|, gamma_13 = 13u/(1 - 13u), and over all rows
+    at most gamma_13 || |A| |v| ||_2 <= gamma_13 ||A||_inf ||v||_2 (|A| is
+    symmetric, so its 2-norm is at most its row-sum norm).  lambda v rounds
+    each entry by at most u |lambda| |v_p|, within u ||A||_inf ||v||_2 in
+    all, since |lambda| <= ||A||_inf.  The subtraction and the norm round
+    the computed residual itself, by a relative (dim + 2) u; on a residual
+    that passes, at most RESIDUAL_TOL ||A||_inf, that is below
+    u ||A||_inf for any dim below 1e12.  The sum, under 15.01 u ||A||_inf
+    ||v||_2, is rounded up to 16 u: about 1.8e-3 of the certificate's bound
+    RESIDUAL_TOL ||A||_inf for a unit vector, so a computed residual that
+    passes proves the exact one within the bound."""
+    image = op.matvec(vectors)
+    image -= vectors * values
+    residuals = np.linalg.norm(image, axis=0)
+    allowance = 8.0 * np.finfo(float).eps * op.norm_inf()
+    return residuals + allowance * np.linalg.norm(vectors, axis=0)
+
+
 def _certify(op: DiscreteOperator, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, vectors), the columns of ``vectors`` in ascending order of
     their Rayleigh quotients on the assembled matrix; ``RuntimeError`` unless
     they are the smallest eigenpairs.  This is where every FD value is made.
 
-    One ``np.longdouble`` product A v gives the quotients and the residuals:
-    the quotient cancels terms of size ||A|| down to the smallest
-    eigenvalues, which float64 sums leave up to 1.2e-11 relative off
-    (measured on the 96^2 and 128^2 blocks).  The sums run along contiguous
-    rows, so their bits do not depend on the layout of ``vectors``.  Each
-    residual ||A v - lambda v||_2 must stay within RESIDUAL_TOL ||A||_inf;
-    for symmetric A a true eigenvalue then lies within it of each value.  An
-    inertia count at sigma = ``_inertia_shift`` of lambda_k
-    (``op.count_below``) must find exactly as many eigenvalues below sigma
-    as were returned: a copy of a multiple eigenvalue that the solve dropped
-    shows as one count too many.  A block counts by Haynsworth inertia
-    additivity on its sine form, the count of the exact operator, whose low
-    eigenvalues lie within 6.3e-10 relative (measured on 128^2 grids) of the
-    assembled matrix's, inside sigma's 1e-8 offset below lambda_k; were the
-    offset ever crossed, on far finer grids, the counts would disagree and
-    raise, not pass.
+    The values are ``op.quotients``, summed in ``np.longdouble``: the
+    quotient cancels terms of size ||A|| down to the smallest eigenvalues,
+    which float64 sums leave up to 1.2e-11 relative off (measured on the
+    96^2 and 128^2 blocks); the extended sums are within 5.9e-15 of the exact
+    quotient of the same float vector (measured on the lowest, second and
+    top vectors of every block of the 128^2 square and the 72^2 and 96^2
+    grids of 1 x 1.65).  A residual is judged in units of ||A||_inf, against
+    which float64 rounding is small, so it is formed in float64 and bounded
+    above with its rounding (``_residual_bounds``).
+    Each residual ||A v - lambda v||_2 must stay within
+    RESIDUAL_TOL ||A||_inf; for symmetric A a true eigenvalue then lies
+    within it of each value.  An inertia count at sigma = ``_inertia_shift``
+    of lambda_k (``op.count_below``) must find exactly as many eigenvalues
+    below sigma as were returned: a copy of a multiple eigenvalue that the
+    solve dropped shows as one count too many.  A block counts by
+    Haynsworth inertia additivity on its sine form, the count of the exact
+    operator, whose low eigenvalues lie within 6.3e-10 relative (measured on
+    128^2 grids) of the assembled matrix's, inside sigma's 1e-8 offset below
+    lambda_k; were the offset ever crossed, on far finer grids, the counts
+    would disagree and raise, not pass.
     """
-    wide = np.array(vectors.T, dtype=np.longdouble, order="C")
-    image = op.matvec(wide.T).T
-    quotients = np.ascontiguousarray(wide * image).sum(axis=1)
-    values = (quotients / (wide * wide).sum(axis=1)).astype(float)
-    wide *= values[:, None]
-    image -= wide
-    residuals = np.sqrt(np.einsum("ij,ij->i", image, image)).astype(float)
+    values = op.quotients(vectors)
+    residuals = _residual_bounds(op, vectors, values)
     order = np.argsort(values, kind="stable")
     values, vectors, residuals = values[order], vectors[:, order], residuals[order]
     bound = RESIDUAL_TOL * op.norm_inf()

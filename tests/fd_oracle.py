@@ -7,8 +7,9 @@ Laplacian, and each parity block as the sparse product L @ L that
 ``eig2d.assemble_clamped_bilaplacian`` reproduces bit for bit.
 ``smallest_eigs`` solves these with dense LAPACK or ARPACK shift-invert and
 hands the vectors to ``eig2d._certify``, which makes the values and checks
-them as for a block solve; its inertia count here is the number of negative
-pivots of a SuperLU LDL^T.
+them as for a block solve.  The values here are the oracle's own quotients,
+the full extended-precision row sums x.(A x), and its inertia count is the
+number of negative pivots of a SuperLU LDL^T.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ class SparseOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.matrix.astype(x.dtype) @ x
+
+    def quotients(self, vectors: np.ndarray) -> np.ndarray:
+        """Rayleigh quotients v.(A v) / v.v from the full row sums of A v in
+        ``np.longdouble``, a formula independent of the block's upper-half
+        accumulation (``DiscreteOperator.quotients``)."""
+        wide = np.array(vectors.T, dtype=np.longdouble, order="C")
+        image = np.ascontiguousarray(self.matvec(wide.T).T)
+        return ((wide * image).sum(axis=1) / (wide * wide).sum(axis=1)).astype(float)
 
     def norm_inf(self) -> float:
         return float(np.abs(self.matrix).sum(axis=1).max())

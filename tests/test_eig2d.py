@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import fd_oracle
@@ -141,6 +142,38 @@ def _dense_quotients(op: DiscreteOperator, k: int) -> np.ndarray:
     """The certified values of a dense solve's k lowest vectors of a block."""
     vectors = np.linalg.eigh(fd_oracle.to_sparse(op).toarray())[1][:, :k]
     return eig2d._certify(op, vectors)[0]
+
+
+def _exact_quotient(op: DiscreteOperator, v: np.ndarray) -> Fraction:
+    """v.(A v) / v.v in exact rational arithmetic, from the block's stencil:
+    each float array as integers over its largest power-of-two denominator."""
+    def scaled(x: np.ndarray) -> tuple[list[int], int]:
+        ratios = [t.as_integer_ratio() for t in x.tolist()]
+        scale = max(d for _, d in ratios)
+        return [n * (scale // d) for n, d in ratios], scale
+
+    w, sw = scaled(v)
+    c, sc = scaled(op.centre)
+    form = Fraction(sum(ci * wi * wi for ci, wi in zip(c, w)), sc * sw * sw)
+    for shift, coef in op.couplings:
+        c, sc = scaled(coef)
+        form += Fraction(2 * sum(ci * wi * wj for ci, wi, wj in zip(c, w, w[shift:])),
+                         sc * sw * sw)
+    return form / Fraction(sum(wi * wi for wi in w), sw * sw)
+
+
+@pytest.fixture(scope="module")
+def solved_blocks() -> list[tuple[DiscreteOperator, np.ndarray]]:
+    """(block, Lanczos vectors at its first mode count) of every solved block
+    of 128^2/50 on the unit square and 96^2/60 on 1 x 1.65."""
+    out = []
+    for dom, n, k in ((DomainSpec.square(1.0), 128, 50), (DomainSpec.rectangle(1.0, 1.65), 96, 60)):
+        grid = Grid2D(n, n, dom)
+        blocks = [assemble_clamped_bilaplacian(grid, (px, py)) for px in (1, -1) for py in (1, -1)]
+        if eig2d._is_mirror_twin(blocks[1], blocks[2]):
+            del blocks[2]
+        out += [(op, eig2d._lanczos(op, eig2d._initial_block_modes(k))) for op in blocks]
+    return out
 
 
 class TestSolver:
@@ -304,10 +337,33 @@ class TestSolver:
         reference = 674.3956736688158628
         assert abs(values[0] - reference) <= 1e-13 * reference
 
+    def test_quotients_match_the_exact_rational_quotient(self, solved_blocks):
+        # the lowest vector of every solved block of 128^2/50 on the square and
+        # 96^2/60 on 1 x 1.65, and the top vector of each even-even block
+        for op, vectors in solved_blocks:
+            columns = [0, vectors.shape[1] - 1] if op.parity == (1, 1) else [0]
+            quotients = op.quotients(vectors[:, columns])
+            for j, quotient in zip(columns, quotients):
+                exact = _exact_quotient(op, vectors[:, j])
+                assert abs(Fraction(quotient) - exact) <= Fraction(1, 10 ** 14) * exact, (
+                    op.label, j)
+
+    def test_float64_residual_bounds_are_conservative(self, solved_blocks):
+        for op, vectors in solved_blocks:
+            values = op.quotients(vectors)
+            wide = vectors.astype(np.longdouble)
+            image = op.matvec(wide) - wide * values
+            extended = np.sqrt(np.einsum("ij,ij->j", image, image))
+            bounds = eig2d._residual_bounds(op, vectors, values)
+            assert (bounds >= extended).all(), op.label
+            # the allowance is a small share of the certificate's bound
+            allowance = bounds - np.linalg.norm(op.matvec(vectors) - vectors * values, axis=0)
+            assert allowance.max() <= 2e-3 * eig2d.RESIDUAL_TOL * op.norm_inf()
+
     def test_longdouble_is_extended_precision(self):
         assert np.finfo(np.longdouble).eps <= 2.0 ** -63, (
             "the certificate of every FD solve (eig2d._certify) forms its Rayleigh "
-            "quotients and residuals in an extended-precision np.longdouble")
+            "quotients in an extended-precision np.longdouble")
 
     def test_richardson_exponent_near_two(self, check_context):
         lam1 = [check_context.fd(n).value(1) for n in (32, 64, 128)]
