@@ -40,12 +40,11 @@ LATTICE_R = np.linspace(0.0, 200.0, 500)  # criterion 4 radii
 NEUMANN_A = (-0.3, 0.0, 0.5, 0.9)         # criterion 6 Poisson ratios, d = 2..4
 KL_K = 500                                # criterion 10: k = 1..500
 YOUNG_LATTICE = np.linspace(0.0, 10.0, 101)
-FD_GRIDS = (64, 128)                      # criteria 7, 8, 11: Richardson ladder, n and 2n
+FD_GRIDS = (64, 128)                      # criteria 7, 8, 11: ladder n and 2n; 9: heat trace on n
 FD_MODES = 50
 COMPARE_MODES = 10                        # criterion 7: 2D chain j = 1..10
 COMPARISON_1D_MODES = 50                  # criterion 7: exact 1D chain j = 1..50
 AVERAGE_K = range(1, 31)                  # criterion 8
-HEAT_GRID = 64                            # criterion 9: heat trace over FD_MODES modes
 HEAT_T = (1e-3, 1e-4)
 MOLLIFIER_H, MOLLIFIER_RES = 0.1, 96      # criteria 8, 9
 INDIVIDUAL_K = range(20, 51)              # criterion 11
@@ -408,7 +407,7 @@ def _averages(ctx: Context) -> list[BoundReport]:
 def _heat_trace(ctx: Context) -> list[BoundReport]:
     # every term is positive, so the truncated trace lies below the full one
     # and a lower bound under it is under the full trace too
-    values = ctx.fd(HEAT_GRID).values
+    values = ctx.fd(FD_GRIDS[0]).values
     rows = []
     for t in HEAT_T:
         trace = sum(math.exp(-v * t) for v in values)

@@ -3,13 +3,15 @@
 Reports are schema-stable rows
     check,param1,param2,lhs,rhs,margin,holds,paper_ref
 with one file per subcommand, or as JSON objects beside a ``meta`` record of
-the run (``write_report``); bilap needs numpy alone.  ``bilap all`` runs the
-criteria registry of ``bilap.checks``, the same definitions the acceptance
-suite asserts; the other subcommands expose single layers with their own
-grids, building their rows with the registry's builders.  ``compare`` and
-``all`` share ``eig2d.richardson_ladder``, which extrapolates from two FD
-grids, n and 2n; only ``eig2d`` has ``--cache``, keyed on the exact domain,
-grid and mode count.  Exit codes:
+the run (``write_report``); bilap needs numpy alone.  ``build_parser`` is
+the one table of subcommands: each subparser carries its ``cmd_*`` handler
+as ``run``, and all take ``--out`` and ``--format``.  ``bilap all`` runs
+the criteria registry of ``bilap.checks``, the same definitions the
+acceptance suite asserts; the other subcommands expose single layers with
+their own grids, building their rows with the registry's builders.
+``compare`` and ``all`` share ``eig2d.richardson_ladder``, which
+extrapolates from two FD grids, n and 2n; only ``eig2d`` has ``--cache``,
+keyed on the exact domain, grid and mode count.  Exit codes:
 0 all asserted checks hold, 1 at least one asserted check fails,
 2 configuration error: an ``InputError`` (a flag value outside the domain
 of the layer function it reaches), a ``ConfigError`` (a rule of the command
@@ -84,6 +86,9 @@ CSV_COLUMNS = ("check", "param1", "param2", "lhs", "rhs", "margin", "holds", "pa
 # 3-4 s and 170-180 MB in `predict --k` and `riesz1d --z` (2-CPU machine);
 # the benchmark's longest list has 2,000.
 MAX_RANGE_VALUES = 10 ** 5
+# The boundary conditions by flag name, in the order of the ``constants`` rows.
+BC_KINDS = {"dirichlet": BCKind.DIRICHLET, "navier": BCKind.NAVIER,
+            "ks": BCKind.KUTTLER_SIGILLITO, "neumann": BCKind.NEUMANN}
 
 
 class ConfigError(InputError):
@@ -188,11 +193,10 @@ def load_config(path: Path) -> dict[str, str]:
 
 
 def parse_bc(name: str, a: float) -> BoundaryCondition:
-    """The condition ``name`` with Poisson ratio ``a``; Dirichlet has no
-    Poisson ratio, so it takes only a = 0."""
+    """The condition ``name`` of ``BC_KINDS`` with Poisson ratio ``a``;
+    Dirichlet has no Poisson ratio, so it takes only a = 0."""
     try:
-        kind = {"dirichlet": BCKind.DIRICHLET, "navier": BCKind.NAVIER,
-                "ks": BCKind.KUTTLER_SIGILLITO, "neumann": BCKind.NEUMANN}[name]
+        kind = BC_KINDS[name]
     except KeyError as exc:
         raise ConfigError(f"unknown boundary condition {name!r}") from exc
     _require(kind is not BCKind.DIRICHLET or a == 0.0,
@@ -347,8 +351,8 @@ def cmd_constants(args) -> list[BoundReport]:
         ):
             reports.append(BoundReport.value_row(name, val, ref, params={"d": d}))
         if d >= 2:
-            for bc_name in ("dirichlet", "navier", "ks", "neumann"):
-                bc = parse_bc(bc_name, 0.0 if bc_name == "dirichlet" else args.a)
+            for bc_name, kind in BC_KINDS.items():
+                bc = parse_bc(bc_name, 0.0 if kind is BCKind.DIRICHLET else args.a)
                 co = semiclassical.expansion_coefficients(bc, d)
                 reports.append(BoundReport.value_row(
                     "c0-per-volume", co.c0, "semiclassicalcounting", params={"d": d}))
@@ -483,7 +487,63 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     parser.add_argument("--config", type=Path, help="JSON file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("roots", cmd_roots, "frequency-equation roots and defect brackets")
+    p.add_argument("--n", type=int, default=20)
+
+    p = command("spectrum1d", cmd_spectrum1d, "exact interval spectra")
+    p.add_argument("--pair", default="0,1")
+    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--length", type=float, default=1.0)
+
+    p = command("riesz1d", cmd_riesz1d, "Riesz means against the explicit envelopes")
+    p.add_argument("--pair", default="0,1")
+    p.add_argument("--z", default="1:1e8:64log")
+
+    p = command("lemma-onedim", cmd_lemma_onedim, "lattice-sum envelope checks")
+    p.add_argument("--r-grid", default="0:200:101lin")
+
+    p = command("constants", cmd_constants, "dimensional and boundary coefficients")
+    p.add_argument("--dims", default="1..6")
+    p.add_argument("--a", type=float, default=0.0)
+
+    p = command("predict", cmd_predict, "two-term eigenvalue predictions")
+    p.add_argument("--domain", default="square:1")
+    p.add_argument("--bc", default="dirichlet")
+    p.add_argument("--a", type=float, default=0.0)
+    p.add_argument("--k", default="1..20")
+
+    p = command("avp", cmd_avp, "averaged-variational-principle bounds")
+    p.add_argument("--domain", default="square:1")
+    p.add_argument("--k", default="1..30")
+    p.add_argument("--z", default="1e3:1e6:8log")
+    p.add_argument("--t", default="1e-4,1e-3")
+    p.add_argument("--h", type=float, default=0.1)
+    p.add_argument("--grid-res", type=int, default=96)
+
+    p = command("kroeger-laptev", cmd_kroeger_laptev, "refined two-sided interval bounds")
+    p.add_argument("--k", type=int, default=120)
+
+    p = command("eig2d", cmd_eig2d, "finite-difference clamped spectrum")
+    p.add_argument("--domain", default="square:1")
+    p.add_argument("--grids", default="32")
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--cache", type=Path, help="spectrum cache directory (same grid and k)")
+
+    p = command("compare", cmd_compare, "eigenvalue comparison chain")
+    p.add_argument("--domain", default="square:1")
+    p.add_argument("--grids", default="64,128",
+                   help="at least two distinct grids, the finest two n and 2n; "
+                        "only those two are solved")
+    p.add_argument("--k", type=int, default=10)
+
+    command("all", cmd_all, "full verification sweep")
+
+    for p in sub.choices.values():
         p.add_argument("--out", type=Path, default=None, help="report path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if config_defaults:
@@ -494,68 +554,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                          f"config value {value!r} of {'/'.join(action.option_strings)} "
                          f"is not one of {list(action.choices or ())}")
             p.set_defaults(**config_defaults)
-
-    p = sub.add_parser("roots", help="frequency-equation roots and defect brackets")
-    p.add_argument("--n", type=int, default=20)
-    common(p)
-
-    p = sub.add_parser("spectrum1d", help="exact interval spectra")
-    p.add_argument("--pair", default="0,1")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--length", type=float, default=1.0)
-    common(p)
-
-    p = sub.add_parser("riesz1d", help="Riesz means against the explicit envelopes")
-    p.add_argument("--pair", default="0,1")
-    p.add_argument("--z", default="1:1e8:64log")
-    common(p)
-
-    p = sub.add_parser("lemma-onedim", help="lattice-sum envelope checks")
-    p.add_argument("--r-grid", default="0:200:101lin")
-    common(p)
-
-    p = sub.add_parser("constants", help="dimensional and boundary coefficients")
-    p.add_argument("--dims", default="1..6")
-    p.add_argument("--a", type=float, default=0.0)
-    common(p)
-
-    p = sub.add_parser("predict", help="two-term eigenvalue predictions")
-    p.add_argument("--domain", default="square:1")
-    p.add_argument("--bc", default="dirichlet")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--k", default="1..20")
-    common(p)
-
-    p = sub.add_parser("avp", help="averaged-variational-principle bounds")
-    p.add_argument("--domain", default="square:1")
-    p.add_argument("--k", default="1..30")
-    p.add_argument("--z", default="1e3:1e6:8log")
-    p.add_argument("--t", default="1e-4,1e-3")
-    p.add_argument("--h", type=float, default=0.1)
-    p.add_argument("--grid-res", type=int, default=96)
-    common(p)
-
-    p = sub.add_parser("kroeger-laptev", help="refined two-sided interval bounds")
-    p.add_argument("--k", type=int, default=120)
-    common(p)
-
-    p = sub.add_parser("eig2d", help="finite-difference clamped spectrum")
-    p.add_argument("--domain", default="square:1")
-    p.add_argument("--grids", default="32")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--cache", type=Path, help="spectrum cache directory (same grid and k)")
-    common(p)
-
-    p = sub.add_parser("compare", help="eigenvalue comparison chain")
-    p.add_argument("--domain", default="square:1")
-    p.add_argument("--grids", default="64,128",
-                   help="at least two distinct grids, the finest two n and 2n; "
-                        "only those two are solved")
-    p.add_argument("--k", type=int, default=10)
-    common(p)
-
-    p = sub.add_parser("all", help="full verification sweep")
-    common(p)
     if config_defaults:
         # a key of another subcommand is harmless; one of no subcommand is a typo
         flags = {action.dest for sp in sub.choices.values() for action in sp._actions}
@@ -563,21 +561,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         _require(not unknown, f"config key(s) {', '.join(map(repr, unknown))} "
                               f"name no flag of any subcommand")
     return parser
-
-
-_COMMANDS = {
-    "roots": cmd_roots,
-    "spectrum1d": cmd_spectrum1d,
-    "riesz1d": cmd_riesz1d,
-    "lemma-onedim": cmd_lemma_onedim,
-    "constants": cmd_constants,
-    "predict": cmd_predict,
-    "avp": cmd_avp,
-    "kroeger-laptev": cmd_kroeger_laptev,
-    "eig2d": cmd_eig2d,
-    "compare": cmd_compare,
-    "all": cmd_all,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -589,7 +572,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         known, _ = pre.parse_known_args(argv)
         parser = build_parser(load_config(known.config) if known.config else None)
         args = parser.parse_args(argv)
-        reports = _COMMANDS[args.command](args)
+        reports = args.run(args)
         write_report(reports, args.out, args.format, _run_meta(args.command))
     except (InputError, OSError) as exc:
         print(f"bilap: configuration error: {exc}", file=sys.stderr)

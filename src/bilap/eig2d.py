@@ -121,10 +121,6 @@ class Grid2D:
     def hy(self) -> float:
         return self.dom.lengths[1] / (self.ny + 1)
 
-    @property
-    def dim(self) -> int:
-        return self.nx * self.ny
-
 
 @dataclass(frozen=True)
 class DiscreteOperator:

@@ -33,7 +33,7 @@ def clamped_richardson(check_context) -> tuple[np.ndarray, np.ndarray]:
 def clamped_64_200(unit_square) -> np.ndarray:
     """200 clamped modes on the 64x64 grid, solved apart from the context,
     which solves that grid at FD_MODES only."""
-    return np.array(eig2d.clamped_spectrum_fd(unit_square, checks.HEAT_GRID, 200).values)
+    return np.array(eig2d.clamped_spectrum_fd(unit_square, checks.FD_GRIDS[0], 200).values)
 
 
 @pytest.fixture(scope="session")

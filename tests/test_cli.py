@@ -1,5 +1,6 @@
 """CLI: parsing, report schema, reproducibility, caching, exit codes."""
 
+import argparse
 import contextlib
 import dataclasses
 import importlib.util
@@ -55,6 +56,26 @@ _spec.loader.exec_module(bench_check)
 def _rows(path: Path) -> list[str]:
     """A CSV report without its timestamp line."""
     return path.read_text().splitlines()[1:]
+
+
+# The subcommand names, in the order the parser declares them.
+SUBCOMMANDS = tuple(next(action for action in build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)).choices)
+
+
+class TestSubcommandTable:
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_parser_carries_the_handler(self, name):
+        handler = getattr(cli, "cmd_" + name.replace("-", "_"))
+        assert build_parser().parse_args([name]).run is handler
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_every_subcommand_takes_out_and_format(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--out OUT" in usage and "--format {csv,json}" in usage
 
 
 class TestParsing:
@@ -395,7 +416,7 @@ class TestConfig:
     def test_config_choice_is_checked_before_the_command_runs(self, tmp_path, capsys,
                                                              monkeypatch):
         ran = []
-        monkeypatch.setitem(cli._COMMANDS, "constants", lambda args: ran.append(args) or [])
+        monkeypatch.setattr(cli, "cmd_constants", lambda args: ran.append(args) or [])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"format": "xml"}))
         assert main(["--config", str(cfg), "constants"]) == 2
@@ -407,7 +428,7 @@ class TestConfig:
 
     def test_config_key_of_no_subcommand_exits_2(self, tmp_path, capsys, monkeypatch):
         ran = []
-        monkeypatch.setitem(cli._COMMANDS, "roots", lambda args: ran.append(args) or [])
+        monkeypatch.setattr(cli, "cmd_roots", lambda args: ran.append(args) or [])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"formt": "json"}))
         assert main(["--config", str(cfg), "roots"]) == 2
@@ -417,6 +438,17 @@ class TestConfig:
         cfg.write_text(json.dumps({"grid_res": 80}))  # a flag of avp only
         assert main(["--config", str(cfg), "roots"]) == 0
         assert len(ran) == 1
+
+    def test_config_cannot_choose_the_handler(self, tmp_path, capsys, monkeypatch):
+        # the handler is a parser default, but no flag's, so no config key sets it
+        ran = []
+        monkeypatch.setattr(cli, "cmd_roots", lambda args: ran.append(args) or [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": "cmd_all"}))
+        assert main(["--config", str(cfg), "roots"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'run'" in err
+        assert ran == []
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
